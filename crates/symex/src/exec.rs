@@ -14,12 +14,12 @@
 //! symbolic integer, a symbolic divisor), the branch conditions cover the
 //! whole input space and are pairwise disjoint. A branch is only dropped
 //! when its condition is **provably** unsatisfiable
-//! ([`crate::solve::quick_unsat`]) or when a budget bound truncates it —
-//! and truncation always leaves a typed [`Incompleteness`] marker on the
-//! resulting outcome. Hence, over the returned outcomes: if no marker is
-//! present, every concrete execution of the function (under the explored
-//! argument shapes) follows exactly one completed outcome. That is the
-//! entire soundness argument for spuriousness proofs.
+//! ([`crate::solve::Propagator::quick_unsat`]) or when a budget bound
+//! truncates it — and truncation always leaves a typed [`Incompleteness`]
+//! marker on the resulting outcome. Hence, over the returned outcomes: if
+//! no marker is present, every concrete execution of the function (under
+//! the explored argument shapes) follows exactly one completed outcome.
+//! That is the entire soundness argument for spuriousness proofs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -30,7 +30,7 @@ use zarf_core::prim::PrimOp;
 
 use crate::budget::{Incompleteness, SymexBudget};
 use crate::seed::{cross, materialize_tag, EnvCtx, FieldAlt};
-use crate::solve::{quick_unsat, Lit};
+use crate::solve::{Lit, Propagator};
 use crate::summary::{Summaries, Summary, SummaryPath};
 use crate::term::{TermId, TermStore};
 use crate::value::{canonical, leaf_terms, shape_key, subst_sv, CTarget, ShapeKey, SymVal, SV};
@@ -77,7 +77,7 @@ impl Outcome {
 
 type AppRes = Vec<(PathState, Option<SV>)>;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Env {
     args: Rc<Vec<SV>>,
     locals: Vec<SV>,
@@ -97,6 +97,13 @@ pub struct Exec<'p> {
     pub total_steps: u64,
     /// Completed paths across all explorations (statistics).
     pub total_paths: u64,
+    /// Feasibility checks run on forked path conditions (statistics).
+    pub prune_checks: u64,
+    /// Forks dropped because their condition was proved unsat
+    /// (statistics).
+    pub pruned: u64,
+    /// Scratch state for the feasibility checks, reused across forks.
+    prop: Propagator,
     steps_left: u64,
     paths_done: usize,
     case_maps: HashMap<u32, Rc<HashMap<usize, usize>>>,
@@ -120,6 +127,9 @@ impl<'p> Exec<'p> {
             summaries: Summaries::new(program),
             total_steps: 0,
             total_paths: 0,
+            prune_checks: 0,
+            pruned: 0,
+            prop: Propagator::new(),
             steps_left: 0,
             paths_done: 0,
             case_maps: HashMap::new(),
@@ -195,8 +205,14 @@ impl<'p> Exec<'p> {
 
     /// Whether a path condition is still possibly satisfiable. Only a
     /// *proof* of unsatisfiability prunes; long conditions skip the check.
-    fn feasible(&self, lits: &[Lit]) -> bool {
-        lits.len() > PRUNE_LIT_CAP || !quick_unsat(&self.store, lits)
+    fn feasible(&mut self, lits: &[Lit]) -> bool {
+        if lits.len() > PRUNE_LIT_CAP {
+            return true;
+        }
+        self.prune_checks += 1;
+        let unsat = self.prop.quick_unsat(&self.store, lits);
+        self.pruned += u64::from(unsat);
+        !unsat
     }
 
     fn resolve(&mut self, env: &Env, op: Operand) -> Result<SV, Incompleteness> {
@@ -307,10 +323,18 @@ impl<'p> Exec<'p> {
                         Err(why) => vec![Self::truncated(st, why)],
                     },
                 };
-                for (st2, val) in applied {
+                // The last continuation takes `env` itself: a single result
+                // (the common case) copies nothing.
+                let mut env = env;
+                let mut applied = applied.into_iter().peekable();
+                while let Some((st2, val)) = applied.next() {
                     match val {
                         Some(v) => {
-                            let mut env2 = env.clone();
+                            let mut env2 = if applied.peek().is_some() {
+                                env.clone()
+                            } else {
+                                std::mem::take(&mut env)
+                            };
                             env2.locals.push(v);
                             self.eval_expr(f, body, env2, st2, depth, out);
                         }

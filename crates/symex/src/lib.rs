@@ -21,7 +21,7 @@
 //! |---|---|
 //! | [`term`] | hash-consed symbolic integer terms |
 //! | [`value`] | symbolic values, shape keys, canonicalization |
-//! | [`solve`] | in-repo incremental solver (intervals, congruences, equality splitting) — no external SMT |
+//! | [`solve`] | in-repo solver (interval propagation with reusable dense state, congruences, model search) — no external SMT |
 //! | [`budget`] | typed exploration budgets and incompleteness markers |
 //! | [`summary`] | compositional per-function summaries, memoized by argument shape |
 //! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op |
@@ -92,6 +92,8 @@ pub fn decide(
         summary_hits: ex.summaries.hits,
         summary_misses: ex.summaries.misses,
         pool: pool.entries.len(),
+        prune_checks: ex.prune_checks,
+        pruned: ex.pruned,
     };
     SymexReport { verdicts, stats }
 }

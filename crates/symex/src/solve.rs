@@ -1,4 +1,4 @@
-//! The in-repo incremental constraint solver.
+//! The in-repo constraint solver.
 //!
 //! Path conditions are conjunctions of literals `term == c` / `term != c`
 //! over the interned term DAG. There is no external SMT solver in this
@@ -8,10 +8,10 @@
 //! 1. **Propagation** (sound for UNSAT): forward interval analysis over
 //!    the DAG in topological (ascending-id) order, backward narrowing from
 //!    pinned results, disequality sets, and congruence facts harvested
-//!    from `mod`-by-constant terms. All arithmetic runs in `i64`;
-//!    refinements are only applied when the underlying 32-bit wrapping
-//!    operation provably cannot wrap, so an empty interval is a *proof*
-//!    of unsatisfiability.
+//!    from `mod`-by-constant terms, iterated to a bounded fixpoint. All
+//!    arithmetic runs in `i64`; refinements are only applied when the
+//!    underlying 32-bit wrapping operation provably cannot wrap, so an
+//!    empty interval is a *proof* of unsatisfiability.
 //! 2. **Model search** (sound for SAT): deterministic candidate
 //!    generation per variable (pinned values, interval endpoints,
 //!    literal right-hand sides, congruence representatives,
@@ -23,8 +23,18 @@
 //!
 //! Anything else is [`Verdict::Unknown`]: the caller must not treat it as
 //! either proof.
+//!
+//! The solver is **not incremental**: every check re-propagates the whole
+//! path condition from ⊤, so an answer depends only on `(store, lits)`.
+//! What is reused is memory. A [`Propagator`] keeps its per-check state in
+//! dense vectors indexed by a term's position in the sorted reachable set,
+//! and the executor owns one for every fork-pruning check, so the hot path
+//! neither allocates nor hashes once the buffers are warm. Reuse never
+//! changes an answer: each check resets exactly the state the previous
+//! one touched, so a reused propagator and a fresh one prune the same
+//! forks.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use zarf_core::prim::PrimOp;
 use zarf_core::Int;
@@ -125,33 +135,85 @@ impl Interval {
     }
 }
 
-/// Propagation state over the subgraph reachable from the literals.
-struct Prop {
-    iv: HashMap<TermId, Interval>,
-    ne: HashMap<TermId, BTreeSet<i64>>,
+/// `slot` value of a term outside the current reachable set.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Reusable propagation state over the subgraph reachable from one
+/// conjunction.
+///
+/// Every per-term vector is indexed by the term's *position* in `order`
+/// (the reachable ids, ascending), found through `slot`. A check resets
+/// only the slots the previous check set, and the other buffers are
+/// truncated and refilled, so after warm-up a check allocates nothing.
+/// Terms outside the store (dangling ids, which safe use never mints) get
+/// no position: they read as ⊤ and are never narrowed, which can only
+/// weaken a refutation, never invent one.
+#[derive(Debug, Default)]
+pub struct Propagator {
+    /// Reachable term ids in ascending (topological) order.
+    order: Vec<TermId>,
+    /// Term id → position in `order`, or [`NO_SLOT`]. While collecting,
+    /// any other value is the visited mark.
+    slot: Vec<u32>,
+    /// Depth-first worklist for collecting `order`.
+    stack: Vec<TermId>,
+    iv: Vec<Interval>,
+    /// Excluded points, sorted and deduplicated, at most [`NE_CAP`].
+    ne: Vec<Vec<i64>>,
     /// `term ≡ residue (mod modulus)` hints for the model search; never
     /// used to refute.
-    cong: HashMap<TermId, (i64, i64)>,
+    cong: Vec<Option<(i64, i64)>>,
     /// Terms whose forward computation is exact (cannot wrap) under the
     /// current child intervals — prerequisite for backward narrowing.
-    exact: BTreeSet<TermId>,
-    order: Vec<TermId>,
+    exact: Vec<bool>,
+    /// Bumped whenever an interval shrinks. Intervals only shrink, so an
+    /// unchanged count across a round means no interval moved.
+    changes: u64,
     unsat: bool,
 }
 
-impl Prop {
-    fn interval(&self, t: TermId) -> Interval {
-        self.iv.get(&t).copied().unwrap_or_else(Interval::top)
+impl Propagator {
+    /// An empty propagator; buffers grow on first use.
+    pub fn new() -> Self {
+        Propagator::default()
     }
 
-    fn narrow(&mut self, t: TermId, want: Interval) -> bool {
-        let mut cur = self.interval(t);
-        let changed = cur.meet(want);
-        if cur.empty() {
-            self.unsat = true;
+    /// Propagation-only satisfiability pre-check: `true` means the
+    /// conjunction is *provably* unsatisfiable (sound — usable to prune
+    /// forks and to discharge warnings).
+    pub fn quick_unsat(&mut self, store: &TermStore, lits: &[Lit]) -> bool {
+        !self.propagate(store, lits)
+    }
+
+    fn pos(&self, t: TermId) -> Option<usize> {
+        match self.slot.get(t as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
         }
-        self.iv.insert(t, cur);
-        changed
+    }
+
+    fn interval(&self, t: TermId) -> Interval {
+        self.pos(t)
+            .and_then(|i| self.iv.get(i))
+            .copied()
+            .unwrap_or_else(Interval::top)
+    }
+
+    fn narrow(&mut self, t: TermId, want: Interval) {
+        if let Some(i) = self.pos(t) {
+            self.narrow_at(i, want);
+        }
+    }
+
+    fn narrow_at(&mut self, i: usize, want: Interval) {
+        if let Some(cur) = self.iv.get_mut(i) {
+            if cur.meet(want) {
+                self.changes += 1;
+            }
+            if cur.empty() {
+                self.unsat = true;
+            }
+        }
     }
 
     fn exclude(&mut self, t: TermId, n: i64) {
@@ -182,47 +244,136 @@ impl Prop {
             );
             return;
         }
-        let set = self.ne.entry(t).or_default();
-        if set.len() < NE_CAP {
-            set.insert(n);
+        if let Some(set) = self.pos(t).and_then(|i| self.ne.get_mut(i)) {
+            if set.len() < NE_CAP {
+                if let Err(k) = set.binary_search(&n) {
+                    set.insert(k, n);
+                }
+            }
         }
     }
-}
 
-fn reachable_terms(store: &TermStore, lits: &[Lit]) -> Vec<TermId> {
-    let mut needed: BTreeSet<TermId> = BTreeSet::new();
-    let mut stack: Vec<TermId> = lits.iter().map(|l| l.term).collect();
-    while let Some(t) = stack.pop() {
-        if !needed.insert(t) {
-            continue;
-        }
-        if let Term::App(_, args) = store.term(t) {
-            stack.extend(args);
-        }
+    /// The congruence hint recorded for `t`, if any.
+    fn cong_of(&self, t: TermId) -> Option<(i64, i64)> {
+        self.pos(t)
+            .and_then(|i| self.cong.get(i).copied().flatten())
     }
-    needed.into_iter().collect()
-}
 
-/// One forward pass: recompute each term's interval from its children.
-/// Ascending id order is topological, so a single pass reaches fixpoint
-/// relative to the current child intervals.
-fn forward(store: &TermStore, p: &mut Prop) {
-    let order = p.order.clone();
-    for t in order {
-        let term = store.term(t);
-        let (iv, exact) = match &term {
-            Term::Const(n) => (Interval::point(*n as i64), true),
-            Term::Var(_) => (p.interval(t), true),
-            Term::App(op, args) => forward_app(*op, args, p),
-        };
-        if exact {
-            p.exact.insert(t);
-        } else {
-            p.exact.remove(&t);
+    /// The points excluded for `t`, ascending.
+    fn ne_of(&self, t: TermId) -> &[i64] {
+        self.pos(t)
+            .and_then(|i| self.ne.get(i))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Collect the terms reachable from `lits` into `order`, assign their
+    /// positions, and reset every per-term buffer to its starting value.
+    fn load(&mut self, store: &TermStore, lits: &[Lit]) {
+        for &t in &self.order {
+            if let Some(s) = self.slot.get_mut(t as usize) {
+                *s = NO_SLOT;
+            }
         }
-        p.narrow(t, iv);
-        if p.unsat {
-            return;
+        self.order.clear();
+        if self.slot.len() < store.len() {
+            self.slot.resize(store.len(), NO_SLOT);
+        }
+        self.stack.clear();
+        self.stack.extend(lits.iter().map(|l| l.term));
+        while let Some(t) = self.stack.pop() {
+            if t as usize >= store.len() {
+                continue;
+            }
+            match self.slot.get_mut(t as usize) {
+                Some(s) if *s == NO_SLOT => *s = 0,
+                _ => continue,
+            }
+            self.order.push(t);
+            if let Term::App(_, args) = store.term(t) {
+                self.stack.extend(args);
+            }
+        }
+        self.order.sort_unstable();
+        for (i, &t) in self.order.iter().enumerate() {
+            if let Some(s) = self.slot.get_mut(t as usize) {
+                *s = i as u32;
+            }
+        }
+        let n = self.order.len();
+        self.iv.clear();
+        self.iv.resize(n, Interval::top());
+        self.exact.clear();
+        self.exact.resize(n, false);
+        self.cong.clear();
+        self.cong.resize(n, None);
+        if self.ne.len() < n {
+            self.ne.resize_with(n, Vec::new);
+        }
+        for set in self.ne.iter_mut().take(n) {
+            set.clear();
+        }
+        self.unsat = false;
+    }
+
+    /// Run propagation to a bounded fixpoint. `false` means proved UNSAT;
+    /// on `true` the state describes the conjunction until the next call.
+    fn propagate(&mut self, store: &TermStore, lits: &[Lit]) -> bool {
+        self.load(store, lits);
+        self.forward(store);
+        for lit in lits {
+            if lit.eq {
+                self.narrow(lit.term, Interval::point(lit.rhs as i64));
+            } else {
+                self.exclude(lit.term, lit.rhs as i64);
+            }
+            if self.unsat {
+                return false;
+            }
+        }
+        for _ in 0..PROP_ROUNDS {
+            let before = self.changes;
+            backward(store, self);
+            if self.unsat {
+                return false;
+            }
+            self.forward(store);
+            if self.unsat {
+                return false;
+            }
+            // Re-check disequalities against newly pinned intervals.
+            let hit = self
+                .iv
+                .iter()
+                .zip(&self.ne)
+                .any(|(iv, set)| iv.pinned().is_some_and(|v| set.binary_search(&v).is_ok()));
+            if hit {
+                return false;
+            }
+            if self.changes == before {
+                break;
+            }
+        }
+        true
+    }
+
+    /// One forward pass: recompute each term's interval from its children.
+    /// Ascending id order is topological, so a single pass reaches
+    /// fixpoint relative to the current child intervals.
+    fn forward(&mut self, store: &TermStore) {
+        for i in 0..self.order.len() {
+            let Some(&t) = self.order.get(i) else { break };
+            let (iv, exact) = match store.term(t) {
+                Term::Const(n) => (Interval::point(*n as i64), true),
+                Term::Var(_) => (self.interval(t), true),
+                Term::App(op, args) => forward_app(*op, args, self),
+            };
+            if let Some(e) = self.exact.get_mut(i) {
+                *e = exact;
+            }
+            self.narrow_at(i, iv);
+            if self.unsat {
+                return;
+            }
         }
     }
 }
@@ -230,7 +381,7 @@ fn forward(store: &TermStore, p: &mut Prop) {
 /// Forward interval for one application. Returns `(interval, exact)`,
 /// where `exact` means the wrapping op equals the ideal op for every
 /// value in the child intervals (so backward narrowing is sound).
-fn forward_app(op: PrimOp, args: &[TermId], p: &Prop) -> (Interval, bool) {
+fn forward_app(op: PrimOp, args: &[TermId], p: &Propagator) -> (Interval, bool) {
     let a = args
         .first()
         .map(|&x| p.interval(x))
@@ -400,12 +551,13 @@ fn bool_iv(zero: bool, one: bool) -> (Interval, bool) {
 
 /// One backward pass: push pinned/narrowed results into children, in
 /// descending (reverse-topological) order. Only applied to `exact` terms.
-fn backward(store: &TermStore, p: &mut Prop) {
-    let order: Vec<TermId> = p.order.iter().rev().copied().collect();
-    for t in order {
+fn backward(store: &TermStore, p: &mut Propagator) {
+    for i in (0..p.order.len()).rev() {
         if p.unsat {
             return;
         }
+        let Some(&t) = p.order.get(i) else { continue };
+        let exact = p.exact.get(i).copied().unwrap_or(false);
         let (op, args) = match store.term(t) {
             Term::App(op, args) => (op, args),
             _ => continue,
@@ -423,7 +575,7 @@ fn backward(store: &TermStore, p: &mut Prop) {
         // Wrapping add/sub/neg/xor are bijections in each operand, so the
         // fully-pinned inversions below are sound even when the interval
         // (non-wrapping) narrowing of the `exact` arms is not.
-        let pin = |p: &mut Prop, t: TermId, n: i32| {
+        let pin = |p: &mut Propagator, t: TermId, n: i32| {
             p.narrow(t, Interval::point(n as i64));
         };
         match op {
@@ -435,7 +587,7 @@ fn backward(store: &TermStore, p: &mut Prop) {
                         pin(p, y, (rv as i32).wrapping_sub(xv as i32));
                     }
                 }
-                if p.exact.contains(&t) {
+                if exact {
                     p.narrow(
                         x,
                         Interval {
@@ -460,7 +612,7 @@ fn backward(store: &TermStore, p: &mut Prop) {
                         pin(p, y, (xv as i32).wrapping_sub(rv as i32));
                     }
                 }
-                if p.exact.contains(&t) {
+                if exact {
                     p.narrow(
                         x,
                         Interval {
@@ -480,7 +632,7 @@ fn backward(store: &TermStore, p: &mut Prop) {
             PrimOp::Neg => {
                 if let Some(rv) = r.pinned() {
                     pin(p, x, (rv as i32).wrapping_neg());
-                } else if p.exact.contains(&t) {
+                } else if exact {
                     p.narrow(
                         x,
                         Interval {
@@ -685,72 +837,15 @@ fn backward(store: &TermStore, p: &mut Prop) {
                 // mod. Never used to refute — search guidance only.
                 if let (Some(res), Some(m)) = (r.pinned(), ya.pinned()) {
                     if m > 0 && xa.lo >= 0 {
-                        p.cong.insert(x, (m, res.rem_euclid(m)));
+                        if let Some(c) = p.pos(x).and_then(|j| p.cong.get_mut(j)) {
+                            *c = Some((m, res.rem_euclid(m)));
+                        }
                     }
                 }
             }
             _ => {}
         }
     }
-}
-
-/// Run propagation to a bounded fixpoint. `None` means proved UNSAT.
-fn propagate(store: &TermStore, lits: &[Lit]) -> Option<Prop> {
-    let mut p = Prop {
-        iv: HashMap::new(),
-        ne: HashMap::new(),
-        cong: HashMap::new(),
-        exact: BTreeSet::new(),
-        order: reachable_terms(store, lits),
-        unsat: false,
-    };
-    forward(store, &mut p);
-    for lit in lits {
-        if lit.eq {
-            p.narrow(lit.term, Interval::point(lit.rhs as i64));
-        } else {
-            p.exclude(lit.term, lit.rhs as i64);
-        }
-        if p.unsat {
-            return None;
-        }
-    }
-    for _ in 0..PROP_ROUNDS {
-        let before: Vec<Interval> = p.order.iter().map(|&t| p.interval(t)).collect();
-        backward(store, &mut p);
-        if p.unsat {
-            return None;
-        }
-        forward(store, &mut p);
-        if p.unsat {
-            return None;
-        }
-        // Re-check disequalities against newly pinned intervals.
-        let pins: Vec<(TermId, i64)> =
-            p.ne.iter()
-                .filter_map(|(&t, set)| {
-                    p.iv.get(&t)
-                        .and_then(|iv| iv.pinned())
-                        .filter(|n| set.contains(n))
-                        .map(|n| (t, n))
-                })
-                .collect();
-        if !pins.is_empty() {
-            return None;
-        }
-        let after: Vec<Interval> = p.order.iter().map(|&t| p.interval(t)).collect();
-        if before == after {
-            break;
-        }
-    }
-    Some(p)
-}
-
-/// Propagation-only satisfiability pre-check: `true` means the conjunction
-/// is *provably* unsatisfiable (sound — usable to prune forks and to
-/// discharge warnings).
-pub fn quick_unsat(store: &TermStore, lits: &[Lit]) -> bool {
-    propagate(store, lits).is_none()
 }
 
 /// Verify a candidate model against every literal, concretely.
@@ -783,7 +878,7 @@ fn clamp_i32(n: i64) -> Int {
 
 /// Candidate values for one variable, deterministic and ordered from most
 /// to least informed.
-fn candidates(p: &Prop, store: &TermStore, lits: &[Lit], vt: TermId) -> Vec<Int> {
+fn candidates(p: &Propagator, lits: &[Lit], vt: TermId) -> Vec<Int> {
     let iv = p.interval(vt);
     let mut out: Vec<Int> = Vec::new();
     let mut push = |n: i64| {
@@ -800,7 +895,7 @@ fn candidates(p: &Prop, store: &TermStore, lits: &[Lit], vt: TermId) -> Vec<Int>
     }
     // Congruence representatives first: smallest in-interval member of the
     // residue class, then a couple more.
-    if let Some(&(m, r)) = p.cong.get(&vt) {
+    if let Some((m, r)) = p.cong_of(vt) {
         if m > 0 {
             let base = iv.lo + (r - iv.lo).rem_euclid(m);
             push(base);
@@ -823,23 +918,20 @@ fn candidates(p: &Prop, store: &TermStore, lits: &[Lit], vt: TermId) -> Vec<Int>
         }
     }
     // Step around excluded points.
-    if let Some(set) = p.ne.get(&vt) {
-        for &n in set.iter().take(8) {
-            push(n + 1);
-            push(n - 1);
-        }
+    for &n in p.ne_of(vt).iter().take(8) {
+        push(n + 1);
+        push(n - 1);
     }
-    let _ = store;
     out
 }
 
 /// Decide one conjunction. `effort` bounds the number of candidate models
 /// verified.
 pub fn solve(store: &TermStore, lits: &[Lit], effort: u32) -> Verdict {
-    let p = match propagate(store, lits) {
-        Some(p) => p,
-        None => return Verdict::Unsat,
-    };
+    let mut p = Propagator::new();
+    if !p.propagate(store, lits) {
+        return Verdict::Unsat;
+    }
     let mut vars: BTreeSet<u32> = BTreeSet::new();
     for lit in lits {
         store.vars_of(lit.term, &mut vars);
@@ -858,19 +950,19 @@ pub fn solve(store: &TermStore, lits: &[Lit], effort: u32) -> Verdict {
     }
     // Per-variable candidate lists need the variable's *term* id; it may
     // not be interned if the variable only appears inside applications —
-    // reachable_terms covered those, and Var terms are interned whenever
+    // the reachable set covered those, and Var terms are interned whenever
     // fresh_var ran, so look them up through the propagation order.
     let mut var_term: BTreeMap<u32, TermId> = BTreeMap::new();
     for &t in &p.order {
         if let Term::Var(v) = store.term(t) {
-            var_term.insert(v, t);
+            var_term.insert(*v, t);
         }
     }
     let cand: Vec<Vec<Int>> = vars
         .iter()
         .map(|v| match var_term.get(v) {
             Some(&t) => {
-                let c = candidates(&p, store, lits, t);
+                let c = candidates(&p, lits, t);
                 if c.is_empty() {
                     vec![0]
                 } else {
@@ -989,7 +1081,7 @@ mod tests {
             solve(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)], 100),
             Verdict::Unsat
         );
-        assert!(quick_unsat(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)]));
+        assert!(Propagator::new().quick_unsat(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)]));
     }
 
     #[test]
@@ -1049,6 +1141,60 @@ mod tests {
             }
             other => panic!("expected sat: {other:?}"),
         }
+    }
+
+    #[test]
+    fn fixpoint_runs_past_the_first_round() {
+        let mut s = TermStore::new();
+        let (_, x) = s.fresh_var();
+        let (_, y) = s.fresh_var();
+        let one = s.constant(1);
+        let x1 = s.app(PrimOp::Add, vec![x, one]);
+        // Interned after `x + 1`, so the first backward pass visits it
+        // before `x` is pinned; only a second round pins `y` to 7.
+        let xy = s.app(PrimOp::Add, vec![x, y]);
+        let lits = [Lit::eq(xy, 10), Lit::eq(x1, 4), Lit::ne(y, 7)];
+        assert!(Propagator::new().quick_unsat(&s, &lits));
+        assert!(!Propagator::new().quick_unsat(&s, &lits[..2]));
+    }
+
+    #[test]
+    fn reused_propagator_matches_a_fresh_one() {
+        let mut s = TermStore::new();
+        let (_, x) = s.fresh_var();
+        let (_, y) = s.fresh_var();
+        let one = s.constant(1);
+        let ten = s.constant(10);
+        let seven = s.constant(7);
+        let x1 = s.app(PrimOp::Add, vec![x, one]);
+        let lt = s.app(PrimOp::Lt, vec![x, ten]);
+        let md = s.app(PrimOp::Mod, vec![y, seven]);
+        let unsat_a = vec![Lit::eq(x, 3), Lit::eq(x1, 7)];
+        // A disequality recorded against `y` must not leak into a later
+        // check where another term takes its position.
+        let sat_ne = vec![Lit::ne(y, 5)];
+        let sat_pin = vec![Lit::eq(x, 5)];
+        let unsat_b = vec![Lit::eq(lt, 1), Lit::eq(x, 12)];
+        let sat_wide = vec![Lit::eq(lt, 1), Lit::eq(md, 3), Lit::ne(x, 0), Lit::ne(y, 3)];
+        let sequence = [
+            &unsat_a, &sat_ne, &sat_pin, &unsat_b, &sat_wide, &sat_pin, &unsat_a, &sat_ne,
+            &sat_wide, &unsat_b, &sat_ne, &sat_pin,
+        ];
+        let mut reused = Propagator::new();
+        for lits in sequence {
+            assert_eq!(
+                reused.quick_unsat(&s, lits),
+                Propagator::new().quick_unsat(&s, lits),
+                "{lits:?}"
+            );
+        }
+        assert!(reused.quick_unsat(&s, &unsat_a) && reused.quick_unsat(&s, &unsat_b));
+        assert!(!reused.quick_unsat(&s, &sat_ne) && !reused.quick_unsat(&s, &sat_pin));
+        // The store growing between checks is picked up.
+        let y1 = s.app(PrimOp::Sub, vec![y, one]);
+        let grown = vec![Lit::eq(y1, 4), Lit::eq(y, 6)];
+        assert!(reused.quick_unsat(&s, &grown));
+        assert!(!reused.quick_unsat(&s, &sat_ne));
     }
 
     #[test]

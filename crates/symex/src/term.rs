@@ -63,11 +63,9 @@ impl TermStore {
     /// The term behind an id. Ids are only minted by this store, so a
     /// dangling id cannot arise from safe use; it degrades to `Const(0)`
     /// rather than aborting.
-    pub fn term(&self, id: TermId) -> Term {
-        self.terms
-            .get(id as usize)
-            .cloned()
-            .unwrap_or(Term::Const(0))
+    pub fn term(&self, id: TermId) -> &Term {
+        static DANGLING: Term = Term::Const(0);
+        self.terms.get(id as usize).unwrap_or(&DANGLING)
     }
 
     fn intern(&mut self, t: Term) -> TermId {
@@ -218,13 +216,13 @@ impl TermStore {
             }
         }
         for t in needed {
-            let rewritten = match self.term(t) {
+            let rewritten = match *self.term(t) {
                 Term::Const(n) => self.constant(n),
                 Term::Var(v) => match map.get(&v) {
                     Some(&r) => r,
                     None => self.var(v),
                 },
-                Term::App(op, args) => {
+                Term::App(op, ref args) => {
                     let new_args: Vec<TermId> = args
                         .iter()
                         .map(|a| memo.get(a).copied().unwrap_or(*a))

@@ -469,14 +469,20 @@ fn run_vet(rest: &[String]) -> ExitCode {
         let symex_json = symex_report.as_ref().map_or(String::new(), |r| {
             format!(
                 ",\"symex\":{{\"witnesses\":{},\"discharged\":{},\"undecided\":{},\
-                 \"pool\":{},\"paths\":{},\"summary_hits\":{},\"summary_misses\":{}}}",
+                 \"pool\":{},\"paths\":{},\"steps\":{},\"terms\":{},\
+                 \"summary_hits\":{},\"summary_misses\":{},\
+                 \"prune_checks\":{},\"pruned\":{}}}",
                 r.witnesses(),
                 r.discharged(),
                 r.undecided(),
                 r.stats.pool,
                 r.stats.paths,
+                r.stats.steps,
+                r.stats.terms,
                 r.stats.summary_hits,
                 r.stats.summary_misses,
+                r.stats.prune_checks,
+                r.stats.pruned,
             )
         });
         println!(

@@ -6,7 +6,7 @@
 
 use zarf::asm::{lift, lower, parse};
 use zarf::core::machine::MProgram;
-use zarf::symex::{decide, replay_witness, Status, SymexBudget, SymexReport};
+use zarf::symex::{decide, replay_witness, Status, SymexBudget, SymexReport, SymexStats};
 use zarf::verify::queries::{warning_queries, QueryKind, VetQuery};
 use zarf::verify::shape::Fault;
 use zarf::verify::{analyze_shapes, EntryModel};
@@ -179,12 +179,40 @@ fn icd_image_fully_decided_with_summary_reuse() {
     );
 }
 
-/// The kernel image: every emitted witness replays to its exact code, and
-/// the step-function warnings are all witnessed.
+/// The `kernel_run` value-fault warning of a kernel image: the envelope
+/// proof must discharge it.
+fn assert_kernel_run_spurious(rep: &SymexReport) {
+    let v = rep
+        .verdicts
+        .iter()
+        .find(|v| v.query.label == "kernel_run" && matches!(v.query.kind, QueryKind::ValueFault(_)))
+        .expect("kernel_run has a value-fault warning");
+    assert_eq!(v.status, Status::Spurious, "{:?}", v.status);
+}
+
+/// The kernel image: every emitted witness replays to its exact code, the
+/// step-function warnings are all witnessed, `kernel_run` is proved
+/// spurious, and the exploration is pinned count for count — any change to
+/// which forks the feasibility check prunes moves these numbers.
 #[test]
 fn kernel_image_witnesses_replay() {
     let rep = decide_image(&zarf::kernel::program::kernel_machine());
     assert!(rep.witnesses() >= 4, "{:?}", rep.verdicts);
+    assert_kernel_run_spurious(&rep);
+    assert_eq!(
+        rep.stats,
+        SymexStats {
+            queries: 5,
+            paths: 26_487,
+            steps: 987_774,
+            terms: 308_699,
+            summary_hits: 3_395,
+            summary_misses: 45,
+            pool: 4,
+            prune_checks: 54_435,
+            pruned: 89,
+        }
+    );
 }
 
 /// The session image likewise.
@@ -192,4 +220,19 @@ fn kernel_image_witnesses_replay() {
 fn session_image_witnesses_replay() {
     let rep = decide_image(&zarf::kernel::session::session_machine());
     assert!(rep.witnesses() >= 4, "{:?}", rep.verdicts);
+    assert_kernel_run_spurious(&rep);
+    assert_eq!(
+        rep.stats,
+        SymexStats {
+            queries: 5,
+            paths: 32_016,
+            steps: 1_161_148,
+            terms: 365_151,
+            summary_hits: 3_834,
+            summary_misses: 59,
+            pool: 5,
+            prune_checks: 65_017,
+            pruned: 89,
+        }
+    );
 }
