@@ -71,6 +71,7 @@
 
 pub mod ast;
 pub mod builder;
+pub mod codec;
 pub mod env;
 pub mod error;
 pub mod eval;

@@ -92,7 +92,7 @@ pub use repl::{
     ReplicatorConfig,
 };
 pub use server::{serve, serve_with, Client, ServeOptions};
-pub use wire::{read_frame, write_frame, FrameBuffer, Request, Response, RetryPolicy, WireError};
+pub use wire::{FrameBuffer, Request, Response, RetryPolicy, WireError};
 
 /// Everything that can go wrong at the fleet API surface. All typed — the
 /// fleet is part of the robustness ratchet, so no path panics.

@@ -28,16 +28,16 @@
 //!
 //! ## Frame layout
 //!
-//! `ZREP` frames mirror `ZFLT` exactly — magic, version byte, u32 LE
-//! payload length, payload, CRC-32 of the payload — so every transport
-//! guarantee (single-bit-flip rejection, truncation rejection, exact
-//! consume) carries over. Messages:
+//! [`ZREP`] is the shared [`zarf_core::codec::Frame`] under its own
+//! magic — the same frame, CRC-32 and exact-consume [`Reader`] as
+//! `ZFLT` — so every transport guarantee (single-bit-flip rejection,
+//! truncation rejection, exact consume) is the same code. Messages:
 //!
 //! | opcode | message     | body                                        |
 //! |--------|-------------|---------------------------------------------|
 //! | 1      | `Hello`     | —                                           |
 //! | 2      | `HelloAck`  | count, then (session u64, commit_seq u64)…  |
-//! | 3      | `Offer`     | encoded session record                      |
+//! | 3      | `Offer`     | session record (the store's codec)          |
 //! | 4      | `Need`      | already u8, count, then chunk ids ×16 bytes |
 //! | 5      | `Chunk`     | id 16 bytes, length-prefixed payload        |
 //! | 6      | `Commit`    | session u64, commit_seq u64                 |
@@ -56,26 +56,23 @@
 //! exactly these paths.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite};
-use zarf_hw::{crc32, verify_container};
+use zarf_core::codec::{put_bytes, put_string, put_u32, put_u64, Frame, Reader};
+use zarf_hw::verify_container;
 use zarf_store::{content_hash, ChunkId, SessionRecord, Store};
 
-use crate::wire::{
-    put_bytes, put_string, put_u32, put_u64, Reader, RetryPolicy, WireError, FRAME_OVERHEAD,
-    MAX_FRAME_PAYLOAD,
-};
+use crate::wire::{RetryPolicy, WireError, MAX_FRAME_PAYLOAD};
 use crate::{FleetError, Request, Response};
 
-/// `ZREP` frame magic.
-pub const REPL_MAGIC: [u8; 4] = *b"ZREP";
-/// `ZREP` protocol version.
-pub const REPL_VERSION: u8 = 1;
+/// The `ZREP` frame: magic `"ZREP"`, version 1, payloads up to
+/// [`MAX_FRAME_PAYLOAD`].
+pub const ZREP: Frame<WireError> = Frame::new(*b"ZREP", &[1], MAX_FRAME_PAYLOAD);
 
 /// Error code carried by [`ReplMsg::Err`]: the receiver's store failed.
 pub const REPL_ERR_STORE: u32 = 1;
@@ -84,148 +81,6 @@ pub const REPL_ERR_STORE: u32 = 1;
 pub const REPL_ERR_PROTOCOL: u32 = 2;
 /// Error code: a chunk's bytes did not hash to its claimed id.
 pub const REPL_ERR_HASH: u32 = 3;
-
-// -- framing ------------------------------------------------------------------
-
-/// Wrap a payload in a `ZREP` frame (magic, version, length, CRC).
-pub fn encode_repl_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&REPL_MAGIC);
-    out.push(REPL_VERSION);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
-    out
-}
-
-/// Unwrap a `ZREP` frame that must span the buffer exactly.
-pub fn decode_repl_frame(buf: &[u8]) -> Result<&[u8], WireError> {
-    if buf.len() < FRAME_OVERHEAD {
-        return Err(WireError::Truncated);
-    }
-    if buf[0..4] != REPL_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != REPL_VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let declared = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as u64;
-    if declared > MAX_FRAME_PAYLOAD as u64 {
-        return Err(WireError::Oversize(declared));
-    }
-    let actual = (buf.len() - FRAME_OVERHEAD) as u64;
-    if declared != actual {
-        return Err(WireError::LengthMismatch { declared, actual });
-    }
-    let payload = &buf[9..buf.len() - 4];
-    let crc_bytes = &buf[buf.len() - 4..];
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc != crc32(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(payload)
-}
-
-/// Write one framed `ZREP` payload to a stream.
-pub fn write_repl_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_repl_frame(payload);
-    w.write_all(&frame)
-        .map_err(|e| WireError::Io(e.to_string()))
-}
-
-/// Read one framed `ZREP` payload from a stream.
-pub fn read_repl_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    if header[0..4] != REPL_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != REPL_VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&rest);
-    decode_repl_frame(&frame).map(<[u8]>::to_vec)
-}
-
-// -- record codec -------------------------------------------------------------
-
-/// Serialize a store session record for the wire (mirrors the store's
-/// own durable layout field for field, so the record the destination
-/// adopts is exactly the record the source committed).
-pub fn encode_record(rec: &SessionRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(73 + 16 * rec.chunks.len());
-    put_u64(&mut out, rec.id);
-    put_u64(&mut out, rec.commit_seq);
-    put_u64(&mut out, rec.ops_done);
-    put_u64(&mut out, rec.heap_words);
-    put_u64(&mut out, rec.op_budget);
-    put_u64(&mut out, rec.fuel_slice);
-    out.push(rec.verified as u8);
-    put_u64(&mut out, rec.snap_len);
-    out.extend_from_slice(&rec.snap_hash.0);
-    put_u32(&mut out, rec.chunks.len() as u32);
-    for c in &rec.chunks {
-        out.extend_from_slice(&c.0);
-    }
-    out
-}
-
-fn read_chunk_id(r: &mut Reader<'_>) -> Result<ChunkId, WireError> {
-    let b = r.take(16)?;
-    let mut id = [0u8; 16];
-    id.copy_from_slice(b);
-    Ok(ChunkId(id))
-}
-
-fn read_record(r: &mut Reader<'_>) -> Result<SessionRecord, WireError> {
-    let id = r.u64()?;
-    let commit_seq = r.u64()?;
-    let ops_done = r.u64()?;
-    let heap_words = r.u64()?;
-    let op_budget = r.u64()?;
-    let fuel_slice = r.u64()?;
-    let verified = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("verified flag")),
-    };
-    let snap_len = r.u64()?;
-    let snap_hash = read_chunk_id(r)?;
-    let n = r.count(16)?;
-    let mut chunks = Vec::with_capacity(n);
-    for _ in 0..n {
-        chunks.push(read_chunk_id(r)?);
-    }
-    Ok(SessionRecord {
-        id,
-        commit_seq,
-        ops_done,
-        heap_words,
-        op_budget,
-        fuel_slice,
-        verified,
-        snap_len,
-        snap_hash,
-        chunks,
-    })
-}
-
-/// Deserialize a session record; the whole buffer must be consumed.
-pub fn decode_record(buf: &[u8]) -> Result<SessionRecord, WireError> {
-    let mut r = Reader::new(buf);
-    let rec = read_record(&mut r)?;
-    r.finish()?;
-    Ok(rec)
-}
 
 // -- message codec ------------------------------------------------------------
 
@@ -323,7 +178,7 @@ impl ReplMsg {
             }
             ReplMsg::Offer { rec } => {
                 out.push(OP_OFFER);
-                out.extend_from_slice(&encode_record(rec));
+                rec.put(&mut out);
             }
             ReplMsg::Need { already, chunks } => {
                 out.push(OP_NEED);
@@ -376,32 +231,19 @@ impl ReplMsg {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             OP_HELLO => ReplMsg::Hello,
-            OP_HELLO_ACK => {
-                let n = r.count(16)?;
-                let mut acked = Vec::with_capacity(n);
-                for _ in 0..n {
-                    acked.push((r.u64()?, r.u64()?));
-                }
-                ReplMsg::HelloAck { acked }
-            }
+            OP_HELLO_ACK => ReplMsg::HelloAck {
+                acked: r.list(16, |r| Ok::<_, WireError>((r.u64()?, r.u64()?)))?,
+            },
             OP_OFFER => ReplMsg::Offer {
-                rec: read_record(&mut r)?,
+                rec: SessionRecord::read(&mut r)?,
             },
             OP_NEED => {
-                let already = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("already flag")),
-                };
-                let n = r.count(16)?;
-                let mut chunks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    chunks.push(read_chunk_id(&mut r)?);
-                }
+                let already = r.flag("already flag")?;
+                let chunks = r.list(16, |r| r.array().map(ChunkId))?;
                 ReplMsg::Need { already, chunks }
             }
             OP_CHUNK => ReplMsg::Chunk {
-                id: read_chunk_id(&mut r)?,
+                id: ChunkId(r.array()?),
                 bytes: r.bytes()?,
             },
             OP_COMMIT => ReplMsg::Commit {
@@ -632,7 +474,7 @@ impl ChaosLink<'_> {
     }
 
     fn send(&mut self, msg: &ReplMsg) -> Result<(), WireError> {
-        let frame = encode_repl_frame(&msg.encode());
+        let frame = ZREP.encode(&msg.encode())?;
         let fault = self
             .chaos
             .and_then(|p| p.at(FaultSite::Repl, *self.frames_sent));
@@ -678,7 +520,7 @@ impl ChaosLink<'_> {
     }
 
     fn recv(&mut self) -> Result<ReplMsg, WireError> {
-        let payload = read_repl_frame(&mut self.stream)?;
+        let payload = ZREP.read(&mut self.stream)?;
         ReplMsg::decode(&payload)
     }
 
@@ -905,7 +747,7 @@ fn serve_repl_conn(
     // Records offered but not yet committed on this connection.
     let mut pending: HashMap<u64, SessionRecord> = HashMap::new();
     let reply = |stream: &mut TcpStream, msg: &ReplMsg| -> bool {
-        write_repl_frame(stream, &msg.encode()).is_ok()
+        ZREP.write(stream, &msg.encode()).is_ok()
     };
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -925,7 +767,7 @@ fn serve_repl_conn(
             }
             Err(_) => return,
         }
-        let msg = match read_repl_frame(&mut stream) {
+        let msg = match ZREP.read(&mut stream) {
             Ok(payload) => match ReplMsg::decode(&payload) {
                 Ok(m) => m,
                 Err(_) => {
@@ -1164,7 +1006,7 @@ pub fn migrate_session(
                 ))))
             }
         };
-        let rec = decode_record(&record)?;
+        let rec = SessionRecord::decode(&record).map_err(WireError::from)?;
         if rec.commit_seq != commit_seq {
             return Err(FleetError::Wire(WireError::Io(format!(
                 "manifest seq {} behind quiesced seq {commit_seq}",
@@ -1177,8 +1019,8 @@ pub fn migrate_session(
         let _ = dst.set_write_timeout(Some(policy.op_deadline));
         let _ = dst.set_nodelay(true);
         let call = |dst: &mut TcpStream, msg: &ReplMsg| -> Result<ReplMsg, FleetError> {
-            write_repl_frame(dst, &msg.encode())?;
-            let payload = read_repl_frame(dst)?;
+            ZREP.write(dst, &msg.encode())?;
+            let payload = ZREP.read(dst)?;
             Ok(ReplMsg::decode(&payload)?)
         };
         match call(&mut dst, &ReplMsg::Hello)? {
@@ -1215,7 +1057,7 @@ pub fn migrate_session(
                         ))))
                     }
                 };
-                write_repl_frame(
+                ZREP.write(
                     &mut dst,
                     &ReplMsg::Chunk {
                         id: chunk,
@@ -1341,8 +1183,8 @@ mod tests {
     fn messages_round_trip_through_frames() {
         for msg in sample_msgs() {
             let payload = msg.encode();
-            let frame = encode_repl_frame(&payload);
-            let back = decode_repl_frame(&frame).unwrap();
+            let frame = ZREP.encode(&payload).unwrap();
+            let back = ZREP.decode(&frame).unwrap();
             assert_eq!(ReplMsg::decode(back).unwrap(), msg);
         }
     }
@@ -1350,30 +1192,34 @@ mod tests {
     #[test]
     fn records_round_trip_exactly() {
         let rec = sample_record();
-        let bytes = encode_record(&rec);
-        assert_eq!(decode_record(&bytes).unwrap(), rec);
+        let bytes = rec.encode();
+        assert_eq!(SessionRecord::decode(&bytes).unwrap(), rec);
         // Exact consume: a trailing byte is rejected.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode_record(&padded).is_err());
+        assert!(SessionRecord::decode(&padded).is_err());
         // And a truncated record is rejected.
-        assert!(decode_record(&bytes[..bytes.len() - 1]).is_err());
+        assert!(SessionRecord::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
     fn every_single_bit_flip_is_rejected_on_a_sample_frame() {
-        let frame = encode_repl_frame(
-            &ReplMsg::Commit {
-                session: 3,
-                commit_seq: 9,
-            }
-            .encode(),
-        );
+        let frame = ZREP
+            .encode(
+                &ReplMsg::Commit {
+                    session: 3,
+                    commit_seq: 9,
+                }
+                .encode(),
+            )
+            .unwrap();
         for byte in 0..frame.len() {
             for bit in 0..8 {
                 let mut dam = frame.clone();
                 dam[byte] ^= 1 << bit;
-                let verdict = decode_repl_frame(&dam).and_then(|p| ReplMsg::decode(p).map(|_| ()));
+                let verdict = ZREP
+                    .decode(&dam)
+                    .and_then(|p| ReplMsg::decode(p).map(|_| ()));
                 assert!(
                     verdict.is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
@@ -1384,12 +1230,24 @@ mod tests {
 
     #[test]
     fn zrep_frames_are_not_zflt_frames() {
-        let frame = encode_repl_frame(&ReplMsg::Hello.encode());
+        let frame = ZREP.encode(&ReplMsg::Hello.encode()).unwrap();
         assert_eq!(
-            crate::wire::decode_frame(&frame),
+            crate::wire::ZFLT.decode(&frame),
             Err(WireError::BadMagic),
             "a ZREP frame must never decode as ZFLT"
         );
+    }
+
+    #[test]
+    fn a_payload_one_past_the_cap_is_refused_on_write() {
+        let over = vec![0u8; MAX_FRAME_PAYLOAD + 1];
+        let mut sink = Vec::new();
+        assert_eq!(
+            ZREP.write(&mut sink, &over),
+            Err(WireError::Oversize(over.len() as u64))
+        );
+        assert!(sink.is_empty(), "nothing of a refused frame is written");
+        assert!(ZREP.write(&mut sink, &over[1..]).is_ok());
     }
 
     #[test]

@@ -10,35 +10,38 @@
 //! | 9      | `L`  | payload: opcode byte + message body  |
 //! | 9+L    | 4    | CRC-32 of the payload, u32 LE        |
 //!
-//! All integers are little-endian. The CRC is the same IEEE polynomial
-//! the `ZSNP` snapshot container uses ([`zarf_hw::crc32`]). Decoding is
-//! exact: a frame must consume its entire buffer and a message its entire
-//! payload, so *any* single-bit corruption of a serialized frame is
-//! rejected — magic and version flips by field checks, length flips by
-//! the total-length equation, payload and CRC flips by CRC-32's
-//! guaranteed detection of 1-bit errors (pinned by the property suite in
-//! `tests/proptest_zflt.rs`).
+//! This is [`ZFLT`], one constant of the shared
+//! [`zarf_core::codec::Frame`]; the layout, the CRC-32 and the
+//! little-endian [`Reader`] are the ones every framed format uses.
+//! Decoding is exact: a frame must consume its entire buffer and a
+//! message its entire payload, so *any* single-bit corruption of a
+//! serialized frame is rejected — magic and version flips by field
+//! checks, length flips by the total-length equation, payload and CRC
+//! flips by CRC-32's guaranteed detection of 1-bit errors (pinned by the
+//! property suite in `tests/proptest_zflt.rs`).
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::time::Duration;
 
+use zarf_core::codec::{
+    put_bytes, put_i32, put_ints, put_string, put_u32, put_u64, put_words, CodecError, Frame,
+    Reader,
+};
 use zarf_core::{Int, Word};
-use zarf_hw::crc32;
 
 use crate::fleet::SessionConfig;
 use crate::op::{Op, PortFeed};
 
-/// Frame magic.
-pub const MAGIC: [u8; 4] = *b"ZFLT";
-/// Protocol version.
-pub const VERSION: u8 = 1;
 /// Upper bound on payload length (16 MiB) — snapshots of default-sized
 /// machines are well under this; anything bigger is a corrupt length
 /// field or a hostile peer.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 24;
+/// The `ZFLT` frame: magic `"ZFLT"`, version 1, payloads up to
+/// [`MAX_FRAME_PAYLOAD`].
+pub const ZFLT: Frame<WireError> = Frame::new(*b"ZFLT", &[1], MAX_FRAME_PAYLOAD);
 /// Bytes of framing around a payload (magic + version + length + CRC).
-pub const FRAME_OVERHEAD: usize = 4 + 1 + 4 + 4;
+pub const FRAME_OVERHEAD: usize = ZFLT.overhead();
 
 /// Error code carried by [`Response::Error`]: unknown session.
 pub const ERR_UNKNOWN_SESSION: u32 = 1;
@@ -118,6 +121,24 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::TrailingBytes => WireError::TrailingBytes,
+            CodecError::Malformed(what) => WireError::Malformed(what),
+            CodecError::BadMagic => WireError::BadMagic,
+            CodecError::BadVersion(v) => WireError::BadVersion(v as u8),
+            CodecError::Oversize(n) => WireError::Oversize(n),
+            CodecError::LengthMismatch { declared, actual } => {
+                WireError::LengthMismatch { declared, actual }
+            }
+            CodecError::CrcMismatch => WireError::CrcMismatch,
+            CodecError::Io(e) => WireError::Io(e),
+        }
+    }
+}
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,126 +314,6 @@ pub enum Response {
     },
 }
 
-// -- primitive readers/writers ----------------------------------------------
-
-/// Exact-consume cursor over a payload. Shared with the `ZREP`
-/// replication codec (`crate::repl`), which reuses the same primitive
-/// discipline on its own frames.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(self.u32()? as i32)
-    }
-
-    /// A u32 count that must be plausible for `elem_bytes`-sized elements
-    /// in the remaining buffer (rejects hostile lengths before allocating).
-    pub(crate) fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let need = n.checked_mul(elem_bytes).ok_or(WireError::Truncated)?;
-        if need > self.buf.len().saturating_sub(self.pos) {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn ints(&mut self) -> Result<Vec<Int>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.i32()).collect()
-    }
-
-    pub(crate) fn words(&mut self) -> Result<Vec<Word>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| WireError::Malformed("invalid UTF-8"))
-    }
-
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-pub(crate) fn put_ints(out: &mut Vec<u8>, xs: &[Int]) {
-    put_u32(out, xs.len() as u32);
-    for &x in xs {
-        put_i32(out, x);
-    }
-}
-
-pub(crate) fn put_words(out: &mut Vec<u8>, xs: &[Word]) {
-    put_u32(out, xs.len() as u32);
-    for &x in xs {
-        put_u32(out, x);
-    }
-}
-
-pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
 // -- op and config codecs -----------------------------------------------------
 
 fn put_config(out: &mut Vec<u8>, c: &SessionConfig) {
@@ -427,11 +328,7 @@ fn read_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
     let heap_words = usize::try_from(heap_words).map_err(|_| WireError::Malformed("heap size"))?;
     let op_budget = r.u64()?;
     let fuel_slice = r.u64()?;
-    let verified = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("verified flag")),
-    };
+    let verified = r.flag("verified flag")?;
     Ok(SessionConfig {
         heap_words,
         op_budget,
@@ -459,13 +356,13 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, WireError> {
     let tag = r.u8()?;
     let item = r.u32()?;
     let args = r.ints()?;
-    let n = r.count(8)?; // each feed is at least port (4) + count (4)
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let port = r.i32()?;
-        let words = r.ints()?;
-        inputs.push(PortFeed { port, words });
-    }
+    // Each feed is at least port (4) + count (4).
+    let inputs = r.list(8, |r| {
+        Ok::<_, WireError>(PortFeed {
+            port: r.i32()?,
+            words: r.ints()?,
+        })
+    })?;
     match tag {
         0 => Ok(Op::Eval { item, args, inputs }),
         1 => Ok(Op::Step { item, args, inputs }),
@@ -593,28 +490,15 @@ impl Request {
             OP_INJECT_BATCH => {
                 let session = r.u64()?;
                 // Each op is at least tag + item + arg count + feed count.
-                let n = r.count(13)?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(read_op(&mut r)?);
-                }
+                let ops = r.list(13, read_op)?;
                 Request::InjectBatch { session, ops }
             }
             OP_QUIESCE => Request::Quiesce { session: r.u64()? },
             OP_SESSION_MANIFEST => Request::SessionManifest { session: r.u64()? },
-            OP_FETCH_CHUNK => {
-                let b = r.take(16)?;
-                let mut id = [0u8; 16];
-                id.copy_from_slice(b);
-                Request::FetchChunk { id }
-            }
+            OP_FETCH_CHUNK => Request::FetchChunk { id: r.array()? },
             OP_RELEASE => Request::Release {
                 session: r.u64()?,
-                resume: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resume flag")),
-                },
+                resume: r.flag("resume flag")?,
             },
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -732,16 +616,10 @@ impl Response {
                 session: r.u64()?,
                 bytes: r.bytes()?,
             },
-            OP_STATS_DATA => {
-                let n = r.count(12)?; // name length prefix + value
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = r.string()?;
-                    let value = r.u64()?;
-                    pairs.push((name, value));
-                }
-                Response::StatsData { pairs }
-            }
+            // Each pair is at least a name length prefix and a value.
+            OP_STATS_DATA => Response::StatsData {
+                pairs: r.list(12, |r| Ok::<_, WireError>((r.string()?, r.u64()?)))?,
+            },
             OP_CLOSED => Response::Closed { session: r.u64()? },
             OP_BYE => Response::Bye,
             OP_ERROR => Response::Error {
@@ -759,11 +637,7 @@ impl Response {
             OP_CHUNK_DATA => Response::ChunkData { bytes: r.bytes()? },
             OP_RELEASED => Response::Released {
                 session: r.u64()?,
-                resumed: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resumed flag")),
-                },
+                resumed: r.flag("resumed flag")?,
             },
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -774,118 +648,11 @@ impl Response {
 
 // -- framing ------------------------------------------------------------------
 
-/// Wrap a payload in a `ZFLT` frame (magic, version, length, CRC).
+/// Wrap a payload in a `ZFLT` frame. A payload over
+/// [`MAX_FRAME_PAYLOAD`] has no valid frame and yields an empty `Vec`;
+/// `ZFLT.encode` reports it as [`WireError::Oversize`].
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
-    out
-}
-
-/// Unwrap a `ZFLT` frame that must span the buffer exactly, returning the
-/// verified payload.
-pub fn decode_frame(buf: &[u8]) -> Result<&[u8], WireError> {
-    if buf.len() < FRAME_OVERHEAD {
-        return Err(WireError::Truncated);
-    }
-    if buf[0..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let declared = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as u64;
-    if declared > MAX_FRAME_PAYLOAD as u64 {
-        return Err(WireError::Oversize(declared));
-    }
-    let actual = (buf.len() - FRAME_OVERHEAD) as u64;
-    if declared != actual {
-        return Err(WireError::LengthMismatch { declared, actual });
-    }
-    let payload = &buf[9..buf.len() - 4];
-    let crc_bytes = &buf[buf.len() - 4..];
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc != crc32(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(payload)
-}
-
-/// Write one framed payload to a stream.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_frame(payload);
-    w.write_all(&frame)
-        .map_err(|e| WireError::Io(e.to_string()))
-}
-
-/// Where a complete frame sits at the front of a scanned buffer (byte
-/// offsets into that buffer). Returned by [`scan_frame`] so callers can
-/// borrow the payload in place instead of copying it out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameSpan {
-    /// First payload byte.
-    pub payload_start: usize,
-    /// Payload length.
-    pub payload_len: usize,
-    /// Total bytes the frame occupies (consume this many to advance).
-    pub frame_len: usize,
-}
-
-/// Scan the front of `buf` for one complete `ZFLT` frame without copying.
-///
-/// * `Ok(None)` — the buffer holds a valid prefix of a frame; read more
-///   bytes and scan again.
-/// * `Ok(Some(span))` — a whole frame (magic, version, length, CRC all
-///   verified) starts at offset 0; its payload is
-///   `&buf[span.payload_start..][..span.payload_len]`.
-/// * `Err(_)` — the stream is damaged at the front of the buffer. Framing
-///   has no resync point, so the caller must drop the connection.
-///
-/// This is the incremental face of [`decode_frame`]: for any `buf` that
-/// is exactly one frame, `scan_frame` accepts iff `decode_frame` does,
-/// and yields the same payload bytes (pinned by the property suite).
-pub fn scan_frame(buf: &[u8]) -> Result<Option<FrameSpan>, WireError> {
-    scan_frame_bounded(buf, MAX_FRAME_PAYLOAD)
-}
-
-/// [`scan_frame`] with a caller-chosen payload ceiling (clamped to the
-/// protocol-wide [`MAX_FRAME_PAYLOAD`]). A declared length above the
-/// ceiling is rejected as [`WireError::Oversize`] the moment the header
-/// is visible — before any buffer grows to hold the body — which is how
-/// a server bounds per-connection memory against hostile peers.
-pub fn scan_frame_bounded(buf: &[u8], max_payload: usize) -> Result<Option<FrameSpan>, WireError> {
-    // Validate the fixed header eagerly: damage is reported as soon as it
-    // is visible, not after a hostile length field forces a long wait.
-    if !buf.is_empty() && buf[0..buf.len().min(4)] != MAGIC[0..buf.len().min(4)] {
-        return Err(WireError::BadMagic);
-    }
-    if buf.len() >= 5 && buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    if buf.len() < 9 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as usize;
-    if len > max_payload.min(MAX_FRAME_PAYLOAD) {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let total = FRAME_OVERHEAD + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[9..9 + len];
-    let crc = u32::from_le_bytes([buf[9 + len], buf[10 + len], buf[11 + len], buf[12 + len]]);
-    if crc != crc32(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(Some(FrameSpan {
-        payload_start: 9,
-        payload_len: len,
-        frame_len: total,
-    }))
+    ZFLT.encode(payload).unwrap_or_default()
 }
 
 /// Reclaim consumed-prefix space once it dominates the buffer.
@@ -902,10 +669,10 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Bytes before this offset belong to already-consumed frames.
     start: usize,
-    /// Per-connection payload ceiling; frames declaring more are
-    /// rejected and [`FrameBuffer::fill_from`] never buffers beyond
-    /// `max_payload + FRAME_OVERHEAD` unconsumed bytes.
-    max_payload: usize,
+    /// [`ZFLT`] under the per-connection payload ceiling: frames
+    /// declaring more are rejected and [`FrameBuffer::fill_from`] never
+    /// buffers beyond `ceiling + FRAME_OVERHEAD` unconsumed bytes.
+    frame: Frame<WireError>,
 }
 
 impl Default for FrameBuffer {
@@ -913,7 +680,7 @@ impl Default for FrameBuffer {
         FrameBuffer {
             buf: Vec::new(),
             start: 0,
-            max_payload: MAX_FRAME_PAYLOAD,
+            frame: ZFLT,
         }
     }
 }
@@ -929,14 +696,14 @@ impl FrameBuffer {
     /// growth is bounded accordingly.
     pub fn with_max_payload(max_payload: usize) -> Self {
         FrameBuffer {
-            max_payload: max_payload.min(MAX_FRAME_PAYLOAD),
+            frame: ZFLT.with_cap(max_payload),
             ..FrameBuffer::default()
         }
     }
 
     /// The payload ceiling this buffer enforces.
     pub fn max_payload(&self) -> usize {
-        self.max_payload
+        self.frame.cap()
     }
 
     /// Unconsumed bytes currently buffered.
@@ -977,7 +744,7 @@ impl FrameBuffer {
     /// sends.
     pub fn fill_from<R: Read>(&mut self, r: &mut R, max: usize) -> std::io::Result<usize> {
         self.compact();
-        let budget = (self.max_payload + FRAME_OVERHEAD).saturating_sub(self.len());
+        let budget = (self.max_payload() + FRAME_OVERHEAD).saturating_sub(self.len());
         let max = max.min(budget);
         if max == 0 {
             return Ok(0);
@@ -1001,14 +768,12 @@ impl FrameBuffer {
     /// practice: a damaged stream cannot be resynchronized, so the caller
     /// should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        match scan_frame_bounded(&self.buf[self.start..], self.max_payload)? {
-            None => Ok(None),
-            Some(span) => {
-                let at = self.start + span.payload_start;
-                self.start += span.frame_len;
-                Ok(Some(&self.buf[at..at + span.payload_len]))
-            }
-        }
+        let rest = &self.buf[self.start..];
+        let Some(span) = self.frame.scan(rest)? else {
+            return Ok(None);
+        };
+        self.start += span.frame_len;
+        Ok(Some(span.payload(rest)))
     }
 }
 
@@ -1064,29 +829,6 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX));
         raw.min(self.backoff_ceiling)
     }
-}
-
-/// Read one framed payload from a stream.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    if header[0..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&rest);
-    decode_frame(&frame).map(<[u8]>::to_vec)
 }
 
 #[cfg(test)]
@@ -1210,7 +952,7 @@ mod tests {
         for req in sample_requests() {
             let payload = req.encode();
             let frame = encode_frame(&payload);
-            let back = decode_frame(&frame).unwrap();
+            let back = ZFLT.decode(&frame).unwrap();
             assert_eq!(Request::decode(back).unwrap(), req);
         }
     }
@@ -1220,7 +962,7 @@ mod tests {
         for resp in sample_responses() {
             let payload = resp.encode();
             let frame = encode_frame(&payload);
-            let back = decode_frame(&frame).unwrap();
+            let back = ZFLT.decode(&frame).unwrap();
             assert_eq!(Response::decode(back).unwrap(), resp);
         }
     }
@@ -1232,7 +974,9 @@ mod tests {
             for bit in 0..8 {
                 let mut dam = frame.clone();
                 dam[byte] ^= 1 << bit;
-                let verdict = decode_frame(&dam).and_then(|p| Request::decode(p).map(|_| ()));
+                let verdict = ZFLT
+                    .decode(&dam)
+                    .and_then(|p| Request::decode(p).map(|_| ()));
                 assert!(
                     verdict.is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
@@ -1245,9 +989,9 @@ mod tests {
     fn stream_framing_round_trips() {
         let payload = Request::Stats { session: 0 }.encode();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
+        ZFLT.write(&mut buf, &payload).unwrap();
         let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
+        assert_eq!(ZFLT.read(&mut cursor).unwrap(), payload);
         assert!(cursor.is_empty());
     }
 
@@ -1260,7 +1004,7 @@ mod tests {
         let stream: Vec<u8> = frames.concat();
         let payloads: Vec<Vec<u8>> = frames
             .iter()
-            .map(|f| decode_frame(f).unwrap().to_vec())
+            .map(|f| ZFLT.decode(f).unwrap().to_vec())
             .collect();
         // Feed the coalesced stream one byte at a time; the borrowed
         // payloads must come out identical to one-shot decoding.
@@ -1278,21 +1022,20 @@ mod tests {
 
     #[test]
     fn scan_frame_reports_damage_as_soon_as_it_is_visible() {
-        assert_eq!(scan_frame(b"ZF"), Ok(None));
-        assert_eq!(scan_frame(b"ZX"), Err(WireError::BadMagic));
-        assert_eq!(scan_frame(b"ZFLT\x07"), Err(WireError::BadVersion(7)));
-        let mut oversize = Vec::from(MAGIC);
-        oversize.push(VERSION);
+        assert_eq!(ZFLT.scan(b"ZF"), Ok(None));
+        assert_eq!(ZFLT.scan(b"ZX"), Err(WireError::BadMagic));
+        assert_eq!(ZFLT.scan(b"ZFLT\x07"), Err(WireError::BadVersion(7)));
+        let mut oversize = b"ZFLT\x01".to_vec();
         oversize.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
-        assert!(matches!(scan_frame(&oversize), Err(WireError::Oversize(_))));
+        assert!(matches!(ZFLT.scan(&oversize), Err(WireError::Oversize(_))));
     }
 
     #[test]
     fn decoder_rejects_structural_damage() {
-        assert_eq!(decode_frame(&[]), Err(WireError::Truncated));
+        assert_eq!(ZFLT.decode(&[]), Err(WireError::Truncated));
         let frame = encode_frame(b"x");
         assert_eq!(
-            decode_frame(&frame[..frame.len() - 1]),
+            ZFLT.decode(&frame[..frame.len() - 1]),
             Err(WireError::LengthMismatch {
                 declared: 1,
                 actual: 0
@@ -1300,10 +1043,10 @@ mod tests {
         );
         let mut extra = frame.clone();
         extra.push(0);
-        assert!(decode_frame(&extra).is_err());
+        assert!(ZFLT.decode(&extra).is_err());
         // Unknown opcode payloads decode as frames but not as messages.
         let odd = encode_frame(&[0xEE]);
-        let payload = decode_frame(&odd).unwrap();
+        let payload = ZFLT.decode(&odd).unwrap();
         assert_eq!(
             Request::decode(payload),
             Err(WireError::UnknownOpcode(0xEE))
@@ -1315,7 +1058,7 @@ mod tests {
             p
         });
         assert_eq!(
-            Request::decode(decode_frame(&padded).unwrap()),
+            Request::decode(ZFLT.decode(&padded).unwrap()),
             Err(WireError::TrailingBytes)
         );
     }
@@ -1325,8 +1068,7 @@ mod tests {
         // A peer declares a 12 MiB payload against a 4 KiB ceiling: the
         // rejection must come from the 9 header bytes alone.
         let mut fb = FrameBuffer::with_max_payload(4096);
-        let mut header = Vec::from(MAGIC);
-        header.push(VERSION);
+        let mut header = b"ZFLT\x01".to_vec();
         header.extend_from_slice(&(12u32 << 20).to_le_bytes());
         fb.extend_from_slice(&header);
         assert!(matches!(fb.next_frame(), Err(WireError::Oversize(n)) if n == 12 << 20));
@@ -1372,6 +1114,18 @@ mod tests {
             }
         }
         assert_eq!(drained, vec![vec![1u8; 1024]]);
+    }
+
+    #[test]
+    fn a_payload_one_past_the_cap_is_refused_on_write() {
+        let over = vec![0u8; MAX_FRAME_PAYLOAD + 1];
+        let oversize = Err(WireError::Oversize(over.len() as u64));
+        let mut sink = Vec::new();
+        assert_eq!(ZFLT.write(&mut sink, &over), oversize);
+        assert_eq!(ZFLT.encode(&over).map(|_| ()), oversize);
+        assert!(sink.is_empty(), "nothing of a refused frame is written");
+        assert!(encode_frame(&over).is_empty());
+        assert!(ZFLT.write(&mut sink, &over[1..]).is_ok());
     }
 
     #[test]

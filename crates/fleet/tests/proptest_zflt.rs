@@ -6,7 +6,7 @@
 //! every possible read boundary).
 #![cfg(feature = "proptest-tests")]
 
-use zarf_fleet::wire::{decode_frame, encode_frame, FrameBuffer};
+use zarf_fleet::wire::{encode_frame, FrameBuffer, ZFLT};
 use zarf_fleet::{Op, PortFeed, Request, Response, SessionConfig};
 use zarf_testkit::prelude::*;
 
@@ -98,7 +98,7 @@ proptest! {
     fn requests_round_trip_through_frames(req in arb_request()) {
         let payload = req.encode();
         let frame = encode_frame(&payload);
-        let back = decode_frame(&frame).unwrap();
+        let back = ZFLT.decode(&frame).unwrap();
         prop_assert_eq!(back, &payload[..]);
         prop_assert_eq!(Request::decode(back).unwrap(), req);
     }
@@ -108,7 +108,7 @@ proptest! {
     fn responses_round_trip_through_frames(resp in arb_response()) {
         let payload = resp.encode();
         let frame = encode_frame(&payload);
-        let back = decode_frame(&frame).unwrap();
+        let back = ZFLT.decode(&frame).unwrap();
         prop_assert_eq!(Response::decode(back).unwrap(), resp);
     }
 
@@ -126,7 +126,7 @@ proptest! {
         let idx = (byte as usize) % frame.len();
         let mut dam = frame;
         dam[idx] ^= 1 << bit;
-        let verdict = decode_frame(&dam).and_then(|p| Request::decode(p).map(|_| ()));
+        let verdict = ZFLT.decode(&dam).and_then(|p| Request::decode(p).map(|_| ()));
         prop_assert!(
             verdict.is_err(),
             "flip at byte {} bit {} went undetected",
@@ -146,7 +146,7 @@ proptest! {
         let idx = (byte as usize) % frame.len();
         let mut dam = frame;
         dam[idx] ^= 1 << bit;
-        let verdict = decode_frame(&dam).and_then(|p| Response::decode(p).map(|_| ()));
+        let verdict = ZFLT.decode(&dam).and_then(|p| Response::decode(p).map(|_| ()));
         prop_assert!(
             verdict.is_err(),
             "flip at byte {} bit {} went undetected",
@@ -160,7 +160,7 @@ proptest! {
     fn truncated_frames_are_rejected(req in arb_request(), cut in any::<u64>()) {
         let frame = encode_frame(&req.encode());
         let keep = (cut as usize) % frame.len();
-        prop_assert!(decode_frame(&frame[..keep]).is_err());
+        prop_assert!(ZFLT.decode(&frame[..keep]).is_err());
     }
 
     /// The incremental decoder yields the same payload sequence as the
@@ -176,7 +176,7 @@ proptest! {
         let frames: Vec<Vec<u8>> = reqs.iter().map(|r| encode_frame(&r.encode())).collect();
         let expect: Vec<Vec<u8>> = frames
             .iter()
-            .map(|f| decode_frame(f).unwrap().to_vec())
+            .map(|f| ZFLT.decode(f).unwrap().to_vec())
             .collect();
         let stream: Vec<u8> = frames.concat();
         let mut fb = FrameBuffer::new();
@@ -207,7 +207,7 @@ proptest! {
         fb.extend_from_slice(&frames.concat());
         for (i, frame) in frames.iter().enumerate() {
             let payload = fb.next_frame().unwrap();
-            prop_assert_eq!(payload, Some(decode_frame(frame).unwrap()), "frame {}", i);
+            prop_assert_eq!(payload, Some(ZFLT.decode(frame).unwrap()), "frame {}", i);
         }
         prop_assert!(matches!(fb.next_frame(), Ok(None)));
         prop_assert!(fb.is_empty());
@@ -227,7 +227,7 @@ proptest! {
         let mut fb = FrameBuffer::new();
         fb.extend_from_slice(&frame[..keep]);
         prop_assert!(matches!(fb.next_frame(), Ok(None)));
-        prop_assert!(decode_frame(&frame[..keep]).is_err());
+        prop_assert!(ZFLT.decode(&frame[..keep]).is_err());
     }
 
     /// A single bit flip anywhere in a frame never produces a payload
@@ -244,7 +244,7 @@ proptest! {
         let mut frame = encode_frame(&req.encode());
         let idx = (byte as usize) % frame.len();
         frame[idx] ^= 1 << bit;
-        prop_assert!(decode_frame(&frame).is_err());
+        prop_assert!(ZFLT.decode(&frame).is_err());
         let mut fb = FrameBuffer::new();
         let mut pos = 0;
         let mut cuts = cuts.into_iter();

@@ -23,6 +23,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use zarf_core::codec::{
+    crc32, put_bytes, put_i32, put_string, put_u32, put_u64, put_words, CodecError, Reader,
+};
 use zarf_core::Word;
 
 use crate::audit::{audit_heap, AuditError};
@@ -141,19 +144,16 @@ impl From<AuditError> for SnapshotError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding each
-/// section payload. Bitwise — speed is irrelevant at checkpoint sizes,
-/// and it detects every single-bit error by construction.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => SnapshotError::Truncated,
+            CodecError::TrailingBytes => SnapshotError::Malformed("trailing bytes in section"),
+            CodecError::Malformed(what) => SnapshotError::Malformed(what),
+            // Sections are not frames; only the three above can occur.
+            _ => SnapshotError::Malformed("section encoding"),
         }
     }
-    !crc
 }
 
 /// Incremental builder for a snapshot container: header, then one call to
@@ -167,20 +167,17 @@ pub struct SectionWriter {
 impl SectionWriter {
     /// Start a container: magic, version, and a count patched by `finish`.
     pub fn new() -> Self {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
+        let mut buf = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut buf, SNAPSHOT_VERSION);
+        put_u32(&mut buf, 0);
         SectionWriter { buf, count: 0 }
     }
 
     /// Append one section: tag, length, payload, CRC-32 of the payload.
     pub fn section(&mut self, tag: u32, payload: &[u8]) {
-        self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        put_u32(&mut self.buf, tag);
+        put_bytes(&mut self.buf, payload);
+        put_u32(&mut self.buf, crc32(&[payload]));
         self.count += 1;
     }
 
@@ -203,7 +200,7 @@ impl Default for SectionWriter {
 /// concern (the kernel stores its sections next to the machine's).
 pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
     let mut r = Reader::new(bytes);
-    if r.bytes(4)? != SNAPSHOT_MAGIC {
+    if r.take(4)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
@@ -215,9 +212,9 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
     for _ in 0..count {
         let tag = r.u32()?;
         let len = r.u32()? as usize;
-        let payload = r.bytes(len)?;
+        let payload = r.take(len)?;
         let crc = r.u32()?;
-        if crc32(payload) != crc {
+        if crc32(&[payload]) != crc {
             return Err(SnapshotError::CrcMismatch { section: tag });
         }
         if sections.iter().any(|&(t, _)| t == tag) {
@@ -225,9 +222,8 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
         }
         sections.push((tag, payload));
     }
-    if !r.done() {
-        return Err(SnapshotError::Malformed("trailing bytes"));
-    }
+    r.finish()
+        .map_err(|_| SnapshotError::Malformed("trailing bytes"))?;
     Ok(sections)
 }
 
@@ -239,62 +235,16 @@ pub fn verify_container(bytes: &[u8]) -> Result<(), SnapshotError> {
     read_sections(bytes).map(|_| ())
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, SnapshotError> {
-        Ok(self.u32()? as i32)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 fn put_hvalue(buf: &mut Vec<u8>, v: HValue) -> Result<(), SnapshotError> {
     match v {
         HValue::Int(n) => {
             buf.push(0);
-            buf.extend_from_slice(&n.to_le_bytes());
+            put_i32(buf, n);
         }
         HValue::Ref(r) => {
             let r = u32::try_from(r).map_err(|_| SnapshotError::Malformed("reference width"))?;
             buf.push(1);
-            buf.extend_from_slice(&r.to_le_bytes());
+            put_u32(buf, r);
         }
     }
     Ok(())
@@ -311,7 +261,7 @@ fn get_hvalue(r: &mut Reader<'_>) -> Result<HValue, SnapshotError> {
 fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
     let put_list = |buf: &mut Vec<u8>, vs: &[HValue]| -> Result<(), SnapshotError> {
         let n = u32::try_from(vs.len()).map_err(|_| SnapshotError::Malformed("payload width"))?;
-        buf.extend_from_slice(&n.to_le_bytes());
+        put_u32(buf, n);
         for &v in vs {
             put_hvalue(buf, v)?;
         }
@@ -323,7 +273,7 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
             args,
         } => {
             buf.push(0);
-            buf.extend_from_slice(&id.to_le_bytes());
+            put_u32(buf, *id);
             put_list(buf, args)?;
         }
         HeapObj::App {
@@ -336,7 +286,7 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
         }
         HeapObj::Con { id, fields } => {
             buf.push(2);
-            buf.extend_from_slice(&id.to_le_bytes());
+            put_u32(buf, *id);
             put_list(buf, fields)?;
         }
         HeapObj::Ind(v) => {
@@ -350,19 +300,8 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
 }
 
 fn get_obj(r: &mut Reader<'_>) -> Result<HeapObj, SnapshotError> {
-    let get_list = |r: &mut Reader<'_>| -> Result<Vec<HValue>, SnapshotError> {
-        let n = r.u32()? as usize;
-        // A list cannot be longer than the bytes that remain (each entry
-        // is ≥ 5 bytes); reject absurd counts before reserving.
-        if n > r.buf.len().saturating_sub(r.pos) {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut vs = Vec::with_capacity(n);
-        for _ in 0..n {
-            vs.push(get_hvalue(r)?);
-        }
-        Ok(vs)
-    };
+    // Every value takes at least a byte.
+    let get_list = |r: &mut Reader<'_>| r.list(1, get_hvalue);
     match r.u8()? {
         0 => {
             let id = r.u32()?;
@@ -549,30 +488,26 @@ impl MachineSnapshot {
     /// (the kernel adds its own sections to the same writer).
     pub fn write_sections(&self, w: &mut SectionWriter) -> Result<(), SnapshotError> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&(self.code.len() as u32).to_le_bytes());
-        for &word in &self.code {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
+        put_words(&mut buf, &self.code);
         w.section(TAG_CODE, &buf);
 
         buf.clear();
-        buf.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
+        put_u32(&mut buf, self.names.len() as u32);
         for (id, name) in &self.names {
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
+            put_u32(&mut buf, *id);
+            put_string(&mut buf, name);
         }
         w.section(TAG_NAMES, &buf);
 
         buf.clear();
-        buf.extend_from_slice(&(self.objects.len() as u32).to_le_bytes());
+        put_u32(&mut buf, self.objects.len() as u32);
         for obj in &self.objects {
             put_obj(&mut buf, obj)?;
         }
         w.section(TAG_HEAP, &buf);
 
         buf.clear();
-        buf.extend_from_slice(&(self.roots.len() as u32).to_le_bytes());
+        put_u32(&mut buf, self.roots.len() as u32);
         for &r in &self.roots {
             put_hvalue(&mut buf, r)?;
         }
@@ -580,12 +515,12 @@ impl MachineSnapshot {
 
         buf.clear();
         for n in stats_words(&self.stats) {
-            buf.extend_from_slice(&n.to_le_bytes());
+            put_u64(&mut buf, n);
         }
         w.section(TAG_STATS, &buf);
 
         buf.clear();
-        buf.extend_from_slice(&(self.heap_capacity as u64).to_le_bytes());
+        put_u64(&mut buf, self.heap_capacity as u64);
         buf.push(class_code(self.class));
         w.section(TAG_CONTROL, &buf);
         Ok(())
@@ -609,88 +544,36 @@ impl MachineSnapshot {
         for &(tag, payload) in sections {
             match tag {
                 TAG_CODE => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() / 4 {
-                        return Err(SnapshotError::Truncated);
-                    }
-                    let mut words = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        words.push(r.u32()?);
-                    }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("code section length"));
-                    }
-                    code = Some(words);
+                    code = Some(section(payload, "code section length", |r| Ok(r.words()?))?);
                 }
                 TAG_NAMES => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
-                    let mut rows = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let id = r.u32()?;
-                        let len = r.u32()? as usize;
-                        let name = std::str::from_utf8(r.bytes(len)?)
-                            .map_err(|_| SnapshotError::Malformed("name encoding"))?;
-                        rows.push((id, name.to_string()));
-                    }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("names section length"));
-                    }
-                    names = Some(rows);
+                    names = Some(section(payload, "names section length", |r| {
+                        r.list(1, |r| Ok((r.u32()?, r.string()?)))
+                    })?);
                 }
                 TAG_HEAP => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
-                    let mut objs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        objs.push(get_obj(&mut r)?);
-                    }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("heap section length"));
-                    }
-                    objects = Some(objs);
+                    objects = Some(section(payload, "heap section length", |r| {
+                        r.list(1, get_obj)
+                    })?);
                 }
                 TAG_ROOTS => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
-                    let mut vs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        vs.push(get_hvalue(&mut r)?);
-                    }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("roots section length"));
-                    }
-                    roots = Some(vs);
+                    roots = Some(section(payload, "roots section length", |r| {
+                        r.list(1, get_hvalue)
+                    })?);
                 }
                 TAG_STATS => {
-                    let mut r = Reader::new(payload);
-                    let mut words = [0u64; STATS_WORDS];
-                    for w in words.iter_mut() {
-                        *w = r.u64()?;
-                    }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("stats section length"));
-                    }
-                    stats = Some(stats_from_words(&words));
+                    stats = Some(section(payload, "stats section length", |r| {
+                        let mut words = [0u64; STATS_WORDS];
+                        for w in words.iter_mut() {
+                            *w = r.u64()?;
+                        }
+                        Ok(stats_from_words(&words))
+                    })?);
                 }
                 TAG_CONTROL => {
-                    let mut r = Reader::new(payload);
-                    let capacity = r.u64()? as usize;
-                    let class = class_from(r.u8()?)?;
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("control section length"));
-                    }
-                    control = Some((capacity, class));
+                    control = Some(section(payload, "control section length", |r| {
+                        Ok((r.u64()? as usize, class_from(r.u8()?)?))
+                    })?);
                 }
                 t if t >= FIRST_EMBEDDER_TAG => {}
                 t => return Err(SnapshotError::UnknownSection(t)),
@@ -735,6 +618,19 @@ impl MachineSnapshot {
         self.restore_into(&mut hw)?;
         Ok(hw)
     }
+}
+
+/// Decode one section payload with `read`, which must consume all of
+/// it; leftover bytes are `Malformed(what)`.
+fn section<T>(
+    payload: &[u8],
+    what: &'static str,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = Reader::new(payload);
+    let value = read(&mut r)?;
+    r.finish().map_err(|_| SnapshotError::Malformed(what))?;
+    Ok(value)
 }
 
 const STATS_WORDS: usize = 17;
@@ -848,12 +744,6 @@ fun main =
   let l = upto 6 in
   result l
 "#;
-
-    #[test]
-    fn crc32_matches_the_reference_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn capture_round_trips_through_bytes() {

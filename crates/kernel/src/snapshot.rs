@@ -18,6 +18,7 @@
 //! after the supervised loop completes, so mid-loop its state is the
 //! initial one).
 
+use zarf_core::codec::{put_i32, put_ints, put_u64, Reader};
 use zarf_core::Int;
 use zarf_hw::{read_sections, MachineSnapshot, SectionWriter, SnapshotError, FIRST_EMBEDDER_TAG};
 
@@ -53,91 +54,6 @@ pub struct SystemCheckpoint {
     pub chan_overflows: u64,
 }
 
-/// Bounds-checked little-endian reader over one section payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b: [u8; 4] = self
-            .bytes(4)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn i32(&mut self) -> Result<i32, SnapshotError> {
-        let b: [u8; 4] = self
-            .bytes(4)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(i32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b: [u8; 8] = self
-            .bytes(8)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// A count of `width`-byte records, rejected when it cannot fit in
-    /// the remaining payload (a flipped length bit must not allocate).
-    fn count(&mut self, width: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        let need = n.checked_mul(width).ok_or(SnapshotError::Truncated)?;
-        if need > self.buf.len().saturating_sub(self.pos) {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn int_list(&mut self) -> Result<Vec<Int>, SnapshotError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.i32()?);
-        }
-        Ok(v)
-    }
-
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed("trailing bytes in section"))
-        }
-    }
-}
-
-fn put_int_list(buf: &mut Vec<u8>, xs: &[Int]) {
-    buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 impl SystemCheckpoint {
     /// Serialize into one section container: machine sections first,
     /// then the kernel sections.
@@ -146,32 +62,32 @@ impl SystemCheckpoint {
         self.machine.write_sections(&mut w)?;
 
         let mut lp = Vec::new();
-        lp.extend_from_slice(&self.iteration.to_le_bytes());
-        lp.extend_from_slice(&self.prev.to_le_bytes());
-        lp.extend_from_slice(&self.acc.to_le_bytes());
+        put_u64(&mut lp, self.iteration);
+        put_i32(&mut lp, self.prev);
+        put_i32(&mut lp, self.acc);
         lp.push(self.diag_enabled as u8);
         w.section(TAG_LOOP, &lp);
 
         let mut ht = Vec::new();
-        ht.extend_from_slice(&self.heart.tick.to_le_bytes());
+        put_i32(&mut ht, self.heart.tick);
         match self.heart.boot {
             Some(b) => {
                 ht.push(1);
-                ht.extend_from_slice(&b.to_le_bytes());
+                put_i32(&mut ht, b);
             }
             None => ht.push(0),
         }
-        ht.extend_from_slice(&self.heart.last_served.to_le_bytes());
-        ht.extend_from_slice(&(self.heart.pace_len as u64).to_le_bytes());
-        ht.extend_from_slice(&(self.heart.debug_len as u64).to_le_bytes());
-        ht.extend_from_slice(&(self.heart.served_len as u64).to_le_bytes());
-        put_int_list(&mut ht, &self.heart.ecg);
+        put_i32(&mut ht, self.heart.last_served);
+        put_u64(&mut ht, self.heart.pace_len as u64);
+        put_u64(&mut ht, self.heart.debug_len as u64);
+        put_u64(&mut ht, self.heart.served_len as u64);
+        put_ints(&mut ht, &self.heart.ecg);
         w.section(TAG_HEART, &ht);
 
         let mut ch = Vec::new();
-        ch.extend_from_slice(&self.chan_overflows.to_le_bytes());
-        put_int_list(&mut ch, &self.chan_a_to_b);
-        put_int_list(&mut ch, &self.chan_b_to_a);
+        put_u64(&mut ch, self.chan_overflows);
+        put_ints(&mut ch, &self.chan_a_to_b);
+        put_ints(&mut ch, &self.chan_b_to_a);
         w.section(TAG_CHANNEL, &ch);
 
         Ok(w.finish())
@@ -203,12 +119,8 @@ impl SystemCheckpoint {
         let iteration = r.u64()?;
         let prev = r.i32()?;
         let acc = r.i32()?;
-        let diag_enabled = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("diag flag")),
-        };
-        r.done()?;
+        let diag_enabled = r.flag("diag flag")?;
+        r.finish()?;
 
         let mut r = Reader::new(ht.ok_or(SnapshotError::MissingSection(TAG_HEART))?);
         let tick = r.i32()?;
@@ -221,8 +133,8 @@ impl SystemCheckpoint {
         let pace_len = r.u64()? as usize;
         let debug_len = r.u64()? as usize;
         let served_len = r.u64()? as usize;
-        let ecg = r.int_list()?;
-        r.done()?;
+        let ecg = r.ints()?;
+        r.finish()?;
         let heart = HeartState {
             ecg,
             tick,
@@ -235,9 +147,9 @@ impl SystemCheckpoint {
 
         let mut r = Reader::new(ch.ok_or(SnapshotError::MissingSection(TAG_CHANNEL))?);
         let chan_overflows = r.u64()?;
-        let chan_a_to_b = r.int_list()?;
-        let chan_b_to_a = r.int_list()?;
-        r.done()?;
+        let chan_a_to_b = r.ints()?;
+        let chan_b_to_a = r.ints()?;
+        r.finish()?;
 
         Ok(SystemCheckpoint {
             machine,

@@ -42,7 +42,7 @@ mod segment;
 mod store;
 mod tier;
 
-pub use crate::hash::{content_hash, crc32, ChunkId};
+pub use crate::hash::{content_hash, ChunkId};
 pub use crate::manifest::SessionRecord;
 pub use crate::store::{
     fsck, gc, FsckReport, GcReport, SessionMeta, Store, StoreConfig, StoreStats,
@@ -115,3 +115,12 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// Decode failures in the manifest and journal codecs.
+impl From<zarf_core::codec::CodecError> for StoreError {
+    fn from(e: zarf_core::codec::CodecError) -> Self {
+        StoreError::ManifestCorrupt {
+            detail: e.to_string(),
+        }
+    }
+}

@@ -14,9 +14,13 @@
 //!   truncation merely replays records that are already folded in.
 //!
 //! Recovery = decode checkpoint, replay journal prefix. A torn journal
-//! tail is the expected crash boundary and is ignored; damage earlier
-//! in the journal stops the replay at the last consistent prefix and
-//! is reported, never skipped over.
+//! tail — a record the frame scan reports as an incomplete prefix — is
+//! the expected crash boundary and is ignored; damage earlier in the
+//! journal stops the replay at the last consistent prefix and is
+//! reported, never skipped over.
+//!
+//! Both files use the shared frame of `zarf_core::codec` (DESIGN.md,
+//! "Framing and checksums"):
 //!
 //! ```text
 //! store.zman:  "ZMAN" | version u32 | body len u32 | body | crc32(body)
@@ -27,18 +31,23 @@
 //!   heap_words u64 | op_budget u64 | fuel_slice u64 | verified u8 |
 //!   snap_len u64 | snap_hash [16] | chunk count u32 | chunk ids [16]...
 //! ```
+//!
+//! The session record codec here is the only one: the `ZREP` `Offer`
+//! and the `ZFLT` `ManifestData` response carry the same bytes.
 
 use std::collections::BTreeMap;
 
-use crate::hash::{crc32, ChunkId};
+use zarf_core::codec::{put_u32, put_u64, CodecError, Frame, Reader};
+
+use crate::hash::ChunkId;
 use crate::StoreError;
 
-pub const MANIFEST_MAGIC: [u8; 4] = *b"ZMAN";
-pub const MANIFEST_VERSION: u32 = 1;
-pub const JOURNAL_MAGIC: [u8; 4] = *b"ZJRN";
-/// Ceiling on a decoded journal/manifest body, so a rotted length
-/// field cannot drive an absurd allocation.
-pub const MAX_BODY: u32 = 1 << 26;
+/// The `store.zman` checkpoint frame: magic `"ZMAN"`, version 1 as a
+/// u32, at most 64 MiB of body.
+pub const ZMAN: Frame<CodecError> = Frame::new(*b"ZMAN", &[1, 0, 0, 0], 1 << 26);
+/// One `store.jrnl` record frame: magic `"ZJRN"`, no version, at most
+/// 64 MiB of body.
+pub const ZJRN: Frame<CodecError> = Frame::new(*b"ZJRN", &[], 1 << 26);
 
 /// Everything the store must remember about one committed session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,86 +105,37 @@ pub enum JournalRecord {
     Close { id: u64 },
 }
 
-fn put_session(out: &mut Vec<u8>, s: &SessionRecord) {
-    out.extend_from_slice(&s.id.to_le_bytes());
-    out.extend_from_slice(&s.commit_seq.to_le_bytes());
-    out.extend_from_slice(&s.ops_done.to_le_bytes());
-    out.extend_from_slice(&s.heap_words.to_le_bytes());
-    out.extend_from_slice(&s.op_budget.to_le_bytes());
-    out.extend_from_slice(&s.fuel_slice.to_le_bytes());
-    out.push(s.verified as u8);
-    out.extend_from_slice(&s.snap_len.to_le_bytes());
-    out.extend_from_slice(&s.snap_hash.0);
-    out.extend_from_slice(&(s.chunks.len() as u32).to_le_bytes());
-    for c in &s.chunks {
-        out.extend_from_slice(&c.0);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| StoreError::ManifestCorrupt {
-                detail: "truncated record body".to_string(),
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn chunk_id(&mut self) -> Result<ChunkId, StoreError> {
-        let b = self.bytes(16)?;
-        let mut id = [0u8; 16];
-        id.copy_from_slice(b);
-        Ok(ChunkId(id))
-    }
-
-    fn session(&mut self) -> Result<SessionRecord, StoreError> {
-        let id = self.u64()?;
-        let commit_seq = self.u64()?;
-        let ops_done = self.u64()?;
-        let heap_words = self.u64()?;
-        let op_budget = self.u64()?;
-        let fuel_slice = self.u64()?;
-        let verified = self.u8()? != 0;
-        let snap_len = self.u64()?;
-        let snap_hash = self.chunk_id()?;
-        let count = self.u32()?;
-        // A chunk id is 16 bytes, so `count` can never describe more
-        // bytes than remain — reject before allocating.
-        if count as usize > (self.buf.len() - self.pos) / 16 {
-            return Err(StoreError::ManifestCorrupt {
-                detail: format!("implausible chunk count {count}"),
-            });
+impl SessionRecord {
+    /// Append this record's bytes to `out`.
+    pub fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.id);
+        put_u64(out, self.commit_seq);
+        put_u64(out, self.ops_done);
+        put_u64(out, self.heap_words);
+        put_u64(out, self.op_budget);
+        put_u64(out, self.fuel_slice);
+        out.push(self.verified as u8);
+        put_u64(out, self.snap_len);
+        out.extend_from_slice(&self.snap_hash.0);
+        put_u32(out, self.chunks.len() as u32);
+        for c in &self.chunks {
+            out.extend_from_slice(&c.0);
         }
-        let mut chunks = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            chunks.push(self.chunk_id()?);
-        }
+    }
+
+    /// Read one record; `verified` must be 0 or 1 and the chunk count
+    /// must fit in the remaining input.
+    pub fn read(r: &mut Reader<'_>) -> Result<SessionRecord, CodecError> {
+        let id = r.u64()?;
+        let commit_seq = r.u64()?;
+        let ops_done = r.u64()?;
+        let heap_words = r.u64()?;
+        let op_budget = r.u64()?;
+        let fuel_slice = r.u64()?;
+        let verified = r.flag("verified flag")?;
+        let snap_len = r.u64()?;
+        let snap_hash = ChunkId(r.array()?);
+        let chunks = r.list(16, |r| r.array().map(ChunkId))?;
         Ok(SessionRecord {
             id,
             commit_seq,
@@ -189,97 +149,81 @@ impl<'a> Reader<'a> {
             chunks,
         })
     }
+
+    /// This record alone, as bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(77 + 16 * self.chunks.len());
+        self.put(&mut out);
+        out
+    }
+
+    /// Decode a record that must span `buf` exactly.
+    pub fn decode(buf: &[u8]) -> Result<SessionRecord, CodecError> {
+        let mut r = Reader::new(buf);
+        let rec = SessionRecord::read(&mut r)?;
+        r.finish()?;
+        Ok(rec)
+    }
 }
 
-/// Serialise the whole manifest to the `store.zman` checkpoint format.
-pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
+/// Serialise the whole manifest to the `store.zman` checkpoint format;
+/// a body over the frame cap is refused.
+pub fn encode_manifest(m: &Manifest) -> Result<Vec<u8>, CodecError> {
     let mut body = Vec::new();
-    body.extend_from_slice(&m.max_id.to_le_bytes());
-    body.extend_from_slice(&(m.sessions.len() as u32).to_le_bytes());
+    put_u64(&mut body, m.max_id);
+    put_u32(&mut body, m.sessions.len() as u32);
     for s in m.sessions.values() {
-        put_session(&mut body, s);
+        s.put(&mut body);
     }
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    ZMAN.encode(&body)
 }
 
 /// Decode a `store.zman` checkpoint. Any structural problem is a
 /// typed [`StoreError::ManifestCorrupt`] — a manifest is either fully
 /// valid or rejected whole.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    let corrupt = |detail: &str| StoreError::ManifestCorrupt {
-        detail: detail.to_string(),
-    };
-    if bytes.len() < 12 {
-        return Err(corrupt("truncated header"));
-    }
-    if bytes[..4] != MANIFEST_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != MANIFEST_VERSION {
-        return Err(corrupt("unsupported version"));
-    }
-    let body_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if body_len > MAX_BODY {
-        return Err(corrupt("implausible body length"));
-    }
-    let body_end = 12 + body_len as usize;
-    let body = bytes
-        .get(12..body_end)
-        .ok_or_else(|| corrupt("truncated body"))?;
-    let crc_bytes = bytes
-        .get(body_end..body_end + 4)
-        .ok_or_else(|| corrupt("truncated checksum"))?;
-    if bytes.len() != body_end + 4 {
-        return Err(corrupt("trailing bytes"));
-    }
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc32(body) != crc {
-        return Err(corrupt("body CRC mismatch"));
-    }
-    let mut r = Reader { buf: body, pos: 0 };
-    let max_id = r.u64()?;
-    let count = r.u32()?;
+    let mut r = Reader::new(ZMAN.decode(bytes)?);
     let mut m = Manifest {
-        max_id,
+        max_id: r.u64()?,
         sessions: BTreeMap::new(),
     };
-    for _ in 0..count {
-        let s = r.session()?;
+    for _ in 0..r.u32()? {
+        let s = SessionRecord::read(&mut r)?;
         if m.sessions.insert(s.id, s).is_some() {
-            return Err(corrupt("duplicate session id"));
+            return Err(StoreError::ManifestCorrupt {
+                detail: "duplicate session id".to_string(),
+            });
         }
     }
-    if r.pos != body.len() {
-        return Err(corrupt("trailing bytes in body"));
-    }
+    r.finish()?;
     Ok(m)
 }
 
 /// Encode one journal record, framed and CRC-guarded.
-pub fn encode_journal_record(rec: &JournalRecord) -> Vec<u8> {
+pub fn encode_journal_record(rec: &JournalRecord) -> Result<Vec<u8>, CodecError> {
     let mut body = Vec::new();
     match rec {
         JournalRecord::Commit(s) => {
             body.push(1);
-            put_session(&mut body, s);
+            s.put(&mut body);
         }
         JournalRecord::Close { id } => {
             body.push(2);
-            body.extend_from_slice(&id.to_le_bytes());
+            put_u64(&mut body, *id);
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(&JOURNAL_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    ZJRN.encode(&body)
+}
+
+fn decode_journal_body(body: &[u8]) -> Result<JournalRecord, CodecError> {
+    let mut r = Reader::new(body);
+    let rec = match r.u8()? {
+        1 => JournalRecord::Commit(SessionRecord::read(&mut r)?),
+        2 => JournalRecord::Close { id: r.u64()? },
+        _ => return Err(CodecError::Malformed("journal record type")),
+    };
+    r.finish()?;
+    Ok(rec)
 }
 
 /// Result of walking the commit journal.
@@ -302,59 +246,26 @@ pub fn scan_journal(bytes: &[u8]) -> JournalScan {
     let mut scan = JournalScan::default();
     let mut at = 0usize;
     while at < bytes.len() {
-        let header = match bytes.get(at..at + 8) {
-            Some(h) => h,
-            None => {
+        let rest = &bytes[at..];
+        let verdict = ZJRN.scan(rest).and_then(|span| match span {
+            Some(span) => decode_journal_body(span.payload(rest)).map(|rec| Some((rec, span))),
+            None => Ok(None),
+        });
+        match verdict {
+            Ok(Some((rec, span))) => {
+                scan.records.push(rec);
+                at += span.frame_len;
+                scan.valid_len = at as u64;
+            }
+            Ok(None) => {
                 scan.torn = true;
-                return scan;
+                break;
             }
-        };
-        if header[..4] != JOURNAL_MAGIC {
-            scan.damage = Some((at as u64, "bad journal record magic".to_string()));
-            return scan;
-        }
-        let body_len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if body_len > MAX_BODY {
-            scan.damage = Some((at as u64, "implausible journal body length".to_string()));
-            return scan;
-        }
-        let body_end = at + 8 + body_len as usize;
-        let body = match bytes.get(at + 8..body_end) {
-            Some(b) => b,
-            None => {
-                scan.torn = true;
-                return scan;
-            }
-        };
-        let crc_bytes = match bytes.get(body_end..body_end + 4) {
-            Some(c) => c,
-            None => {
-                scan.torn = true;
-                return scan;
-            }
-        };
-        let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crc32(body) != crc {
-            scan.damage = Some((at as u64, "journal record CRC mismatch".to_string()));
-            return scan;
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        let rec = match r.u8() {
-            Ok(1) => r.session().map(JournalRecord::Commit),
-            Ok(2) => r.u64().map(|id| JournalRecord::Close { id }),
-            _ => Err(StoreError::ManifestCorrupt {
-                detail: "unknown journal record type".to_string(),
-            }),
-        };
-        match rec {
-            Ok(rec) if r.pos == body.len() => scan.records.push(rec),
-            _ => {
-                scan.damage = Some((at as u64, "malformed journal record body".to_string()));
-                return scan;
+            Err(e) => {
+                scan.damage = Some((at as u64, format!("journal record: {e}")));
+                break;
             }
         }
-        at = body_end + 4;
-        scan.valid_len = at as u64;
     }
     scan
 }
@@ -395,13 +306,13 @@ mod tests {
             manifest_with(&[1]),
             manifest_with(&[1, 2, 9]),
         ] {
-            assert_eq!(decode_manifest(&encode_manifest(&m)), Ok(m));
+            assert_eq!(decode_manifest(&encode_manifest(&m).unwrap()), Ok(m));
         }
     }
 
     #[test]
     fn every_manifest_corruption_is_typed_never_wrong() {
-        let good = encode_manifest(&manifest_with(&[1, 2, 3]));
+        let good = encode_manifest(&manifest_with(&[1, 2, 3])).unwrap();
         let decoded = decode_manifest(&good).unwrap();
         for cut in 0..good.len() {
             match decode_manifest(&good[..cut]) {
@@ -432,7 +343,7 @@ mod tests {
             JournalRecord::Close { id: 2 },
         ];
         for r in &records {
-            journal.extend_from_slice(&encode_journal_record(r));
+            journal.extend_from_slice(&encode_journal_record(r).unwrap());
         }
         let scan = scan_journal(&journal);
         assert_eq!(scan.records.len(), 4);
@@ -460,9 +371,13 @@ mod tests {
     #[test]
     fn torn_journal_tail_yields_the_verified_prefix() {
         let mut journal = Vec::new();
-        journal.extend_from_slice(&encode_journal_record(&JournalRecord::Commit(record(1, 1))));
+        journal.extend_from_slice(
+            &encode_journal_record(&JournalRecord::Commit(record(1, 1))).unwrap(),
+        );
         let first = journal.len();
-        journal.extend_from_slice(&encode_journal_record(&JournalRecord::Commit(record(1, 2))));
+        journal.extend_from_slice(
+            &encode_journal_record(&JournalRecord::Commit(record(1, 2))).unwrap(),
+        );
         for cut in 0..journal.len() {
             let scan = scan_journal(&journal[..cut]);
             assert!(scan.damage.is_none(), "cut at {cut}");
@@ -479,13 +394,27 @@ mod tests {
     #[test]
     fn mid_journal_damage_stops_replay_and_is_reported() {
         let mut journal = Vec::new();
-        journal.extend_from_slice(&encode_journal_record(&JournalRecord::Commit(record(1, 1))));
+        journal.extend_from_slice(
+            &encode_journal_record(&JournalRecord::Commit(record(1, 1))).unwrap(),
+        );
         let first = journal.len();
-        journal.extend_from_slice(&encode_journal_record(&JournalRecord::Close { id: 1 }));
+        journal.extend_from_slice(&encode_journal_record(&JournalRecord::Close { id: 1 }).unwrap());
         journal[first + 10] ^= 0x40; // rot inside the second record body
         let scan = scan_journal(&journal);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.damage.as_ref().map(|d| d.0), Some(first as u64));
         assert_eq!(scan.valid_len, first as u64);
+    }
+
+    #[test]
+    fn a_verified_byte_other_than_0_or_1_is_journal_damage() {
+        let mut body = vec![1];
+        record(1, 1).put(&mut body);
+        body[1 + 6 * 8] = 2; // type byte, six u64 fields, then `verified`
+        let journal = ZJRN.encode(&body).unwrap();
+        let scan = scan_journal(&journal);
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.damage.as_ref().map(|d| d.0), Some(0));
+        assert_eq!(scan.valid_len, 0);
     }
 }

@@ -16,7 +16,9 @@
 //! fail magic/CRC checks with more data after them — reported, and the
 //! scan stops so nothing unverified is ever indexed).
 
-use crate::hash::{content_hash, crc32, ChunkId};
+use zarf_core::codec::{crc32, put_u32, Reader};
+
+use crate::hash::{content_hash, ChunkId};
 
 pub const SEGMENT_MAGIC: [u8; 4] = *b"ZSEG";
 pub const SEGMENT_VERSION: u32 = 1;
@@ -67,13 +69,10 @@ pub fn encode_header() -> [u8; 8] {
 pub fn encode_record(id: ChunkId, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
     rec.extend_from_slice(&CHUNK_MAGIC);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u32(&mut rec, payload.len() as u32);
     rec.extend_from_slice(&id.0);
     rec.extend_from_slice(payload);
-    let mut guarded = Vec::with_capacity(16 + payload.len());
-    guarded.extend_from_slice(&id.0);
-    guarded.extend_from_slice(payload);
-    rec.extend_from_slice(&crc32(&guarded).to_le_bytes());
+    put_u32(&mut rec, crc32(&[&id.0, payload]));
     rec
 }
 
@@ -87,37 +86,24 @@ pub fn read_record(
     segment: u32,
     offset: u64,
 ) -> Result<Option<RecordHit<'_>>, String> {
-    let at = offset as usize;
-    let header = match bytes.get(at..at + 24) {
-        Some(h) => h,
-        None => return Ok(None),
+    let mut r = Reader::new(bytes.get(offset as usize..).unwrap_or_default());
+    // Each part is checked only once all of it is present; a record the
+    // file ends inside is a torn tail.
+    let (Ok(magic), Ok(len), Ok(id)) = (r.array::<4>(), r.u32(), r.array().map(ChunkId)) else {
+        return Ok(None);
     };
-    if header[..4] != CHUNK_MAGIC {
+    if magic != CHUNK_MAGIC {
         return Err(format!("bad record magic at offset {offset}"));
     }
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if len > MAX_RECORD_PAYLOAD {
         return Err(format!(
             "implausible record length {len} at offset {offset}"
         ));
     }
-    let mut id = [0u8; 16];
-    id.copy_from_slice(&header[8..24]);
-    let id = ChunkId(id);
-    let body_end = at + 24 + len as usize;
-    let payload = match bytes.get(at + 24..body_end) {
-        Some(p) => p,
-        None => return Ok(None),
+    let (Ok(payload), Ok(crc)) = (r.take(len as usize), r.u32()) else {
+        return Ok(None);
     };
-    let crc_bytes = match bytes.get(body_end..body_end + 4) {
-        Some(c) => c,
-        None => return Ok(None),
-    };
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let mut guarded = Vec::with_capacity(16 + payload.len());
-    guarded.extend_from_slice(&id.0);
-    guarded.extend_from_slice(payload);
-    if crc32(&guarded) != crc {
+    if crc32(&[&id.0, payload]) != crc {
         return Err(format!("record CRC mismatch at offset {offset}"));
     }
     if content_hash(payload) != id {

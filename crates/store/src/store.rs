@@ -450,7 +450,7 @@ impl Store {
         let journal_path = dir.join(JOURNAL_FILE);
         if state.journal_damage.is_some() {
             let tmp = dir.join(MANIFEST_TMP);
-            let bytes = encode_manifest(&state.manifest);
+            let bytes = encode_manifest(&state.manifest)?;
             fs::write(&tmp, &bytes).map_err(|e| io_err("write recovery manifest", &e))?;
             fs::rename(&tmp, dir.join(MANIFEST_FILE))
                 .map_err(|e| io_err("install recovery manifest", &e))?;
@@ -919,7 +919,7 @@ fn ensure_segment(inner: &mut Inner) -> Result<(), StoreError> {
 /// Append one journal record (fsynced), apply it to the in-memory
 /// manifest, and checkpoint if the cadence says so.
 fn append_journal(inner: &mut Inner, rec: &JournalRecord) -> Result<(), StoreError> {
-    let bytes = encode_journal_record(rec);
+    let bytes = encode_journal_record(rec).map_err(|e| inner.ctl.stall(e.to_string()))?;
     let file = match inner.journal.as_mut() {
         Some(f) => f,
         None => {
@@ -946,7 +946,7 @@ fn append_journal(inner: &mut Inner, rec: &JournalRecord) -> Result<(), StoreErr
 /// Atomically replace the manifest with the current in-memory state,
 /// then truncate the journal it subsumes.
 fn checkpoint(inner: &mut Inner) -> Result<(), StoreError> {
-    let bytes = encode_manifest(&inner.manifest);
+    let bytes = encode_manifest(&inner.manifest).map_err(|e| inner.ctl.stall(e.to_string()))?;
     let tmp = inner.dir.join(MANIFEST_TMP);
     let mut file = File::create(&tmp).map_err(|e| {
         let detail = format!("create manifest tmp: {e}");
@@ -1269,7 +1269,7 @@ pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
     // retire every pre-gc segment. Chunk locations are rediscovered by
     // scan on the next open, so the manifest needs no location data.
     let tmp = dir.join(MANIFEST_TMP);
-    let bytes = encode_manifest(&state.manifest);
+    let bytes = encode_manifest(&state.manifest)?;
     fs::write(&tmp, &bytes).map_err(|e| io_err("write gc manifest", &e))?;
     fs::rename(&tmp, dir.join(MANIFEST_FILE)).map_err(|e| io_err("install gc manifest", &e))?;
     if let Ok(d) = File::open(dir) {

@@ -18,6 +18,9 @@ const RATCHET: &[(&str, usize)] = &[
     // The checkpoint/rollback path is flight-critical by construction:
     // it runs exactly when something already went wrong.
     ("crates/hw/src/snapshot.rs", 0),
+    // The byte codec under every frame, record and section: it decodes
+    // whatever arrives from the network or the disk.
+    ("crates/core/src/codec.rs", 0),
     ("crates/hw/src/audit.rs", 0),
     ("crates/kernel/src/snapshot.rs", 0),
     // The fleet is a server: a panic takes down every session on the
