@@ -21,7 +21,7 @@
 //! |---|---|
 //! | [`term`] | hash-consed symbolic integer terms |
 //! | [`value`] | symbolic values, shape keys, canonicalization |
-//! | [`solve`] | in-repo solver (interval propagation with reusable dense state, congruences, model search) — no external SMT |
+//! | [`solve`] | in-repo solver (interval propagation on the shared `zarf_verify::interval` lattice with reusable dense state, congruence hints, model search) — no external SMT |
 //! | [`budget`] | typed exploration budgets and incompleteness markers |
 //! | [`summary`] | compositional per-function summaries, memoized by argument shape |
 //! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op |

@@ -8,10 +8,13 @@
 //! 1. **Propagation** (sound for UNSAT): forward interval analysis over
 //!    the DAG in topological (ascending-id) order, backward narrowing from
 //!    pinned results, disequality sets, and congruence facts harvested
-//!    from `mod`-by-constant terms, iterated to a bounded fixpoint. All
-//!    arithmetic runs in `i64`; refinements are only applied when the
-//!    underlying 32-bit wrapping operation provably cannot wrap, so an
-//!    empty interval is a *proof* of unsatisfiability.
+//!    from `mod`-by-constant terms, iterated to a bounded fixpoint. The
+//!    intervals and their transfer functions are the shared lattice
+//!    [`zarf_verify::interval`], the one the RISC abstract interpreter
+//!    uses; this module only maps each [`PrimOp`] to its operation.
+//!    Backward narrowing through an operation is only applied when
+//!    its `*_exact` form says the 32-bit wrapping operation cannot wrap,
+//!    so an empty interval is a *proof* of unsatisfiability.
 //! 2. **Model search** (sound for SAT): deterministic candidate
 //!    generation per variable (pinned values, interval endpoints,
 //!    literal right-hand sides, congruence representatives,
@@ -38,6 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use zarf_core::prim::PrimOp;
 use zarf_core::Int;
+use zarf_verify::interval::{Interval, HI, LO};
 
 use crate::term::{Term, TermId, TermStore};
 
@@ -86,54 +90,8 @@ pub enum Verdict {
     Unknown,
 }
 
-const I32_LO: i64 = i32::MIN as i64;
-const I32_HI: i64 = i32::MAX as i64;
 const PROP_ROUNDS: usize = 24;
 const NE_CAP: usize = 32;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Interval {
-    lo: i64,
-    hi: i64,
-}
-
-impl Interval {
-    fn top() -> Self {
-        Interval {
-            lo: I32_LO,
-            hi: I32_HI,
-        }
-    }
-
-    fn point(n: i64) -> Self {
-        Interval { lo: n, hi: n }
-    }
-
-    fn empty(&self) -> bool {
-        self.lo > self.hi
-    }
-
-    fn pinned(&self) -> Option<i64> {
-        if self.lo == self.hi {
-            Some(self.lo)
-        } else {
-            None
-        }
-    }
-
-    fn meet(&mut self, other: Interval) -> bool {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        let changed = lo != self.lo || hi != self.hi;
-        self.lo = lo;
-        self.hi = hi;
-        changed
-    }
-
-    fn in_i32(&self) -> bool {
-        self.lo >= I32_LO && self.hi <= I32_HI
-    }
-}
 
 /// `slot` value of a term outside the current reachable set.
 const NO_SLOT: u32 = u32::MAX;
@@ -199,55 +157,40 @@ impl Propagator {
             .unwrap_or_else(Interval::top)
     }
 
-    fn narrow(&mut self, t: TermId, want: Interval) {
+    /// Meet `t`'s interval with `want`; `None` is the empty interval.
+    fn narrow(&mut self, t: TermId, want: Option<Interval>) {
         if let Some(i) = self.pos(t) {
             self.narrow_at(i, want);
         }
     }
 
-    fn narrow_at(&mut self, i: usize, want: Interval) {
+    fn narrow_at(&mut self, i: usize, want: Option<Interval>) {
         if let Some(cur) = self.iv.get_mut(i) {
-            if cur.meet(want) {
-                self.changes += 1;
-            }
-            if cur.empty() {
-                self.unsat = true;
+            match want.and_then(|w| cur.meet(w)) {
+                Some(m) if m != *cur => {
+                    *cur = m;
+                    self.changes += 1;
+                }
+                Some(_) => {}
+                None => self.unsat = true,
             }
         }
     }
 
     fn exclude(&mut self, t: TermId, n: i64) {
         let cur = self.interval(t);
-        if cur.pinned() == Some(n) {
-            self.unsat = true;
-            return;
-        }
         // Shave endpoints where possible — that keeps the exclusion inside
         // the interval domain.
-        if cur.lo == n {
-            self.narrow(
-                t,
-                Interval {
-                    lo: n + 1,
-                    hi: cur.hi,
-                },
-            );
-            return;
-        }
-        if cur.hi == n {
-            self.narrow(
-                t,
-                Interval {
-                    lo: cur.lo,
-                    hi: n - 1,
-                },
-            );
-            return;
-        }
-        if let Some(set) = self.pos(t).and_then(|i| self.ne.get_mut(i)) {
-            if set.len() < NE_CAP {
-                if let Err(k) = set.binary_search(&n) {
-                    set.insert(k, n);
+        match cur.trim_ne(n) {
+            None => self.unsat = true,
+            Some(trimmed) if trimmed != cur => self.narrow(t, Some(trimmed)),
+            Some(_) => {
+                if let Some(set) = self.pos(t).and_then(|i| self.ne.get_mut(i)) {
+                    if set.len() < NE_CAP {
+                        if let Err(k) = set.binary_search(&n) {
+                            set.insert(k, n);
+                        }
+                    }
                 }
             }
         }
@@ -322,7 +265,7 @@ impl Propagator {
         self.forward(store);
         for lit in lits {
             if lit.eq {
-                self.narrow(lit.term, Interval::point(lit.rhs as i64));
+                self.narrow(lit.term, Some(Interval::exact(lit.rhs as i64)));
             } else {
                 self.exclude(lit.term, lit.rhs as i64);
             }
@@ -341,11 +284,10 @@ impl Propagator {
                 return false;
             }
             // Re-check disequalities against newly pinned intervals.
-            let hit = self
-                .iv
-                .iter()
-                .zip(&self.ne)
-                .any(|(iv, set)| iv.pinned().is_some_and(|v| set.binary_search(&v).is_ok()));
+            let hit = self.iv.iter().zip(&self.ne).any(|(iv, set)| {
+                iv.singleton()
+                    .is_some_and(|v| set.binary_search(&v).is_ok())
+            });
             if hit {
                 return false;
             }
@@ -363,14 +305,14 @@ impl Propagator {
         for i in 0..self.order.len() {
             let Some(&t) = self.order.get(i) else { break };
             let (iv, exact) = match store.term(t) {
-                Term::Const(n) => (Interval::point(*n as i64), true),
+                Term::Const(n) => (Interval::exact(*n as i64), true),
                 Term::Var(_) => (self.interval(t), true),
                 Term::App(op, args) => forward_app(*op, args, self),
             };
             if let Some(e) = self.exact.get_mut(i) {
                 *e = exact;
             }
-            self.narrow_at(i, iv);
+            self.narrow_at(i, Some(iv));
             if self.unsat {
                 return;
             }
@@ -390,70 +332,32 @@ fn forward_app(op: PrimOp, args: &[TermId], p: &Propagator) -> (Interval, bool) 
         .get(1)
         .map(|&x| p.interval(x))
         .unwrap_or_else(Interval::top);
-    let wide = |lo: i64, hi: i64| -> (Interval, bool) {
-        let iv = Interval { lo, hi };
-        if iv.in_i32() {
-            (iv, true)
-        } else {
-            (Interval::top(), false)
-        }
-    };
+    let exact = |iv: Option<Interval>| (iv.unwrap_or_else(Interval::top), iv.is_some());
+    // `neg x` is `0 - x` and `not x` is `-1 - x`, on the machine too.
+    let (zero, minus_one) = (Interval::exact(0), Interval::exact(-1));
     match op {
-        PrimOp::Add => wide(a.lo + b.lo, a.hi + b.hi),
-        PrimOp::Sub => wide(a.lo - b.hi, a.hi - b.lo),
-        PrimOp::Mul => {
-            let ps = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi];
-            let lo = ps.iter().copied().min().unwrap_or(I32_LO);
-            let hi = ps.iter().copied().max().unwrap_or(I32_HI);
-            wide(lo, hi)
-        }
-        PrimOp::Div => {
-            // |a / b| <= |a| for |b| >= 1; the b == 0 case is a separate
-            // fault path, never a value. The MIN/-1 wrap stays inside the
-            // bound in i64.
-            let m = a.lo.abs().max(a.hi.abs());
-            (
-                Interval {
-                    lo: (-m).max(I32_LO),
-                    hi: m.min(I32_HI),
-                },
-                false,
-            )
-        }
-        PrimOp::Mod => {
-            let mb = b.lo.abs().max(b.hi.abs()).max(1);
-            let ma = a.lo.abs().max(a.hi.abs());
-            let m = (mb - 1).min(ma);
-            (
-                Interval {
-                    lo: (-m).max(I32_LO),
-                    hi: m.min(I32_HI),
-                },
-                false,
-            )
-        }
-        PrimOp::Not => (
-            Interval {
-                lo: -a.hi - 1,
-                hi: -a.lo - 1,
-            },
-            true,
+        PrimOp::Add => exact(a.add_exact(b)),
+        PrimOp::Sub => exact(a.sub_exact(b)),
+        PrimOp::Mul => exact(a.mul_exact(b)),
+        PrimOp::Neg => exact(zero.sub_exact(a)),
+        PrimOp::Not => (minus_one.sub(a), true),
+        // The b == 0 case is a separate fault path, never a value.
+        PrimOp::Div => (a.div(b), false),
+        PrimOp::Mod => (a.rem(b), false),
+        PrimOp::And => (a.and(b), false),
+        PrimOp::Or => (a.or(b), false),
+        PrimOp::Xor => (a.xor(b), false),
+        PrimOp::Shr => match b.singleton() {
+            Some(k) => (a.sra(k as u32), true),
+            None => (a.sra_any(), false),
+        },
+        PrimOp::Shl => (
+            b.singleton()
+                .map_or_else(Interval::top, |k| a.shl(k as u32)),
+            false,
         ),
-        PrimOp::Neg => {
-            if a.lo > I32_LO {
-                (
-                    Interval {
-                        lo: -a.hi,
-                        hi: -a.lo,
-                    },
-                    true,
-                )
-            } else {
-                (Interval::top(), false)
-            }
-        }
         PrimOp::Abs => {
-            if a.lo > I32_LO {
+            if a.lo > LO {
                 let lo = if a.lo >= 0 {
                     a.lo
                 } else if a.hi <= 0 {
@@ -461,77 +365,44 @@ fn forward_app(op: PrimOp, args: &[TermId], p: &Propagator) -> (Interval, bool) 
                 } else {
                     0
                 };
-                (
-                    Interval {
-                        lo,
-                        hi: a.lo.abs().max(a.hi.abs()),
-                    },
-                    true,
-                )
+                (Interval::new(lo, a.lo.abs().max(a.hi.abs())), true)
             } else {
                 (Interval::top(), false)
             }
         }
-        PrimOp::Min => (
-            Interval {
-                lo: a.lo.min(b.lo),
-                hi: a.hi.min(b.hi),
-            },
-            true,
-        ),
-        PrimOp::Max => (
-            Interval {
-                lo: a.lo.max(b.lo),
-                hi: a.hi.max(b.hi),
-            },
-            true,
-        ),
+        PrimOp::Min => (Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)), true),
+        PrimOp::Max => (Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)), true),
         PrimOp::Eq => bool_iv(a.hi < b.lo || b.hi < a.lo, pinned_eq(a, b)),
         PrimOp::Ne => bool_iv(pinned_eq(a, b), a.hi < b.lo || b.hi < a.lo),
-        PrimOp::Lt => bool_iv(a.lo >= b.hi, a.hi < b.lo),
-        PrimOp::Le => bool_iv(a.lo > b.hi, a.hi <= b.lo),
-        PrimOp::Gt => bool_iv(a.hi <= b.lo, a.lo > b.hi),
-        PrimOp::Ge => bool_iv(a.hi < b.lo, a.lo >= b.hi),
-        PrimOp::And => {
-            if a.lo >= 0 && b.lo >= 0 {
-                (
-                    Interval {
-                        lo: 0,
-                        hi: a.hi.min(b.hi),
-                    },
-                    false,
-                )
+        PrimOp::Lt | PrimOp::Le | PrimOp::Gt | PrimOp::Ge => {
+            let (l, r, lt) = ordered(op, a, b);
+            // `l >= r` is `1 - (l < r)`.
+            let lt_truth = l.slt(r);
+            let truth = if lt {
+                lt_truth
             } else {
-                (Interval::top(), false)
-            }
+                Interval::exact(1).sub(lt_truth)
+            };
+            (truth, true)
         }
-        PrimOp::Or | PrimOp::Xor => {
-            if a.lo >= 0 && b.lo >= 0 {
-                (Interval { lo: 0, hi: I32_HI }, false)
-            } else {
-                (Interval::top(), false)
-            }
-        }
-        PrimOp::Shr => {
-            if let Some(k) = b.pinned() {
-                let k = (k as u32) & 31;
-                (
-                    Interval {
-                        lo: a.lo >> k,
-                        hi: a.hi >> k,
-                    },
-                    true,
-                )
-            } else {
-                (Interval::top(), false)
-            }
-        }
-        PrimOp::Shl | PrimOp::GetInt | PrimOp::PutInt | PrimOp::Gc => (Interval::top(), false),
+        PrimOp::GetInt | PrimOp::PutInt | PrimOp::Gc => (Interval::top(), false),
+    }
+}
+
+/// A comparison as `l < r` (`true`) or `l >= r` (`false`): `Gt` and `Le`
+/// are `Lt` and `Ge` with the operands swapped. Only the four ordering
+/// comparisons are passed in; anything else reads as `Lt`.
+fn ordered<T>(op: PrimOp, x: T, y: T) -> (T, T, bool) {
+    match op {
+        PrimOp::Ge => (x, y, false),
+        PrimOp::Gt => (y, x, true),
+        PrimOp::Le => (y, x, false),
+        _ => (x, y, true),
     }
 }
 
 fn pinned_eq(a: Interval, b: Interval) -> bool {
-    match (a.pinned(), b.pinned()) {
+    match (a.singleton(), b.singleton()) {
         (Some(x), Some(y)) => x == y,
         _ => false,
     }
@@ -541,16 +412,17 @@ fn pinned_eq(a: Interval, b: Interval) -> bool {
 /// never wrap.
 fn bool_iv(zero: bool, one: bool) -> (Interval, bool) {
     if one {
-        (Interval::point(1), true)
+        (Interval::exact(1), true)
     } else if zero {
-        (Interval::point(0), true)
+        (Interval::exact(0), true)
     } else {
-        (Interval { lo: 0, hi: 1 }, true)
+        (Interval::new(0, 1), true)
     }
 }
 
 /// One backward pass: push pinned/narrowed results into children, in
-/// descending (reverse-topological) order. Only applied to `exact` terms.
+/// descending (reverse-topological) order. Interval narrowing through an
+/// arithmetic operation needs the term to be `exact`.
 fn backward(store: &TermStore, p: &mut Propagator) {
     for i in (0..p.order.len()).rev() {
         if p.unsat {
@@ -559,7 +431,7 @@ fn backward(store: &TermStore, p: &mut Propagator) {
         let Some(&t) = p.order.get(i) else { continue };
         let exact = p.exact.get(i).copied().unwrap_or(false);
         let (op, args) = match store.term(t) {
-            Term::App(op, args) => (op, args),
+            Term::App(op, args) => (*op, args),
             _ => continue,
         };
         let r = p.interval(t);
@@ -576,266 +448,94 @@ fn backward(store: &TermStore, p: &mut Propagator) {
         // fully-pinned inversions below are sound even when the interval
         // (non-wrapping) narrowing of the `exact` arms is not.
         let pin = |p: &mut Propagator, t: TermId, n: i32| {
-            p.narrow(t, Interval::point(n as i64));
+            p.narrow(t, Some(Interval::exact(n as i64)));
         };
         match op {
             PrimOp::Add => {
-                if let Some(rv) = r.pinned() {
-                    if let Some(yv) = ya.pinned() {
+                if let Some(rv) = r.singleton() {
+                    if let Some(yv) = ya.singleton() {
                         pin(p, x, (rv as i32).wrapping_sub(yv as i32));
-                    } else if let Some(xv) = xa.pinned() {
+                    } else if let Some(xv) = xa.singleton() {
                         pin(p, y, (rv as i32).wrapping_sub(xv as i32));
                     }
                 }
                 if exact {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: r.lo - ya.hi,
-                            hi: r.hi - ya.lo,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: r.lo - xa.hi,
-                            hi: r.hi - xa.lo,
-                        },
-                    );
+                    p.narrow(x, r.sub_within(ya));
+                    p.narrow(y, r.sub_within(xa));
                 }
             }
             PrimOp::Sub => {
-                if let Some(rv) = r.pinned() {
-                    if let Some(yv) = ya.pinned() {
+                if let Some(rv) = r.singleton() {
+                    if let Some(yv) = ya.singleton() {
                         pin(p, x, (rv as i32).wrapping_add(yv as i32));
-                    } else if let Some(xv) = xa.pinned() {
+                    } else if let Some(xv) = xa.singleton() {
                         pin(p, y, (xv as i32).wrapping_sub(rv as i32));
                     }
                 }
                 if exact {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: r.lo + ya.lo,
-                            hi: r.hi + ya.hi,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: xa.lo - r.hi,
-                            hi: xa.hi - r.lo,
-                        },
-                    );
+                    p.narrow(x, r.add_within(ya));
+                    p.narrow(y, xa.sub_within(r));
                 }
             }
             PrimOp::Neg => {
-                if let Some(rv) = r.pinned() {
+                if let Some(rv) = r.singleton() {
                     pin(p, x, (rv as i32).wrapping_neg());
                 } else if exact {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: -r.hi,
-                            hi: -r.lo,
-                        },
-                    );
+                    p.narrow(x, Interval::exact(0).sub_within(r));
                 }
             }
             PrimOp::Xor => {
-                if let Some(rv) = r.pinned() {
-                    if let Some(yv) = ya.pinned() {
+                if let Some(rv) = r.singleton() {
+                    if let Some(yv) = ya.singleton() {
                         pin(p, x, rv as i32 ^ yv as i32);
-                    } else if let Some(xv) = xa.pinned() {
+                    } else if let Some(xv) = xa.singleton() {
                         pin(p, y, rv as i32 ^ xv as i32);
                     }
                 }
             }
-            PrimOp::Not => {
-                p.narrow(
-                    x,
-                    Interval {
-                        lo: -r.hi - 1,
-                        hi: -r.lo - 1,
-                    },
-                );
+            PrimOp::Not => p.narrow(x, Interval::exact(-1).sub_within(r)),
+            PrimOp::Eq | PrimOp::Ne => {
+                // Pinned to "equal" (1 for Eq, 0 for Ne) or "unequal".
+                match (r.singleton(), op == PrimOp::Eq) {
+                    (Some(1), true) | (Some(0), false) => {
+                        p.narrow(x, Some(ya));
+                        p.narrow(y, Some(xa));
+                    }
+                    (Some(0), true) | (Some(1), false) => {
+                        if let Some(c) = ya.singleton() {
+                            p.exclude(x, c);
+                        }
+                        if let Some(c) = xa.singleton() {
+                            p.exclude(y, c);
+                        }
+                    }
+                    _ => {}
+                }
             }
-            PrimOp::Eq => match r.pinned() {
-                Some(1) => {
-                    p.narrow(x, ya);
-                    p.narrow(y, xa);
-                }
-                Some(0) => {
-                    if let Some(c) = ya.pinned() {
-                        p.exclude(x, c);
-                    }
-                    if let Some(c) = xa.pinned() {
-                        p.exclude(y, c);
-                    }
-                }
-                _ => {}
-            },
-            PrimOp::Ne => match r.pinned() {
-                Some(0) => {
-                    p.narrow(x, ya);
-                    p.narrow(y, xa);
-                }
-                Some(1) => {
-                    if let Some(c) = ya.pinned() {
-                        p.exclude(x, c);
-                    }
-                    if let Some(c) = xa.pinned() {
-                        p.exclude(y, c);
-                    }
-                }
-                _ => {}
-            },
-            PrimOp::Lt => match r.pinned() {
-                Some(1) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: I32_LO,
-                            hi: ya.hi - 1,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: xa.lo + 1,
-                            hi: I32_HI,
-                        },
-                    );
-                }
-                Some(0) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: ya.lo,
-                            hi: I32_HI,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: I32_LO,
-                            hi: xa.hi,
-                        },
-                    );
-                }
-                _ => {}
-            },
-            PrimOp::Le => match r.pinned() {
-                Some(1) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: I32_LO,
-                            hi: ya.hi,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: xa.lo,
-                            hi: I32_HI,
-                        },
-                    );
-                }
-                Some(0) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: ya.lo + 1,
-                            hi: I32_HI,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: I32_LO,
-                            hi: xa.hi - 1,
-                        },
-                    );
-                }
-                _ => {}
-            },
-            PrimOp::Gt => match r.pinned() {
-                Some(1) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: ya.lo + 1,
-                            hi: I32_HI,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: I32_LO,
-                            hi: xa.hi - 1,
-                        },
-                    );
-                }
-                Some(0) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: I32_LO,
-                            hi: ya.hi,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: xa.lo,
-                            hi: I32_HI,
-                        },
-                    );
-                }
-                _ => {}
-            },
-            PrimOp::Ge => match r.pinned() {
-                Some(1) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: ya.lo,
-                            hi: I32_HI,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: I32_LO,
-                            hi: xa.hi,
-                        },
-                    );
-                }
-                Some(0) => {
-                    p.narrow(
-                        x,
-                        Interval {
-                            lo: I32_LO,
-                            hi: ya.hi - 1,
-                        },
-                    );
-                    p.narrow(
-                        y,
-                        Interval {
-                            lo: xa.lo + 1,
-                            hi: I32_HI,
-                        },
-                    );
-                }
-                _ => {}
-            },
+            PrimOp::Lt | PrimOp::Le | PrimOp::Gt | PrimOp::Ge => {
+                // A false comparison holds as its complement: not (l < r)
+                // is l >= r.
+                let holds = match r.singleton() {
+                    Some(1) => true,
+                    Some(0) => false,
+                    _ => continue,
+                };
+                let (l, g, lt) = ordered(op, x, y);
+                let (li, gi) = (p.interval(l), p.interval(g));
+                let refined = if lt == holds {
+                    li.refine_lt(gi)
+                } else {
+                    li.refine_ge(gi)
+                };
+                p.narrow(l, refined.map(|(nl, _)| nl));
+                p.narrow(g, refined.map(|(_, ng)| ng));
+            }
             PrimOp::Mod => {
                 // Congruence hint only: x ≡ r (mod m) when both the result
                 // and the (positive) modulus are pinned and x is known
                 // non-negative, where `wrapping_rem` equals mathematical
                 // mod. Never used to refute — search guidance only.
-                if let (Some(res), Some(m)) = (r.pinned(), ya.pinned()) {
+                if let (Some(res), Some(m)) = (r.singleton(), ya.singleton()) {
                     if m > 0 && xa.lo >= 0 {
                         if let Some(c) = p.pos(x).and_then(|j| p.cong.get_mut(j)) {
                             *c = Some((m, res.rem_euclid(m)));
@@ -873,7 +573,7 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 fn clamp_i32(n: i64) -> Int {
-    n.clamp(I32_LO, I32_HI) as Int
+    n.clamp(LO, HI) as Int
 }
 
 /// Candidate values for one variable, deterministic and ordered from most
@@ -889,7 +589,7 @@ fn candidates(p: &Propagator, lits: &[Lit], vt: TermId) -> Vec<Int> {
             }
         }
     };
-    if let Some(n) = iv.pinned() {
+    if let Some(n) = iv.singleton() {
         push(n);
         return out;
     }
@@ -1141,6 +841,30 @@ mod tests {
             }
             other => panic!("expected sat: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_mask_bounds_its_result() {
+        // x & 7 lies in [0, 7] whatever x is, so x & 7 == 9 is refuted.
+        let (mut s, _v, t) = store_with_var();
+        let seven = s.constant(7);
+        let masked = s.app(PrimOp::And, vec![t, seven]);
+        let lits = [Lit::eq(masked, 9)];
+        assert!(Propagator::new().quick_unsat(&s, &lits));
+        assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
+    }
+
+    #[test]
+    fn a_remainder_takes_the_dividend_sign() {
+        // x % 5 has x's sign, so x >= 0 && x % 5 == -1 is refuted.
+        let (mut s, _v, t) = store_with_var();
+        let zero = s.constant(0);
+        let five = s.constant(5);
+        let ge0 = s.app(PrimOp::Ge, vec![t, zero]);
+        let md = s.app(PrimOp::Mod, vec![t, five]);
+        let lits = [Lit::eq(ge0, 1), Lit::eq(md, -1)];
+        assert!(Propagator::new().quick_unsat(&s, &lits));
+        assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
     }
 
     #[test]

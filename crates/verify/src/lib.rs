@@ -32,6 +32,9 @@
 //! * [`queries`] — the bridge from shape findings to the symbolic
 //!   executor: each warning/violation as a [`queries::VetQuery`] that
 //!   `zarf-symex` answers with a witness or a spuriousness proof.
+//! * [`interval`] — the `i32` interval lattice with one transfer
+//!   function per machine operation, shared by [`risc`]'s domain and
+//!   `zarf-symex`'s path-condition propagator.
 //! * [`risc`] — the same [`absint`] engine pointed at the **imperative
 //!   core**: Macaw-style CFG recovery over raw `Vec<Instr>` programs,
 //!   a register×memory interval/congruence domain, and certification
@@ -62,6 +65,7 @@ pub mod allocbound;
 pub mod annotated;
 pub mod callgraph;
 pub mod integrity;
+pub mod interval;
 pub mod lints;
 pub mod queries;
 pub mod risc;

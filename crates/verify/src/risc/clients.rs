@@ -27,9 +27,10 @@ use zarf_core::Int;
 use zarf_imperative::cpu::{CpuCost, Instr, Reg};
 
 use super::cfg::{BlockId, Cfg};
-use super::domain::{analyze, exec_block, AbsState, AbsVal, Interval};
+use super::domain::{analyze, exec_block, AbsState, AbsVal};
 use super::wcet::{derive_facts, wcet, WcetReport};
 use super::RiscError;
+use crate::interval::Interval;
 
 /// Which I/O ports a program is allowed to touch.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,9 +4,10 @@
 //! per register (`r0` is baked into the transfer functions as exact
 //! zero) and one per word of data memory. An [`AbsVal`] pairs
 //!
-//! * an **interval** over `i64` internals clamped to the `i32` range —
-//!   any operation whose true result could leave the `i32` range goes
-//!   to top, which keeps the domain sound under the CPU's wrapping
+//! * an **interval** from the shared lattice ([`crate::interval`], the
+//!   same transfer functions `zarf-symex` propagates with) — any
+//!   operation whose true result could leave the `i32` range goes to
+//!   top, which keeps the domain sound under the CPU's wrapping
 //!   arithmetic; and
 //! * a **known-low-bits congruence** `value ≡ val (mod 2^bits)`. A
 //!   modulus that divides 2³² is the only congruence preserved by
@@ -30,232 +31,9 @@ use std::rc::Rc;
 use zarf_imperative::cpu::{Instr, Reg};
 
 use crate::absint::{AbsIntError, Analysis, Engine, Lattice, NodeId, View};
+use crate::interval::{Interval, HI, LO};
 
 use super::cfg::{BlockId, Cfg};
-
-/// Smallest `i32`, as the interval's internal type.
-pub const LO: i64 = i32::MIN as i64;
-/// Largest `i32`, as the interval's internal type.
-pub const HI: i64 = i32::MAX as i64;
-
-/// A closed interval of `i32` values (internally `i64` so arithmetic on
-/// endpoints cannot itself overflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interval {
-    /// Lower endpoint (inclusive), always in `[LO, HI]`.
-    pub lo: i64,
-    /// Upper endpoint (inclusive), always in `[LO, HI]`.
-    pub hi: i64,
-}
-
-/// Clamp a candidate result: if it cannot be proven inside the `i32`
-/// range the machine value may have wrapped, so the only sound interval
-/// is top.
-fn clamp32(lo: i64, hi: i64) -> Interval {
-    if lo < LO || hi > HI || lo > hi {
-        Interval::top()
-    } else {
-        Interval { lo, hi }
-    }
-}
-
-// `add`/`sub`/... are abstract transfer functions named after the
-// instructions they model, not arithmetic on the lattice element itself;
-// implementing the std operator traits would misstate that.
-#[allow(clippy::should_implement_trait)]
-impl Interval {
-    /// The full `i32` range.
-    pub fn top() -> Interval {
-        Interval { lo: LO, hi: HI }
-    }
-
-    /// A single value.
-    pub fn exact(v: i64) -> Interval {
-        clamp32(v, v)
-    }
-
-    /// Construct from endpoints (clamping to top on overflow).
-    pub fn new(lo: i64, hi: i64) -> Interval {
-        clamp32(lo, hi)
-    }
-
-    /// Whether this is the full range.
-    pub fn is_top(&self) -> bool {
-        self.lo == LO && self.hi == HI
-    }
-
-    /// The single member, if the interval is a point.
-    pub fn singleton(&self) -> Option<i64> {
-        if self.lo == self.hi {
-            Some(self.lo)
-        } else {
-            None
-        }
-    }
-
-    /// Whether `v` is a member.
-    pub fn contains(&self, v: i64) -> bool {
-        self.lo <= v && v <= self.hi
-    }
-
-    /// Least upper bound.
-    pub fn join(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
-    /// Greatest lower bound; `None` when disjoint.
-    pub fn meet(self, o: Interval) -> Option<Interval> {
-        let lo = self.lo.max(o.lo);
-        let hi = self.hi.min(o.hi);
-        if lo <= hi {
-            Some(Interval { lo, hi })
-        } else {
-            None
-        }
-    }
-
-    /// `self + o` (to top on possible wrap).
-    pub fn add(self, o: Interval) -> Interval {
-        clamp32(self.lo + o.lo, self.hi + o.hi)
-    }
-
-    /// `self - o`.
-    pub fn sub(self, o: Interval) -> Interval {
-        clamp32(self.lo - o.hi, self.hi - o.lo)
-    }
-
-    /// `self * o` via the four corners.
-    pub fn mul(self, o: Interval) -> Interval {
-        let c = [
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        ];
-        let lo = c.iter().copied().min().unwrap_or(0);
-        let hi = c.iter().copied().max().unwrap_or(0);
-        clamp32(lo, hi)
-    }
-
-    /// Truncating signed division. Sound for any divisor interval; when
-    /// the divisor is not sign-definite the result is bounded by the
-    /// dividend's magnitude (|d| ≥ 1 for every non-faulting division).
-    pub fn div(self, o: Interval) -> Interval {
-        if o.lo > 0 || o.hi < 0 {
-            // Sign-definite divisor: x/d is monotone in each argument on
-            // this orthant, so the four corners bound the result.
-            let c = [
-                self.lo / o.lo,
-                self.lo / o.hi,
-                self.hi / o.lo,
-                self.hi / o.hi,
-            ];
-            let lo = c.iter().copied().min().unwrap_or(0);
-            let hi = c.iter().copied().max().unwrap_or(0);
-            clamp32(lo, hi)
-        } else {
-            // Divisor spans zero (a non-faulting run uses |d| ≥ 1, where
-            // the extremes sit at d = ±1, not at the corners).
-            let m = self.lo.abs().max(self.hi.abs());
-            clamp32(-m, m)
-        }
-    }
-
-    /// Remainder: |result| < max|divisor| and the sign follows the
-    /// dividend.
-    pub fn rem(self, o: Interval) -> Interval {
-        let m = (o.lo.abs().max(o.hi.abs()) - 1).max(0);
-        let lo = if self.lo >= 0 { 0 } else { (-m).max(self.lo) };
-        let hi = if self.hi <= 0 { 0 } else { m.min(self.hi) };
-        clamp32(lo, hi)
-    }
-
-    /// Bitwise AND. `x & c` with a nonnegative constant `c` lies in
-    /// `[0, c]` whatever `x` is — the rule that makes masked ring
-    /// addressing provably in bounds.
-    pub fn and(self, o: Interval) -> Interval {
-        if let Some(c) = o.singleton() {
-            if c >= 0 {
-                return Interval { lo: 0, hi: c };
-            }
-        }
-        if let Some(c) = self.singleton() {
-            if c >= 0 {
-                return Interval { lo: 0, hi: c };
-            }
-        }
-        if self.lo >= 0 && o.lo >= 0 {
-            return Interval {
-                lo: 0,
-                hi: self.hi.min(o.hi),
-            };
-        }
-        Interval::top()
-    }
-
-    /// Bitwise OR of nonnegative operands: bounded by the next power of
-    /// two above both, and at least either operand.
-    pub fn or(self, o: Interval) -> Interval {
-        if self.lo >= 0 && o.lo >= 0 {
-            Interval {
-                lo: self.lo.max(o.lo),
-                hi: pow2_bound(self.hi.max(o.hi)),
-            }
-        } else {
-            Interval::top()
-        }
-    }
-
-    /// Bitwise XOR of nonnegative operands.
-    pub fn xor(self, o: Interval) -> Interval {
-        if self.lo >= 0 && o.lo >= 0 {
-            Interval {
-                lo: 0,
-                hi: pow2_bound(self.hi.max(o.hi)),
-            }
-        } else {
-            Interval::top()
-        }
-    }
-
-    /// Arithmetic shift right by an arbitrary amount in `[0, 31]`: the
-    /// result stays between the value and its sign.
-    pub fn sra_any(self) -> Interval {
-        Interval {
-            lo: self.lo.min(0),
-            hi: self.hi.max(-1),
-        }
-    }
-
-    /// `(self < o)` as the 0/1 result interval.
-    pub fn slt(self, o: Interval) -> Interval {
-        if self.hi < o.lo {
-            Interval { lo: 1, hi: 1 }
-        } else if self.lo >= o.hi {
-            Interval { lo: 0, hi: 0 }
-        } else {
-            Interval { lo: 0, hi: 1 }
-        }
-    }
-}
-
-impl fmt::Display for Interval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {}]", self.lo, self.hi)
-    }
-}
-
-/// Smallest `2^k - 1` at or above `v` (for nonnegative `v`).
-fn pow2_bound(v: i64) -> i64 {
-    let mut b: i64 = 0;
-    while b < v {
-        b = b * 2 + 1;
-    }
-    b.min(HI)
-}
 
 /// Known-low-bits congruence: the value is ≡ `val` modulo `2^bits`.
 /// `bits == 0` is top (nothing known); `bits == 32` is an exact value.
@@ -793,9 +571,8 @@ pub fn eval(i: Instr, st: &mut AbsState) {
             let v = match b.singleton() {
                 Some(k) => {
                     let k = (k as i32 as u32) & 31;
-                    let (lo, hi) = (a.iv.lo << k, a.iv.hi << k);
                     AbsVal {
-                        iv: clamp32(lo, hi),
+                        iv: a.iv.shl(k),
                         cg: a.cg.sll(k),
                     }
                 }
@@ -809,7 +586,7 @@ pub fn eval(i: Instr, st: &mut AbsState) {
                 Some(k) => {
                     let k = (k as i32 as u32) & 31;
                     AbsVal {
-                        iv: Interval::new(a.iv.lo >> k, a.iv.hi >> k),
+                        iv: a.iv.sra(k),
                         cg: a.cg.sra(k),
                     }
                 }
@@ -897,46 +674,35 @@ fn refine(mut st: AbsState, i: Instr, taken: bool) -> Option<AbsState> {
         }
         Rel::Ne => {
             // Only a singleton on one side lets us trim the other.
-            if let (Some(x), Some(y)) = (a.singleton(), b.singleton()) {
-                if x == y {
-                    return None;
-                }
-            }
             if let Some(c) = b.singleton() {
-                st.set(s, trim_ne(a, c)?);
+                st.set(
+                    s,
+                    AbsVal {
+                        iv: a.iv.trim_ne(c)?,
+                        cg: a.cg,
+                    },
+                );
             } else if let Some(c) = a.singleton() {
-                st.set(t, trim_ne(b, c)?);
+                st.set(
+                    t,
+                    AbsVal {
+                        iv: b.iv.trim_ne(c)?,
+                        cg: b.cg,
+                    },
+                );
             }
         }
-        Rel::Lt => {
-            let na = a.iv.meet(Interval::new(LO, b.iv.hi - 1))?;
-            let nb = b.iv.meet(Interval::new(a.iv.lo + 1, HI))?;
-            st.set(s, AbsVal { iv: na, cg: a.cg });
-            st.set(t, AbsVal { iv: nb, cg: b.cg });
-        }
-        Rel::Ge => {
-            let na = a.iv.meet(Interval::new(b.iv.lo, HI))?;
-            let nb = b.iv.meet(Interval::new(LO, a.iv.hi))?;
+        Rel::Lt | Rel::Ge => {
+            let (na, nb) = if matches!(rel, Rel::Lt) {
+                a.iv.refine_lt(b.iv)?
+            } else {
+                a.iv.refine_ge(b.iv)?
+            };
             st.set(s, AbsVal { iv: na, cg: a.cg });
             st.set(t, AbsVal { iv: nb, cg: b.cg });
         }
     }
     Some(st)
-}
-
-/// Trim a `!= c` fact off an interval's endpoints.
-fn trim_ne(v: AbsVal, c: i64) -> Option<AbsVal> {
-    let mut iv = v.iv;
-    if iv.singleton() == Some(c) {
-        return None;
-    }
-    if iv.lo == c {
-        iv.lo += 1;
-    }
-    if iv.hi == c {
-        iv.hi -= 1;
-    }
-    Some(AbsVal { iv, cg: v.cg })
 }
 
 /// Execute one block abstractly from its entry state, reporting the
@@ -1137,37 +903,6 @@ mod tests {
 
     fn no_clamps() -> BTreeMap<BlockId, Vec<(u8, Interval)>> {
         BTreeMap::new()
-    }
-
-    #[test]
-    fn interval_arithmetic_corners() {
-        let a = Interval::new(-3, 5);
-        let b = Interval::new(2, 4);
-        assert_eq!(a.add(b), Interval::new(-1, 9));
-        assert_eq!(a.sub(b), Interval::new(-7, 3));
-        assert_eq!(a.mul(b), Interval::new(-12, 20));
-        assert_eq!(a.div(b), Interval::new(-1, 2));
-        // Overflowing results go to top, not to a wrapped lie.
-        assert!(Interval::exact(HI).add(Interval::exact(1)).is_top());
-        assert!(Interval::exact(LO).sub(Interval::exact(1)).is_top());
-    }
-
-    #[test]
-    fn and_mask_rule() {
-        let x = Interval::top();
-        assert_eq!(x.and(Interval::exact(15)), Interval::new(0, 15));
-        assert_eq!(
-            Interval::new(3, 9).and(Interval::new(0, 6)),
-            Interval::new(0, 6)
-        );
-    }
-
-    #[test]
-    fn rem_is_bounded_by_divisor() {
-        let x = Interval::new(0, 1000);
-        assert_eq!(x.rem(Interval::exact(24)), Interval::new(0, 23));
-        let y = Interval::new(-10, 10);
-        assert_eq!(y.rem(Interval::exact(3)), Interval::new(-2, 2));
     }
 
     #[test]

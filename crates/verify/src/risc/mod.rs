@@ -11,8 +11,9 @@
 //! * [`cfg`] — basic blocks, `Jal` call-site function partitioning,
 //!   dominators, natural loops; typed rejection of computed or
 //!   irreducible control flow.
-//! * [`domain`] — per-register/per-word intervals × known-low-bits
-//!   congruences, with tiered widening and branch refinement.
+//! * [`domain`] — per-register/per-word intervals (the shared
+//!   [`crate::interval`] lattice) × known-low-bits congruences, with
+//!   tiered widening and branch refinement.
 //! * [`wcet`] — loop trip bounds, induction-variable clamps, and a
 //!   hierarchical worst-case cycle bound over [`zarf_imperative::CpuCost`].
 //! * [`clients`] — the certification clients: divide-by-zero freedom,
@@ -25,7 +26,7 @@ pub mod wcet;
 
 pub use cfg::{Cfg, CfgError};
 pub use clients::{certify, PortPolicy, RiscReport, RiscSpec, Violation};
-pub use domain::{analyze, AbsState, AbsVal, Interval};
+pub use domain::{analyze, AbsState, AbsVal};
 pub use wcet::{LoopReport, WcetReport};
 
 use std::fmt;

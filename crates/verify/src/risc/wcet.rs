@@ -24,7 +24,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use zarf_imperative::cpu::{CpuCost, Instr, Reg};
 
 use super::cfg::{BlockId, Cfg, Func};
-use super::domain::{exec_block, AbsState, Interval, RiscFixpoint, HI};
+use super::domain::{exec_block, AbsState, RiscFixpoint};
+use crate::interval::{Interval, HI};
 
 /// Facts about every loop with a recognized counter.
 #[derive(Debug, Clone, Default)]

@@ -58,6 +58,9 @@ const RATCHET: &[(&str, usize)] = &[
     ("crates/symex/src/witness.rs", 0),
     ("crates/testkit/src/replay.rs", 0),
     ("crates/verify/src/queries.rs", 0),
+    // The interval lattice both the RISC domain and the symex solver
+    // run on: its transfer functions see every adversarial endpoint.
+    ("crates/verify/src/interval.rs", 0),
     // The RISC certification pass vets untrusted imperative-core
     // binaries — adversarial input by definition — so recovery,
     // domain, WCET, clients, and the disassembler hold at zero.
