@@ -5,25 +5,17 @@
 //! million cycles") and prints the per-instruction-class averages next to
 //! the published ones.
 //!
-//! With `--json` (optionally `--seconds N`), emits a single machine-
-//! readable JSON object instead — this is what CI's bench-smoke job
-//! uploads as an artifact so per-PR CPI history can be compared.
+//! `--json` prints one JSON object instead of the table. The run's counts
+//! are pinned exactly by the `e2_cpi_trace_is_pinned_exactly` test.
 
 use zarf_bench::{header, row, vt_workload};
 use zarf_kernel::system::System;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let seconds = args
-        .iter()
-        .position(|a| a == "--seconds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(240.0);
+    let json = std::env::args().skip(1).any(|a| a == "--json");
 
-    // Default ~4 minutes of ECG = 48k iterations ≈ tens of millions of
-    // λ cycles.
+    // ~4 minutes of ECG = 48k iterations ≈ tens of millions of λ cycles.
+    let seconds = 240.0;
     let samples = vt_workload(seconds);
     let n = samples.len() as u64;
     let mut sys = System::new(samples).expect("system boots");

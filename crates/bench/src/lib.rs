@@ -13,9 +13,8 @@
 //! | `fig4_encoding` | Figure 4 — assembly→machine→binary of `map` |
 //! | `fig5_ecg_pipeline` | Figure 5 — the ECG filter pipeline |
 //!
-//! Criterion benchmarks under `benches/` cover the hot paths behind the
-//! tables (engine throughput, GC pause vs live set, toolchain round-trip,
-//! per-iteration ICD cost on every engine, analysis runtimes).
+//! E2's cycle counts are deterministic, so a test pins them exactly; host
+//! time is measured by the repository benchmark, `zbench/`.
 //!
 //! This library holds the shared workload builders and table formatting.
 
@@ -53,7 +52,7 @@ pub fn vt_workload(seconds: f64) -> Vec<i32> {
 }
 
 /// A short all-tachycardia workload that reaches therapy quickly (for
-/// cheaper benches and tests).
+/// the cheaper experiment binaries and tests).
 pub fn fast_workload(seconds: f64) -> Vec<i32> {
     let cfg = EcgConfig {
         noise: 0,
@@ -100,5 +99,18 @@ mod tests {
             .into_iter()
             .any(|x| spec.step(x).word() & OUT_TREAT_START != 0);
         assert!(any_treat);
+    }
+
+    /// E2, pinned exactly: `table2_cpi`'s default 240 s trace. The counts
+    /// are deterministic, so any drift is a behaviour change, not noise.
+    #[test]
+    fn e2_cpi_trace_is_pinned_exactly() {
+        use zarf_kernel::system::System;
+        let mut sys = System::new(vt_workload(240.0)).expect("system boots");
+        let s = sys.run().expect("system runs").lambda_stats;
+        assert_eq!(s.total_cycles(), 93_446_863);
+        assert_eq!(s.instructions(), 7_297_008);
+        assert_eq!(s.gc_runs, 48_000);
+        assert_eq!(s.gc_cycles, 38_732_147);
     }
 }

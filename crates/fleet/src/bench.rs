@@ -8,11 +8,11 @@
 //! connections need only a handful of OS threads on each end.
 //!
 //! The workload is checked, not just timed: every session runs the same
-//! counter program the in-process `zarf loadgen` uses, and a session only
-//! counts as finished when its drained output ends in the exact
-//! arithmetic sum `ops·(ops+1)/2`. The report is a *trajectory* — the
-//! same measurement at several session-count steps — so a scaling
-//! regression shows up as a curve, not a single number.
+//! counter program, and a session only counts as finished when its
+//! drained output ends in the exact arithmetic sum `ops·(ops+1)/2`. The
+//! report is a *trajectory* — the same measurement at several
+//! session-count steps — so a scaling regression shows up as a curve,
+//! not a single number.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -27,8 +27,7 @@ use crate::{FleetError, Op, SessionConfig};
 
 /// The checked counter workload: each op threads the running sum through
 /// the session state and writes the pre-add state to port 1, so the final
-/// result word of op `k` is `1+2+…+k`. Identical to the in-process
-/// loadgen program in the `zarf` CLI.
+/// result word of op `k` is `1+2+…+k`.
 const LOADGEN_SRC: &str = "fun step s n =\n\
                            \x20 let w = putint 1 s in\n\
                            \x20 case w of else\n\
@@ -58,16 +57,8 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Peak concurrent connections (= sessions; one session per conn).
     pub conns: usize,
-    /// Checked counter ops per session. Keep `ops·(ops+1)/2` within
-    /// `i32`: the workload's final word is that sum.
-    pub ops_per_session: u64,
-    /// Ops per pipelined `InjectBatch` frame.
-    pub batch: usize,
     /// Driver threads multiplexing the connections.
     pub drivers: usize,
-    /// Session counts to measure, in order. Empty means the default
-    /// trajectory `[conns/8, conns/4, conns/2, conns]` (deduplicated).
-    pub steps: Vec<usize>,
     /// Send `Shutdown` to the server after the last step.
     pub shutdown: bool,
 }
@@ -77,20 +68,21 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             addr: "127.0.0.1:7070".into(),
             conns: 64,
-            ops_per_session: 4,
-            batch: 16,
             drivers: 4,
-            steps: Vec::new(),
             shutdown: false,
         }
     }
 }
 
+/// Checked counter ops each session runs.
+const OPS_PER_SESSION: u64 = 4;
+
+/// Ops per pipelined `InjectBatch` frame.
+const BATCH: u64 = 16;
+
 impl LoadgenConfig {
+    /// The session counts to measure: `conns/8, /4, /2, /1`, deduplicated.
     fn trajectory(&self) -> Vec<usize> {
-        if !self.steps.is_empty() {
-            return self.steps.clone();
-        }
         let mut steps: Vec<usize> = [8, 4, 2, 1]
             .iter()
             .map(|d| (self.conns / d).max(1))
@@ -125,8 +117,6 @@ pub struct StepReport {
 pub struct BenchReport {
     /// Peak connection count the run was asked for.
     pub conns: usize,
-    /// Ops per session at every step.
-    pub ops_per_session: u64,
     /// Driver threads used.
     pub drivers: usize,
     /// One report per trajectory step, in measurement order.
@@ -162,7 +152,7 @@ impl BenchReport {
             "{{\"bench\":\"fleet\",\"conns\":{},\"ops_per_session\":{},\"drivers\":{},\
              \"ok\":{},\"steps\":[{}]}}",
             self.conns,
-            self.ops_per_session,
+            OPS_PER_SESSION,
             self.drivers,
             self.ok(),
             steps.join(",")
@@ -267,10 +257,10 @@ impl BenchConn {
     }
 
     /// Keep the pipeline full for the current phase.
-    fn pump(&mut self, step_item: u32, target_ops: u64, batch: usize) {
+    fn pump(&mut self, step_item: u32) {
         if self.phase == Phase::Inject {
-            while self.inflight.len() < WINDOW && self.sent_ops < target_ops {
-                let end = (self.sent_ops + batch.max(1) as u64).min(target_ops);
+            while self.inflight.len() < WINDOW && self.sent_ops < OPS_PER_SESSION {
+                let end = (self.sent_ops + BATCH).min(OPS_PER_SESSION);
                 let ops: Vec<Op> = (self.sent_ops + 1..=end)
                     .map(|n| Op::step(step_item, vec![n as Int], vec![]))
                     .collect();
@@ -291,7 +281,7 @@ impl BenchConn {
         }
     }
 
-    fn on_response(&mut self, resp: Response, target_ops: u64) {
+    fn on_response(&mut self, resp: Response) {
         if let Some(sent) = self.inflight.pop_front() {
             let us = Instant::now().duration_since(sent).as_micros();
             self.hist.record(us.min(u128::from(u64::MAX)) as u64);
@@ -302,7 +292,7 @@ impl BenchConn {
                 self.phase = Phase::Inject;
             }
             (Phase::Inject, Response::AcceptedBatch { .. }) => {
-                if self.sent_ops == target_ops && self.inflight.is_empty() {
+                if self.sent_ops == OPS_PER_SESSION && self.inflight.is_empty() {
                     self.phase = Phase::Drain;
                 }
             }
@@ -316,9 +306,9 @@ impl BenchConn {
                 },
             ) => {
                 self.words.extend_from_slice(&words);
-                if ops_done >= target_ops && pending == 0 {
+                if ops_done >= OPS_PER_SESSION && pending == 0 {
                     // The checked sum: op k's result word is 1+2+…+k.
-                    let want = (target_ops * (target_ops + 1) / 2) as i64;
+                    let want = (OPS_PER_SESSION * (OPS_PER_SESSION + 1) / 2) as i64;
                     if self.words.last().map(|&w| i64::from(w)) == Some(want) {
                         self.phase = Phase::Close;
                         self.queue_request(&Request::Close {
@@ -338,7 +328,7 @@ impl BenchConn {
 
     /// One readiness pass: read and decode responses, top up the
     /// pipeline, flush writes. Returns true if anything moved.
-    fn service(&mut self, step_item: u32, target_ops: u64, batch: usize) -> bool {
+    fn service(&mut self, step_item: u32) -> bool {
         let mut progress = false;
         loop {
             loop {
@@ -352,7 +342,7 @@ impl BenchConn {
                 };
                 progress = true;
                 match decoded {
-                    Ok(resp) => self.on_response(resp, target_ops),
+                    Ok(resp) => self.on_response(resp),
                     Err(_) => self.fail(),
                 }
             }
@@ -375,7 +365,7 @@ impl BenchConn {
         if matches!(self.phase, Phase::Done | Phase::Failed) {
             return progress;
         }
-        self.pump(step_item, target_ops, batch);
+        self.pump(step_item);
         match self.wr.try_flush(&mut self.stream) {
             Ok(0) => {}
             Ok(_) => progress = true,
@@ -399,14 +389,7 @@ struct DriverStats {
 /// workload from scratch on a new session — so a transient kill doesn't
 /// fail the driver's step. Protocol and arithmetic-check failures are
 /// terminal: retrying a broken server would only hide the bug.
-fn drive_partition(
-    addr: &str,
-    count: usize,
-    program: &[Word],
-    step_item: u32,
-    target_ops: u64,
-    batch: usize,
-) -> DriverStats {
+fn drive_partition(addr: &str, count: usize, program: &[Word], step_item: u32) -> DriverStats {
     let policy = RetryPolicy::default();
     let mut stats = DriverStats {
         hist: Histogram::new(),
@@ -454,7 +437,7 @@ fn drive_partition(
             if matches!(conn.phase, Phase::Done | Phase::Failed) {
                 continue;
             }
-            progress |= conn.service(step_item, target_ops, batch);
+            progress |= conn.service(step_item);
             if conn.phase == Phase::Failed
                 && conn.transport_failed
                 && conn.attempt < policy.max_attempts
@@ -482,7 +465,7 @@ fn drive_partition(
     for conn in &conns {
         match conn.phase {
             Phase::Done => {
-                stats.ops_done += target_ops;
+                stats.ops_done += OPS_PER_SESSION;
                 stats.hist.merge(&conn.hist);
             }
             _ => stats.failures += 1,
@@ -503,7 +486,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<BenchReport, FleetError> {
     let drivers = cfg.drivers.max(1);
     let mut report = BenchReport {
         conns: cfg.conns,
-        ops_per_session: cfg.ops_per_session,
         drivers,
         steps: Vec::new(),
     };
@@ -523,12 +505,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<BenchReport, FleetError> {
                     continue;
                 }
                 let (addr, program) = (&cfg.addr, &program);
-                let (ops, batch) = (cfg.ops_per_session, cfg.batch);
                 handles.push((
                     share,
-                    scope.spawn(move || {
-                        drive_partition(addr, share, program, step_item, ops, batch)
-                    }),
+                    scope.spawn(move || drive_partition(addr, share, program, step_item)),
                 ));
             }
             for (share, h) in handles {
@@ -584,18 +563,12 @@ mod tests {
             ..LoadgenConfig::default()
         };
         assert_eq!(tiny.trajectory(), vec![1]);
-        let explicit = LoadgenConfig {
-            steps: vec![3, 7],
-            ..LoadgenConfig::default()
-        };
-        assert_eq!(explicit.trajectory(), vec![3, 7]);
     }
 
     #[test]
     fn report_json_is_well_formed_and_gated_on_failures() {
         let mut report = BenchReport {
             conns: 8,
-            ops_per_session: 4,
             drivers: 2,
             steps: vec![StepReport {
                 sessions: 8,

@@ -405,6 +405,37 @@ mod tests {
         assert_eq!(report.cycles, expected);
     }
 
+    /// E9, pinned exactly: a semispace pause is linear in the live set,
+    /// not in total allocation. `live` 2-field list cells (4 words each,
+    /// one reference apiece) cost the 8-cycle base plus `(N + 4) + 2 = 10`
+    /// cycles per cell, whether 1× or 3× as much same-shape garbage sits
+    /// beside them.
+    #[test]
+    fn e9_pause_is_linear_in_the_live_set_not_allocation() {
+        let cell = |head, tail| HeapObj::Con {
+            id: 0x102,
+            fields: vec![head, tail],
+        };
+        for (live, cycles) in [(100u64, 1_008), (1_000, 10_008), (10_000, 100_008)] {
+            for garbage in [1, 3] {
+                let mut h = Heap::new(1 << 22);
+                let mut list = HValue::Int(0);
+                for i in 0..live {
+                    list = HValue::Ref(h.alloc(cell(HValue::Int(i as i32), list)).unwrap());
+                    for _ in 0..garbage {
+                        h.alloc(cell(HValue::Int(-1), HValue::Int(-1))).unwrap();
+                    }
+                }
+                let report = h.collect(&mut [list], &CostModel::default()).unwrap();
+                let at = format!("live {live}, garbage {garbage}x");
+                assert_eq!(report.cycles, cycles, "{at}");
+                assert_eq!(report.objects_copied, live, "{at}");
+                assert_eq!(report.words_copied, 4 * live, "{at}");
+                assert_eq!(report.words_reclaimed, 4 * live * garbage, "{at}");
+            }
+        }
+    }
+
     #[test]
     fn app_targets_are_scanned() {
         let mut h = heap();

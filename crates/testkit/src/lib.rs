@@ -1,10 +1,8 @@
-//! # zarf-testkit — self-contained test & bench support
+//! # zarf-testkit — self-contained test support
 //!
-//! The workspace must build and test **offline**: the container this repo
-//! grows in has no route to a crates registry, so external dev-dependencies
-//! (`rand`, `proptest`, `criterion`) can never be fetched. This crate
-//! replaces the small API surface the workspace actually used with
-//! dependency-free equivalents:
+//! The workspace builds and tests **offline**, so in place of `rand` and
+//! `proptest` this crate provides the small API surface the workspace
+//! actually uses, free of dependencies:
 //!
 //! * [`rng`] — a deterministic [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
 //!   generator with `rand`-shaped inherent methods (`seed_from_u64`,
@@ -16,17 +14,12 @@
 //!   [`proptest!`] macro that runs a fixed number of seeded cases and
 //!   reports the generated inputs on failure. No shrinking — failures
 //!   print the full inputs and the deterministic case seed instead.
-//! * [`crit`] — a miniature Criterion-shaped bench harness (`Criterion`,
-//!   `benchmark_group`, `iter`/`iter_batched`, [`criterion_group!`] /
-//!   [`criterion_main!`]) that wall-clock-times each routine and prints
-//!   one line per benchmark.
 //! * [`replay`] — concrete witness replay: run a [`replay::WitnessSpec`]
 //!   (entry item + argument recipes + scripted port feed) on the big-step
 //!   reference interpreter and report every runtime fault the call
 //!   constructs, via the evaluator's fault probe. This is how every
 //!   counterexample the symbolic executor emits is validated.
 
-pub mod crit;
 pub mod prop;
 pub mod replay;
 pub mod rng;

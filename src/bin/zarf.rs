@@ -54,17 +54,14 @@
 //!                                 verify (fsck, read-only) or compact
 //!                                 (gc) a fleet data directory; fsck
 //!                                 exits nonzero on any damage
-//! zarf loadgen [--sessions N] [--ops M] [--workers W] [--json]
-//!                                 drive an in-process fleet with N
-//!                                 counter sessions × M ops each and
-//!                                 print a throughput/latency summary
-//! zarf loadgen --connect ADDR --conns N [--ops M] [--drivers D]
-//!              [--batch B] [--steps a,b,…] [--out FILE] [--shutdown]
+//! zarf loadgen --connect ADDR [--conns N] [--drivers D]
+//!              [--out FILE] [--shutdown]
 //!                                 drive a serving fleet over real TCP:
 //!                                 N pipelined connections from D driver
-//!                                 threads, measured at several session
-//!                                 counts; emits a BENCH_fleet.json
-//!                                 trajectory (p50/p99 latency, ops/sec)
+//!                                 threads (4 checked ops each), measured
+//!                                 at N/8, N/4, N/2, N sessions; emits a
+//!                                 BENCH_fleet.json trajectory (p50/p99
+//!                                 latency, ops/sec)
 //! ```
 //!
 //! Source files use the assembly syntax of `zarf_asm::parse`; binary files
@@ -91,9 +88,8 @@ fn usage_text() -> &'static str {
      \x20      zarf standby [--listen ADDR] --data-dir DIR [--no-fsync]\n\
      \x20      zarf migrate --from ADDR --to ADDR --session N\n\
      \x20      zarf store <fsck|gc> <DIR> [--json]\n\
-     \x20      zarf loadgen [--sessions N] [--ops M] [--workers W] [--json]\n\
-     \x20      zarf loadgen --connect ADDR --conns N [--ops M] [--drivers D] [--batch B]\n\
-     \x20                   [--steps a,b,…] [--out FILE] [--shutdown]\n\
+     \x20      zarf loadgen --connect ADDR [--conns N] [--drivers D]\n\
+     \x20                   [--out FILE] [--shutdown]\n\
      run options: --engine big|small|hw   --in PORT:v,v,…  (repeatable)\n\
      stats options: --profile (per-function cycle attribution)\n\
      trace options: --engine big|small|hw  --out FILE (default stdout)  --in …\n\
@@ -1050,13 +1046,16 @@ fn run_store(rest: &[String]) -> ExitCode {
     }
 }
 
-/// `zarf loadgen --connect`: drive a *serving* fleet over real TCP with
-/// pipelined nonblocking connections and emit a `BENCH_fleet.json`
-/// scaling trajectory. The workload is the same checked counter program
-/// as the in-process mode, so a wrong sum fails the run.
-fn run_loadgen_tcp(rest: &[String], addr: String) -> ExitCode {
+/// `zarf loadgen --connect ADDR`: drive a *serving* fleet over real TCP
+/// with pipelined nonblocking connections and emit a `BENCH_fleet.json`
+/// scaling trajectory. A wrong sum from the checked workload fails the run.
+fn run_loadgen(rest: &[String]) -> ExitCode {
     use zarf::fleet::LoadgenConfig;
 
+    let Some(addr) = flag_value(rest, "--connect") else {
+        eprintln!("zarf: loadgen needs --connect ADDR (a `zarf serve` address)");
+        return usage();
+    };
     let result = (|| -> Result<(), String> {
         let mut cfg = LoadgenConfig {
             addr,
@@ -1065,21 +1064,8 @@ fn run_loadgen_tcp(rest: &[String], addr: String) -> ExitCode {
         if let Some(v) = flag_value(rest, "--conns") {
             cfg.conns = v.parse().map_err(|_| format!("bad --conns `{v}`"))?;
         }
-        if let Some(v) = flag_value(rest, "--ops") {
-            cfg.ops_per_session = v.parse().map_err(|_| format!("bad --ops `{v}`"))?;
-        }
         if let Some(v) = flag_value(rest, "--drivers") {
             cfg.drivers = v.parse().map_err(|_| format!("bad --drivers `{v}`"))?;
-        }
-        if let Some(v) = flag_value(rest, "--batch") {
-            cfg.batch = v.parse().map_err(|_| format!("bad --batch `{v}`"))?;
-        }
-        if let Some(v) = flag_value(rest, "--steps") {
-            cfg.steps = v
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse().map_err(|_| format!("bad --steps entry `{s}`")))
-                .collect::<Result<Vec<_>, _>>()?;
         }
         cfg.shutdown = rest.iter().any(|a| a == "--shutdown");
 
@@ -1104,133 +1090,6 @@ fn run_loadgen_tcp(rest: &[String], addr: String) -> ExitCode {
                  wrong sum"
                     .into(),
             )
-        }
-    })();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("zarf: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `zarf loadgen`: drive an in-process fleet with counter sessions and
-/// report throughput and per-op latency. The counter program is checked —
-/// every session must finish with the exact arithmetic sum — so this is a
-/// smoke test as much as a benchmark. With `--connect ADDR`, drive a
-/// remote serving fleet over TCP instead (see [`run_loadgen_tcp`]).
-fn run_loadgen(rest: &[String]) -> ExitCode {
-    use zarf::fleet::{Fleet, FleetConfig, Op};
-
-    if let Some(addr) = flag_value(rest, "--connect") {
-        return run_loadgen_tcp(rest, addr);
-    }
-
-    const LOADGEN_SRC: &str = "fun step s n =\n\
-                               \x20 let w = putint 1 s in\n\
-                               \x20 case w of else\n\
-                               \x20 let t = add s n in\n\
-                               \x20 result t\n\
-                               fun main = result 0";
-
-    let result = (|| -> Result<(), String> {
-        let sessions: u64 = match flag_value(rest, "--sessions") {
-            Some(v) => v.parse().map_err(|_| format!("bad --sessions `{v}`"))?,
-            None => 64,
-        };
-        let ops: u64 = match flag_value(rest, "--ops") {
-            Some(v) => v.parse().map_err(|_| format!("bad --ops `{v}`"))?,
-            None => 4,
-        };
-        let workers: usize = match flag_value(rest, "--workers") {
-            Some(v) => v.parse().map_err(|_| format!("bad --workers `{v}`"))?,
-            None => 4,
-        };
-        let json = rest.iter().any(|a| a == "--json");
-
-        let program = parse(LOADGEN_SRC).map_err(|e| e.to_string())?;
-        let m = lower(&program).map_err(|e| e.to_string())?;
-        let step_id = m
-            .items()
-            .iter()
-            .position(|it| it.name.as_deref() == Some("step"))
-            .map(|i| m.id_of(i))
-            .ok_or("loadgen program has no `step` item")?;
-        let words = encode(&m).map_err(|e| e.to_string())?;
-
-        let fleet = Fleet::start(FleetConfig {
-            workers,
-            ..FleetConfig::default()
-        })
-        .map_err(|e| e.to_string())?;
-        let handle = fleet.handle();
-        let start = std::time::Instant::now();
-        let mut ids = Vec::with_capacity(sessions as usize);
-        for _ in 0..sessions {
-            ids.push(
-                handle
-                    .open_program(&words, None)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        for &id in &ids {
-            for n in 1..=ops {
-                handle
-                    .inject(id, Op::step(step_id, vec![n as i32], vec![]))
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-        handle
-            .wait_all_idle(std::time::Duration::from_secs(300))
-            .map_err(|e| e.to_string())?;
-        let wall = start.elapsed();
-
-        // Every session computed 1+2+…+ops; the last op's result word must
-        // be that sum or the run does not count.
-        let want: i64 = (ops * (ops + 1) / 2) as i64;
-        let mut ok = true;
-        for &id in &ids {
-            let poll = handle.poll(id).map_err(|e| e.to_string())?;
-            let good = poll.pending == 0
-                && poll.ops_done == ops
-                && poll.words.last().map(|&w| w as i64) == Some(want);
-            ok &= good;
-        }
-        let stats = fleet.shutdown();
-
-        let total_ops = sessions * ops;
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        let ops_per_sec = total_ops as f64 / wall.as_secs_f64().max(1e-9);
-        let sessions_per_sec = sessions as f64 / wall.as_secs_f64().max(1e-9);
-        let p50 = stats.latency_us.quantile(0.5);
-        let p99 = stats.latency_us.quantile(0.99);
-        if json {
-            println!(
-                "{{\"sessions\":{sessions},\"ops_per_session\":{ops},\"workers\":{workers},\
-                 \"total_ops\":{total_ops},\"wall_ms\":{wall_ms:.3},\
-                 \"ops_per_sec\":{ops_per_sec:.1},\"sessions_per_sec\":{sessions_per_sec:.1},\
-                 \"p50_us\":{p50},\"p99_us\":{p99},\
-                 \"evictions\":{},\"rehydrations\":{},\"ok\":{ok}}}",
-                stats.evictions, stats.rehydrations
-            );
-        } else {
-            println!("sessions: {sessions} × {ops} op(s) on {workers} worker(s)");
-            println!(
-                "wall: {wall_ms:.1} ms   {ops_per_sec:.0} ops/s   {sessions_per_sec:.0} sessions/s"
-            );
-            println!("op latency: p50 {p50} µs, p99 {p99} µs");
-            println!(
-                "evictions: {}   rehydrations: {}   verified: {}",
-                stats.evictions,
-                stats.rehydrations,
-                if ok { "all sums correct" } else { "MISMATCH" }
-            );
-        }
-        if ok {
-            Ok(())
-        } else {
-            Err("loadgen verification failed: at least one session returned a wrong sum".into())
         }
     })();
     match result {

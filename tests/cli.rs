@@ -231,3 +231,19 @@ fn flag_only_invocations_are_handled() {
     assert!(!ok);
     assert!(err.contains("vet needs"), "{err}");
 }
+
+#[test]
+fn loadgen_requires_connect() {
+    // Without a serving fleet to drive, any loadgen invocation is a usage error.
+    for args in [
+        &["loadgen"][..],
+        &["loadgen", "--sessions", "64", "--ops", "4"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_zarf"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--connect"));
+    }
+}
