@@ -1300,9 +1300,10 @@ impl Fleet {
         });
         // A durable fleet resumes every committed session before any
         // worker starts: each slot is rebuilt as a store handle (the
-        // bytes rehydrate lazily, through the store's residency tiers),
-        // and the id counter continues past everything the store has
-        // ever issued so recovered and new sessions can never collide.
+        // bytes rehydrate lazily, from the store's resident LRU or a
+        // verified disk read), and the id counter continues past
+        // everything the store has ever issued so recovered and new
+        // sessions can never collide.
         if let Some(store) = shared.cfg.store.clone() {
             let mut recovered = 0u64;
             {

@@ -164,7 +164,7 @@ fn trace_class(c: Class) -> InstrClass {
 /// A suspended function activation.
 #[derive(Debug)]
 struct Frame {
-    /// The item being executed (for the profiler).
+    /// The item being executed (for trace cycle attribution).
     item: u32,
     args: Vec<HValue>,
     locals: Vec<HValue>,
@@ -219,9 +219,6 @@ pub struct HwConfig {
     /// evaluation) instead of building a thunk for later demand. The real
     /// hardware is lazy; this measures what that choice buys.
     pub eager: bool,
-    /// Attribute cycles to the function whose frame is active, building a
-    /// per-item profile readable via [`Hw::profile`].
-    pub profile: bool,
     /// The cycle-cost model.
     pub cost: CostModel,
 }
@@ -233,7 +230,6 @@ impl Default for HwConfig {
             cycle_limit: None,
             gc_auto: true,
             eager: false,
-            profile: false,
             cost: CostModel::default(),
         }
     }
@@ -251,8 +247,6 @@ pub struct Hw {
     cycle_limit: Option<u64>,
     gc_auto: bool,
     eager: bool,
-    profiling: bool,
-    profile: HashMap<u32, u64>,
 
     /// Values the host wants kept alive across calls (kernel state, etc.).
     roots: Vec<HValue>,
@@ -317,8 +311,6 @@ impl Hw {
             cycle_limit: config.cycle_limit,
             gc_auto: config.gc_auto,
             eager: config.eager,
-            profiling: config.profile,
-            profile: HashMap::new(),
             roots: Vec::new(),
             frames: Vec::new(),
             conts: Vec::new(),
@@ -359,22 +351,7 @@ impl Hw {
     /// counters.
     pub fn reset_stats(&mut self) {
         self.stats = Stats::default();
-        self.profile.clear();
         self.cursor = TraceCursor::default();
-    }
-
-    /// The per-function cycle profile (requires [`HwConfig::profile`]):
-    /// `(identifier, symbol-if-retained, cycles)`, hottest first. Cycles
-    /// charged while no frame is active (top-level forcing) are not
-    /// attributed.
-    pub fn profile(&self) -> Vec<(u32, Option<String>, u64)> {
-        let mut rows: Vec<(u32, Option<String>, u64)> = self
-            .profile
-            .iter()
-            .map(|(&id, &cycles)| (id, self.item(id).and_then(|m| m.name.clone()), cycles))
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        rows
     }
 
     /// The loaded binary image, exactly as validated by [`Hw::load_with`].
@@ -641,13 +618,8 @@ impl Hw {
 
     fn charge(&mut self, cycles: u64) {
         self.stats.class_mut(self.class).cycles += cycles;
-        let item = self.frames.last().map(|f| f.item);
-        if self.profiling {
-            if let Some(id) = item {
-                *self.profile.entry(id).or_insert(0) += cycles;
-            }
-        }
         if self.sink.enabled() {
+            let item = self.frames.last().map(|f| f.item);
             if (self.cursor.class, self.cursor.item) != (self.class, item) {
                 self.flush_cycles();
                 self.cursor.class = self.class;

@@ -1,8 +1,13 @@
-//! The per-function cycle profiler.
+//! Per-function cycle attribution through the trace stream: a
+//! [`MetricsSink`] installed on the simulator charges every mutator
+//! cycle to the item whose frame is active (`None` when no frame is).
+
+use std::collections::BTreeMap;
 
 use zarf_asm::{lower, parse};
 use zarf_core::io::NullPorts;
-use zarf_hw::{Hw, HwConfig};
+use zarf_hw::Hw;
+use zarf_trace::{MetricsSink, SharedSink};
 
 const SRC: &str = r#"
 fun cheap x =
@@ -22,92 +27,71 @@ fun main =
   result c
 "#;
 
-#[test]
-fn profile_attributes_cycles_to_the_hot_function() {
-    let machine = lower(&parse(SRC).unwrap()).unwrap();
-    let mut hw = Hw::from_machine_with(
-        &machine,
-        HwConfig {
-            profile: true,
-            ..HwConfig::default()
-        },
-    )
-    .unwrap();
-    hw.run(&mut NullPorts).unwrap();
+/// Install a metrics sink, run `body`, and return the per-item cycles.
+fn item_cycles(hw: &mut Hw, body: impl FnOnce(&mut Hw)) -> BTreeMap<Option<u32>, u64> {
+    let shared = SharedSink::new(MetricsSink::new());
+    hw.set_sink(Box::new(shared.clone()));
+    body(hw);
+    hw.take_sink();
+    shared.with(|m| m.item_cycles.clone())
+}
 
-    let profile = hw.profile();
-    assert!(!profile.is_empty());
-    let get = |name: &str| {
-        profile
-            .iter()
-            .find(|(_, n, _)| n.as_deref() == Some(name))
-            .map(|&(_, _, c)| c)
-            .unwrap_or(0)
-    };
-    assert!(
-        get("expensive") > get("cheap"),
-        "expensive {} vs cheap {}",
-        get("expensive"),
-        get("cheap")
-    );
-    assert!(get("main") > 0);
-    // Hottest-first ordering.
-    assert!(profile.windows(2).all(|w| w[0].2 >= w[1].2));
+fn cycles_of(hw: &Hw, cycles: &BTreeMap<Option<u32>, u64>, name: &str) -> u64 {
+    let id = hw.id_of(name).expect("symbol retained");
+    cycles.get(&Some(id)).copied().unwrap_or(0)
+}
+
+fn attributed(cycles: &BTreeMap<Option<u32>, u64>) -> u64 {
+    cycles
+        .iter()
+        .filter(|(id, _)| id.is_some())
+        .map(|(_, c)| c)
+        .sum()
 }
 
 #[test]
-fn profile_is_empty_when_disabled() {
+fn item_cycles_rank_the_hot_function_above_the_cheap_one() {
     let machine = lower(&parse(SRC).unwrap()).unwrap();
     let mut hw = Hw::from_machine(&machine).unwrap();
-    hw.run(&mut NullPorts).unwrap();
-    assert!(hw.profile().is_empty());
+    let cycles = item_cycles(&mut hw, |hw| {
+        hw.run(&mut NullPorts).unwrap();
+    });
+    let (expensive, cheap) = (
+        cycles_of(&hw, &cycles, "expensive"),
+        cycles_of(&hw, &cycles, "cheap"),
+    );
+    assert!(expensive > cheap, "expensive {expensive} vs cheap {cheap}");
+    assert!(cycles_of(&hw, &cycles, "main") > 0);
 }
 
 #[test]
 fn icd_profile_is_dominated_by_the_filter_chain() {
     use zarf_hw::HValue;
     use zarf_icd::extract::icd_machine;
-    let mut hw = Hw::from_machine_with(
-        &icd_machine(),
-        HwConfig {
-            profile: true,
-            ..HwConfig::default()
-        },
-    )
-    .unwrap();
-    let init = hw.id_of("init_state").unwrap();
-    let step = hw.id_of("icd_step").unwrap();
-    let mut state = hw.call(init, vec![], &mut NullPorts).unwrap();
-    let slot = hw.push_root(state);
-    for x in 0..200 {
-        let pair = hw
-            .call(
-                step,
-                vec![state, HValue::Int((x * 13) % 400 - 200)],
-                &mut NullPorts,
-            )
-            .unwrap();
-        hw.set_root(slot, pair);
-        let out = hw.con_field(pair, 1).unwrap();
-        hw.deep_value(out, &mut NullPorts).unwrap();
-        state = hw.con_field(hw.root(slot), 0).unwrap();
-        hw.set_root(slot, state);
-    }
-    let profile = hw.profile();
-    let named: Vec<(&str, u64)> = profile
-        .iter()
-        .filter_map(|(_, n, c)| n.as_deref().map(|n| (n, *c)))
-        .collect();
-    let get = |name: &str| {
-        named
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, c)| c)
-            .unwrap_or(0)
-    };
+    let mut hw = Hw::from_machine(&icd_machine()).unwrap();
+    let cycles = item_cycles(&mut hw, |hw| {
+        let init = hw.id_of("init_state").unwrap();
+        let step = hw.id_of("icd_step").unwrap();
+        let mut state = hw.call(init, vec![], &mut NullPorts).unwrap();
+        let slot = hw.push_root(state);
+        for x in 0..200 {
+            let pair = hw
+                .call(
+                    step,
+                    vec![state, HValue::Int((x * 13) % 400 - 200)],
+                    &mut NullPorts,
+                )
+                .unwrap();
+            hw.set_root(slot, pair);
+            let out = hw.con_field(pair, 1).unwrap();
+            hw.deep_value(out, &mut NullPorts).unwrap();
+            state = hw.con_field(hw.root(slot), 0).unwrap();
+            hw.set_root(slot, state);
+        }
+    });
+    let get = |name: &str| cycles_of(&hw, &cycles, name);
     // On a frame-dominated workload the attribution covers most cycles.
-    let attributed: u64 = profile.iter().map(|&(_, _, c)| c).sum();
-    assert!(attributed * 10 >= hw.stats().mutator_cycles() * 6);
+    assert!(attributed(&cycles) * 10 >= hw.stats().mutator_cycles() * 6);
     // The 32-tap high-pass shift is the widest per-sample work.
     assert!(get("hp_step") > get("dv_step"));
     assert!(get("hp_step") > get("sq_step"));
@@ -115,22 +99,17 @@ fn icd_profile_is_dominated_by_the_filter_chain() {
 }
 
 #[test]
-fn profile_accounts_for_almost_all_mutator_cycles() {
+fn item_cycles_attribute_most_mutator_cycles() {
     // Cycles are attributed to the active frame; only top-level forcing
     // between calls is unattributed, which must be a small remainder.
     let machine = lower(&parse(SRC).unwrap()).unwrap();
-    let mut hw = Hw::from_machine_with(
-        &machine,
-        HwConfig {
-            profile: true,
-            ..HwConfig::default()
-        },
-    )
-    .unwrap();
-    hw.run(&mut NullPorts).unwrap();
-    let attributed: u64 = hw.profile().iter().map(|&(_, _, c)| c).sum();
+    let mut hw = Hw::from_machine(&machine).unwrap();
+    let cycles = item_cycles(&mut hw, |hw| {
+        hw.run(&mut NullPorts).unwrap();
+    });
+    let attributed = attributed(&cycles);
     let total = hw.stats().mutator_cycles();
-    assert!(attributed <= total);
+    assert_eq!(cycles.values().sum::<u64>(), total);
     // A tiny program spends a visible share in frame-less top-level
     // forcing; it must still attribute a meaningful portion, and never
     // more than the whole.

@@ -8,9 +8,9 @@
 //! session or commit seq produced them, and persisted in append-only
 //! CRC/hash-guarded segment files ([`segment`]). Session metadata
 //! reaches disk through a commit journal plus an atomically-replaced
-//! manifest checkpoint ([`manifest`]), and hot chunks stay a memcpy or
-//! a decompress away in a tiered residency cache ([`tier`],
-//! [`compress`]).
+//! manifest checkpoint ([`manifest`]), and hot chunks stay a memcpy
+//! away in a byte-budgeted LRU ([`tier`]) whose evictions fall back to
+//! verified disk reads.
 //!
 //! The trust contract, in the spirit of the paper's end-to-end
 //! verification story:
@@ -35,7 +35,6 @@
 //! unreferenced ones.
 
 mod chunk;
-mod compress;
 mod hash;
 mod manifest;
 mod segment;

@@ -44,7 +44,7 @@ use crate::segment::{
     encode_header, encode_record, parse_segment_name, read_record, scan_segment, segment_name,
     ChunkLoc, SegmentScan, RECORD_OVERHEAD,
 };
-use crate::tier::TierCache;
+use crate::tier::ChunkCache;
 use crate::StoreError;
 
 const MANIFEST_FILE: &str = "store.zman";
@@ -54,10 +54,9 @@ const JOURNAL_FILE: &str = "store.jrnl";
 /// Tuning and fault-injection knobs for a [`Store`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Byte budget for the resident (uncompressed) chunk tier.
+    /// Byte budget for the in-memory chunk LRU; an evicted chunk is
+    /// read back from disk.
     pub resident_bytes: usize,
-    /// Byte budget for the compressed in-memory chunk tier.
-    pub compressed_bytes: usize,
     /// Roll to a new segment file once the active one exceeds this.
     pub segment_bytes: u64,
     /// Call `fsync` at the durability points. Disabling trades
@@ -74,7 +73,6 @@ impl Default for StoreConfig {
     fn default() -> StoreConfig {
         StoreConfig {
             resident_bytes: 8 << 20,
-            compressed_bytes: 32 << 20,
             segment_bytes: 64 << 20,
             fsync: true,
             checkpoint_every: 64,
@@ -95,14 +93,14 @@ pub struct SessionMeta {
     pub verified: bool,
 }
 
-/// Observable store state, surfaced by `zarf serve` stats and tests.
+/// Observable store state: counters and resident-cache occupancy, read
+/// by the benchmark and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStats {
     pub sessions: u64,
     pub chunks: u64,
     pub chunk_bytes: u64,
     pub resident_bytes: u64,
-    pub compressed_bytes: u64,
     pub commits: u64,
     pub alias_commits: u64,
     pub delta_commits: u64,
@@ -111,49 +109,11 @@ pub struct StoreStats {
     pub dedup_hits: u64,
     pub disk_reads: u64,
     pub resident_hits: u64,
-    pub compressed_hits: u64,
     pub io_events: u64,
     pub injected_faults: u64,
     pub journal_replayed: u64,
     pub recovered_sessions: u64,
     pub stalled: bool,
-}
-
-impl StoreStats {
-    /// One-line JSON, matching the repo's other report formats.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"sessions\":{},\"chunks\":{},\"chunk_bytes\":{},",
-                "\"resident_bytes\":{},\"compressed_bytes\":{},",
-                "\"commits\":{},\"alias_commits\":{},\"delta_commits\":{},",
-                "\"delta_chunked_bytes\":{},",
-                "\"checkpoints\":{},\"dedup_hits\":{},",
-                "\"disk_reads\":{},\"resident_hits\":{},\"compressed_hits\":{},",
-                "\"io_events\":{},\"injected_faults\":{},",
-                "\"journal_replayed\":{},\"recovered_sessions\":{},\"stalled\":{}}}"
-            ),
-            self.sessions,
-            self.chunks,
-            self.chunk_bytes,
-            self.resident_bytes,
-            self.compressed_bytes,
-            self.commits,
-            self.alias_commits,
-            self.delta_commits,
-            self.delta_chunked_bytes,
-            self.checkpoints,
-            self.dedup_hits,
-            self.disk_reads,
-            self.resident_hits,
-            self.compressed_hits,
-            self.io_events,
-            self.injected_faults,
-            self.journal_replayed,
-            self.recovered_sessions,
-            self.stalled,
-        )
-    }
 }
 
 /// Fault-injection and stall state shared by every guarded I/O call.
@@ -269,7 +229,7 @@ struct Inner {
     manifest: Manifest,
     chunks: HashMap<ChunkId, ChunkLoc>,
     chunk_bytes: u64,
-    cache: TierCache,
+    cache: ChunkCache,
     seg_index: u32,
     seg_file: Option<File>,
     seg_len: u64,
@@ -481,7 +441,7 @@ impl Store {
             manifest: state.manifest,
             chunks,
             chunk_bytes,
-            cache: TierCache::new(cfg.resident_bytes, cfg.compressed_bytes),
+            cache: ChunkCache::new(cfg.resident_bytes),
             seg_index,
             seg_file: None,
             seg_len: 0,
@@ -577,8 +537,8 @@ impl Store {
         lock(&self.inner).chunks.contains_key(&id)
     }
 
-    /// One chunk's verified bytes (cache tiers first, then the CRC- and
-    /// content-hash-checked disk read) — the sender side of chunk sync.
+    /// One chunk's verified bytes (resident cache first, then the CRC-
+    /// and content-hash-checked disk read) — the sender side of chunk sync.
     pub fn get_chunk_bytes(&self, id: ChunkId) -> Result<Vec<u8>, StoreError> {
         let mut g = lock(&self.inner);
         get_chunk(&mut g, id)
@@ -735,7 +695,7 @@ impl Store {
         lock(&self.inner).ctl.injected.clone()
     }
 
-    /// Observable counters and tier occupancy.
+    /// Observable counters and resident-cache occupancy.
     pub fn stats(&self) -> StoreStats {
         let g = lock(&self.inner);
         StoreStats {
@@ -743,7 +703,6 @@ impl Store {
             chunks: g.chunks.len() as u64,
             chunk_bytes: g.chunk_bytes,
             resident_bytes: g.cache.resident_bytes() as u64,
-            compressed_bytes: g.cache.compressed_bytes() as u64,
             commits: g.stats.commits,
             alias_commits: g.stats.alias_commits,
             delta_commits: g.stats.delta_commits,
@@ -751,8 +710,7 @@ impl Store {
             checkpoints: g.stats.checkpoints,
             dedup_hits: g.stats.dedup_hits,
             disk_reads: g.stats.disk_reads,
-            resident_hits: g.cache.stats.resident_hits,
-            compressed_hits: g.cache.stats.compressed_hits,
+            resident_hits: g.cache.resident_hits,
             io_events: g.ctl.io_events,
             injected_faults: g.ctl.injected.len() as u64,
             journal_replayed: g.stats.journal_replayed,
@@ -977,8 +935,8 @@ fn checkpoint(inner: &mut Inner) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Fetch one chunk's bytes: cache tiers first, then the verified disk
-/// read. Every disk byte is CRC- and content-hash-checked on the way
+/// Fetch one chunk's bytes: resident cache first, then the verified
+/// disk read. Every disk byte is CRC- and content-hash-checked on the way
 /// in; every failure names the chunk.
 fn get_chunk(inner: &mut Inner, id: ChunkId) -> Result<Vec<u8>, StoreError> {
     if let Some(bytes) = inner.cache.get(id) {
@@ -1327,8 +1285,7 @@ mod tests {
     }
 
     /// Deterministic mixed-entropy bytes: runs (compressible) plus
-    /// LCG words (not), so both cache tiers and the chunker get real
-    /// work.
+    /// LCG words (not), so the chunker gets real work.
     fn snapshot(seed: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut s = seed;
@@ -1350,7 +1307,6 @@ mod tests {
     fn small_cfg() -> StoreConfig {
         StoreConfig {
             resident_bytes: 64 << 10,
-            compressed_bytes: 64 << 10,
             segment_bytes: 256 << 10,
             checkpoint_every: 1000, // keep commits in the journal
             ..StoreConfig::default()
@@ -1363,7 +1319,15 @@ mod tests {
         let store = Store::open(dir.path(), small_cfg()).expect("open");
         let snap_a = snapshot(1, 80 << 10);
         store.put_session(&meta(1, 1), &snap_a).expect("put 1");
+        // 80 KiB over a 64 KiB resident budget: the evicted chunks come
+        // back through verified disk reads, byte-exact.
+        let reads_before = store.stats().disk_reads;
         assert_eq!(store.get_snapshot(1).expect("get 1"), snap_a);
+        let reads_after = store.stats().disk_reads;
+        assert!(
+            reads_after > reads_before,
+            "evicted chunks must be read from disk: {reads_before} -> {reads_after}"
+        );
 
         // Next commit shares most content: nearly every chunk dedups.
         let mut snap_b = snap_a.clone();

@@ -1,23 +1,14 @@
-//! Tiered chunk residency: resident LRU → compressed in-memory → disk.
+//! Chunk residency: one byte-budgeted LRU in front of the disk.
 //!
 //! The cache never owns correctness — the disk tier plus per-read hash
 //! verification in [`crate::Store`] does. Its job is to keep hot
-//! chunks a memcpy away and warm chunks a decompress away, under hard
-//! byte budgets:
-//!
-//! * **Resident tier**: uncompressed chunk bytes, LRU-evicted when the
-//!   budget is exceeded. Eviction *demotes* into the compressed tier.
-//! * **Compressed tier**: [`crate::compress`]-encoded bytes, LRU-evicted
-//!   to nowhere (the segment files always hold the authoritative copy).
-//!
-//! Demoted bytes are verified on the way back up: a decompression
-//! failure or hash mismatch is reported to the caller, which falls
-//! back to disk — a corrupted cache entry can cost a read, never an
-//! answer.
+//! chunks a memcpy away under a hard byte budget. A chunk evicted from
+//! it is simply dropped: the segment files always hold the
+//! authoritative, CRC- and hash-checked copy, so the next read of that
+//! chunk is a verified disk read.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::compress;
 use crate::hash::ChunkId;
 
 struct Entry {
@@ -25,138 +16,79 @@ struct Entry {
     seq: u64,
 }
 
-/// One LRU-bounded byte pool.
-struct Pool {
+/// Uncompressed chunk bytes, evicted least-recently-used first once
+/// their total exceeds the budget.
+pub struct ChunkCache {
     cap: usize,
     bytes: usize,
+    clock: u64,
     entries: HashMap<ChunkId, Entry>,
     /// seq → id index for O(log n) LRU eviction.
     order: BTreeMap<u64, ChunkId>,
+    /// Reads answered from memory.
+    pub resident_hits: u64,
 }
 
-impl Pool {
-    fn new(cap: usize) -> Pool {
-        Pool {
+impl ChunkCache {
+    pub fn new(cap: usize) -> ChunkCache {
+        ChunkCache {
             cap,
             bytes: 0,
+            clock: 0,
             entries: HashMap::new(),
             order: BTreeMap::new(),
+            resident_hits: 0,
         }
     }
 
-    fn touch(&mut self, id: ChunkId, clock: &mut u64) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            self.order.remove(&e.seq);
-            *clock += 1;
-            e.seq = *clock;
-            self.order.insert(e.seq, id);
-        }
-    }
-
-    fn insert(&mut self, id: ChunkId, bytes: Vec<u8>, clock: &mut u64) {
-        if bytes.len() > self.cap {
-            return; // larger than the whole budget: never cache
-        }
-        self.remove(&id);
-        *clock += 1;
-        self.bytes += bytes.len();
-        self.order.insert(*clock, id);
-        self.entries.insert(id, Entry { bytes, seq: *clock });
-    }
-
-    fn remove(&mut self, id: &ChunkId) -> Option<Vec<u8>> {
-        let e = self.entries.remove(id)?;
-        self.order.remove(&e.seq);
-        self.bytes -= e.bytes.len();
-        Some(e.bytes)
-    }
-
-    /// Pop the least-recently-used entry while over budget.
-    fn evict_one(&mut self) -> Option<(ChunkId, Vec<u8>)> {
-        if self.bytes <= self.cap {
-            return None;
-        }
-        let (_, id) = self.order.iter().next().map(|(s, i)| (*s, *i))?;
-        self.remove(&id).map(|b| (id, b))
-    }
-}
-
-/// Counters the store surfaces through its stats.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TierStats {
-    pub resident_hits: u64,
-    pub compressed_hits: u64,
-    pub misses: u64,
-    pub demotions: u64,
-    pub drops: u64,
-}
-
-pub struct TierCache {
-    resident: Pool,
-    compressed: Pool,
-    clock: u64,
-    pub stats: TierStats,
-}
-
-impl TierCache {
-    pub fn new(resident_cap: usize, compressed_cap: usize) -> TierCache {
-        TierCache {
-            resident: Pool::new(resident_cap),
-            compressed: Pool::new(compressed_cap),
-            clock: 0,
-            stats: TierStats::default(),
-        }
-    }
-
-    /// Fetch a chunk from memory if any tier holds it. A compressed
-    /// hit is decompressed, promoted, and returned; if its stream is
-    /// damaged the entry is dropped and `None` is returned so the
-    /// caller re-reads the authoritative disk copy.
+    /// The chunk's bytes if they are resident, marking it most recent.
     pub fn get(&mut self, id: ChunkId) -> Option<Vec<u8>> {
-        if self.resident.entries.contains_key(&id) {
-            self.stats.resident_hits += 1;
-            self.resident.touch(id, &mut self.clock);
-            return self.resident.entries.get(&id).map(|e| e.bytes.clone());
+        let e = self.entries.get_mut(&id)?;
+        self.order.remove(&e.seq);
+        self.clock += 1;
+        e.seq = self.clock;
+        self.order.insert(e.seq, id);
+        self.resident_hits += 1;
+        Some(e.bytes.clone())
+    }
+
+    /// Make `bytes` resident under `id`, dropping least-recently-used
+    /// chunks until the budget holds. A chunk larger than the whole
+    /// budget is never cached.
+    pub fn insert(&mut self, id: ChunkId, bytes: Vec<u8>) {
+        self.remove(&id);
+        if bytes.len() > self.cap {
+            return;
         }
-        if let Some(packed) = self.compressed.remove(&id) {
-            match compress::decompress(&packed) {
-                Ok(bytes) => {
-                    self.stats.compressed_hits += 1;
-                    self.insert(id, bytes.clone());
-                    return Some(bytes);
-                }
-                Err(_) => {
-                    // Damaged in-memory copy: forget it, fall through
-                    // to the disk tier.
-                    self.stats.drops += 1;
-                }
+        self.clock += 1;
+        self.bytes += bytes.len();
+        self.order.insert(self.clock, id);
+        self.entries.insert(
+            id,
+            Entry {
+                bytes,
+                seq: self.clock,
+            },
+        );
+        while self.bytes > self.cap {
+            let Some((_, oldest)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some(e) = self.entries.remove(&oldest) {
+                self.bytes -= e.bytes.len();
             }
         }
-        self.stats.misses += 1;
-        None
     }
 
-    /// Make `bytes` resident under `id`, demoting and dropping as the
-    /// budgets require.
-    pub fn insert(&mut self, id: ChunkId, bytes: Vec<u8>) {
-        self.compressed.remove(&id);
-        self.resident.insert(id, bytes, &mut self.clock);
-        while let Some((evicted_id, evicted)) = self.resident.evict_one() {
-            self.stats.demotions += 1;
-            let packed = compress::compress(&evicted);
-            self.compressed.insert(evicted_id, packed, &mut self.clock);
-        }
-        while self.compressed.evict_one().is_some() {
-            self.stats.drops += 1;
+    fn remove(&mut self, id: &ChunkId) {
+        if let Some(e) = self.entries.remove(id) {
+            self.order.remove(&e.seq);
+            self.bytes -= e.bytes.len();
         }
     }
 
     pub fn resident_bytes(&self) -> usize {
-        self.resident.bytes
-    }
-
-    pub fn compressed_bytes(&self) -> usize {
-        self.compressed.bytes
+        self.bytes
     }
 }
 
@@ -172,33 +104,44 @@ mod tests {
 
     #[test]
     fn resident_hit_returns_exact_bytes() {
-        let mut c = TierCache::new(1024, 1024);
+        let mut c = ChunkCache::new(1024);
         let (id, bytes) = chunk(7, 100);
         c.insert(id, bytes.clone());
         assert_eq!(c.get(id), Some(bytes));
-        assert_eq!(c.stats.resident_hits, 1);
+        assert_eq!(c.resident_hits, 1);
     }
 
     #[test]
-    fn eviction_demotes_to_compressed_and_back() {
-        // Budget fits one chunk; the second insert demotes the first.
-        let mut c = TierCache::new(600, 64 * 1024);
+    fn eviction_drops_least_recent_first_and_holds_the_budget() {
+        // Budget fits two 500-byte chunks; a third evicts the oldest.
+        let mut c = ChunkCache::new(1100);
         let (id_a, a) = chunk(1, 500);
         let (id_b, b) = chunk(2, 500);
+        let (id_c, cc) = chunk(3, 500);
         c.insert(id_a, a.clone());
         c.insert(id_b, b.clone());
-        assert_eq!(c.stats.demotions, 1);
-        assert!(c.resident_bytes() <= 600);
-        // The demoted chunk comes back via the compressed tier…
-        assert_eq!(c.get(id_a), Some(a));
-        assert_eq!(c.stats.compressed_hits, 1);
-        // …which demotes b in turn; both remain reachable.
+        c.insert(id_c, cc.clone());
+        assert!(c.resident_bytes() <= 1100);
+        assert_eq!(c.get(id_a), None, "evicted chunk is dropped");
         assert_eq!(c.get(id_b), Some(b));
+        assert_eq!(c.get(id_c), Some(cc));
+        // Reinserting a evicts b, the least recent after the two reads.
+        c.insert(id_a, a.clone());
+        assert_eq!(c.resident_bytes(), 1000);
+        assert_eq!(c.get(id_b), None);
+        assert_eq!(c.get(id_a), Some(a));
+        assert_eq!(c.resident_hits, 3, "misses are not hits");
+        // Under churn the budget is never exceeded.
+        for i in 0..200u32 {
+            let bytes: Vec<u8> = (0..700).map(|j| (i.wrapping_add(j) % 251) as u8).collect();
+            c.insert(content_hash(&bytes), bytes);
+            assert!(c.resident_bytes() <= 1100);
+        }
     }
 
     #[test]
     fn lru_order_follows_access_not_insertion() {
-        let mut c = TierCache::new(1100, 0);
+        let mut c = ChunkCache::new(1100);
         let (id_a, a) = chunk(1, 500);
         let (id_b, b) = chunk(2, 500);
         c.insert(id_a, a.clone());
@@ -206,28 +149,17 @@ mod tests {
         assert!(c.get(id_a).is_some()); // a is now most recent
         let (id_c, cc) = chunk(3, 500);
         c.insert(id_c, cc);
-        // b was least recent; with no compressed budget it is gone.
+        // b was least recent: it is gone.
         assert_eq!(c.get(id_b), None);
         assert_eq!(c.get(id_a), Some(a));
     }
 
     #[test]
-    fn both_tiers_exhausted_is_a_clean_miss() {
-        let mut c = TierCache::new(100, 50);
+    fn chunk_over_the_budget_is_a_clean_miss() {
+        let mut c = ChunkCache::new(100);
         let (id, bytes) = chunk(9, 400);
         c.insert(id, bytes);
-        assert_eq!(c.get(id), None, "chunk over every budget is a miss");
-        assert!(c.stats.misses >= 1);
-    }
-
-    #[test]
-    fn byte_budgets_hold_under_churn() {
-        let mut c = TierCache::new(4 * 1024, 2 * 1024);
-        for i in 0..200u32 {
-            let bytes: Vec<u8> = (0..700).map(|j| (i.wrapping_add(j) % 251) as u8).collect();
-            c.insert(content_hash(&bytes), bytes);
-            assert!(c.resident_bytes() <= 4 * 1024);
-            assert!(c.compressed_bytes() <= 2 * 1024);
-        }
+        assert_eq!(c.get(id), None, "chunk over the budget is a miss");
+        assert_eq!(c.resident_bytes(), 0);
     }
 }

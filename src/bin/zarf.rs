@@ -9,7 +9,7 @@
 //! zarf wcet <file.zf|file.zbin> [--fn name] [--exclude name] [--lazy]
 //! zarf lint <file.zf|file.zbin>   static hygiene findings
 //! zarf check <file.zfa>           typecheck annotated assembly (§5.3)
-//! zarf stats <file.zf> [--profile]  run on hardware, print CPI statistics
+//! zarf stats <file.zf>            run on hardware, print CPI statistics
 //! zarf trace <file.zf|file.zbin> [--engine big|small|hw] [--out FILE]
 //!                                 run with an NDJSON event trace
 //! zarf profile <file.zf|file.zbin> [--folded]
@@ -35,7 +35,10 @@
 //!                                 ICD system (each seed runs twice and the
 //!                                 replays must agree exactly); the last
 //!                                 line is a one-line JSON verdict and the
-//!                                 exit code is nonzero on any disagreement
+//!                                 exit code is nonzero on any disagreement;
+//!                                 --seeds must be at least 1 and
+//!                                 --seconds cover one 5 ms sample to
+//!                                 3600 s, or the exit code is 2
 //! zarf snapshot save <file.zf|file.zbin> [--out FILE] [--in …]
 //!                                 run to completion, capture an audited
 //!                                 machine snapshot (default <file>.zsnp)
@@ -91,12 +94,12 @@ fn usage_text() -> &'static str {
      \x20      zarf loadgen --connect ADDR [--conns N] [--drivers D]\n\
      \x20                   [--out FILE] [--shutdown]\n\
      run options: --engine big|small|hw   --in PORT:v,v,…  (repeatable)\n\
-     stats options: --profile (per-function cycle attribution)\n\
      trace options: --engine big|small|hw  --out FILE (default stdout)  --in …\n\
      profile options: --in PORT:v,v,…  --folded (flamegraph folded stacks)\n\
      wcet options: --fn NAME  --exclude NAME\n\
      vet options: --json  --model standalone|service  --symex  --risc (see `zarf vet --help`)\n\
-     chaos options: --policy halt|restart|degrade|rollback (default restart)"
+     chaos options: --seeds N (>= 1)  --seconds F (0.005 to 3600)\n\
+     \x20              --policy halt|restart|degrade|rollback (default restart)"
 }
 
 fn usage() -> ExitCode {
@@ -564,6 +567,9 @@ fn run_chaos(rest: &[String]) -> ExitCode {
             Some(v) => v.parse().map_err(|_| format!("bad --seeds `{v}`"))?,
             None => 25,
         };
+        if seeds == 0 {
+            return Err("--seeds must be at least 1".into());
+        }
         let base_seed: u64 = match flag_value(rest, "--base-seed") {
             Some(v) => v.parse().map_err(|_| format!("bad --base-seed `{v}`"))?,
             None => 1,
@@ -572,6 +578,14 @@ fn run_chaos(rest: &[String]) -> ExitCode {
             Some(v) => v.parse().map_err(|_| format!("bad --seconds `{v}`"))?,
             None => 2.0,
         };
+        // At least one ECG sample, at most an hour of them; NaN fails both.
+        let hz = SAMPLE_HZ as f64;
+        if !(1.0..=3600.0 * hz).contains(&(seconds * hz)) {
+            return Err(format!(
+                "--seconds must cover one sample ({} s) to 3600 s, got `{seconds}`",
+                1.0 / hz
+            ));
+        }
         let faults: usize = match flag_value(rest, "--faults") {
             Some(v) => v.parse().map_err(|_| format!("bad --faults `{v}`"))?,
             None => 8,
@@ -1272,25 +1286,10 @@ fn main() -> ExitCode {
             }
             "stats" => {
                 let machine = load_machine(path)?;
-                let profiling = rest.iter().any(|a| a == "--profile");
-                let mut hw = Hw::from_machine_with(
-                    &machine,
-                    zarf::hw::HwConfig {
-                        profile: profiling,
-                        ..Default::default()
-                    },
-                )
-                .map_err(|e| e.to_string())?;
+                let mut hw = Hw::from_machine(&machine).map_err(|e| e.to_string())?;
                 let mut ports = parse_inputs(rest)?;
                 hw.run(&mut ports).map_err(|e| e.to_string())?;
                 print!("{}", hw.stats());
-                if profiling {
-                    println!("\nper-function cycles (hottest first):");
-                    for (id, name, cycles) in hw.profile() {
-                        let label = name.unwrap_or_else(|| format!("g_{id:x}"));
-                        println!("  {label:<24} {cycles:>12}");
-                    }
-                }
                 Ok(())
             }
             "trace" => {

@@ -22,7 +22,7 @@
 //! | [`kernel`] | `zarf-kernel` | the cooperative-coroutine microkernel, system devices, monitor program, the unverified imperative baseline, and full-system integration |
 //! | [`verify`] | `zarf-verify` | the binary analyses: integrity type system (non-interference), WCET, GC bounds, system timing |
 //! | [`fleet`] | `zarf-fleet` | multi-session execution server: fuel-sliced scheduling, snapshot-backed eviction, `ZFLT` wire protocol |
-//! | [`store`] | `zarf-store` | crash-consistent content-addressed chunk store: dedup snapshot persistence, journaled manifest, tiered residency, `fsck`/`gc` |
+//! | [`store`] | `zarf-store` | crash-consistent content-addressed chunk store: dedup snapshot persistence, journaled manifest, a resident chunk LRU, `fsck`/`gc` |
 //!
 //! ## Quickstart
 //!

@@ -247,3 +247,33 @@ fn loadgen_requires_connect() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("--connect"));
     }
 }
+
+#[test]
+fn chaos_refuses_a_soak_that_would_run_nothing_or_overflow() {
+    // A zero-length trace or zero seeds would "pass" without running, and
+    // a huge trace would abort allocating its samples: all are usage errors.
+    for args in [
+        &["chaos", "--seeds", "0"][..],
+        &["chaos", "--seconds", "0"],
+        &["chaos", "--seconds", "-1"],
+        &["chaos", "--seconds", "nan"],
+        &["chaos", "--seconds", "inf"],
+        &["chaos", "--seconds", "0.001"],
+        &["chaos", "--seconds", "3601"],
+        &["chaos", "--seconds", "1e20"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_zarf"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a verdict");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(args[1]), "{args:?}: {err}");
+    }
+    // The smallest soak that runs anything, one seed over one sample,
+    // is accepted.
+    let (ok, out, err) = zarf(&["chaos", "--seeds", "1", "--seconds", "0.005"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("\"seeds\":1"), "{out}");
+}
