@@ -112,5 +112,18 @@ mod tests {
         assert_eq!(s.instructions(), 7_297_008);
         assert_eq!(s.gc_runs, 48_000);
         assert_eq!(s.gc_cycles, 38_732_147);
+        // Every counter a change to the heap or the step loop could
+        // disturb, field by field.
+        let class = |count, cycles| zarf_hw::ClassStats { count, cycles };
+        assert_eq!(s.lets, class(3_589_843, 24_959_706));
+        assert_eq!(s.cases, class(1_733_088, 17_008_794));
+        assert_eq!(s.results, class(576_990, 11_349_129));
+        assert_eq!(s.branch_heads, class(1_397_087, 1_397_087));
+        assert_eq!(s.let_args, 10_600_329);
+        assert_eq!(s.allocations, 3_589_844);
+        assert_eq!(s.words_allocated, 17_780_017);
+        assert_eq!(s.gc_objects_copied, 2_849_717);
+        assert_eq!(s.gc_words_copied, 19_133_833);
+        assert_eq!(s.peak_live_words, 1_261);
     }
 }

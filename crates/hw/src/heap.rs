@@ -9,11 +9,26 @@
 //! The collector is a Cheney-style breadth-first copy. Indirection objects
 //! ([`HeapObj::Ind`]) are short-circuited during evacuation, so chains built
 //! by thunk updates collapse at the first collection after they form.
+//!
+//! Host representation: evacuation *moves* each live object into to-space
+//! (its from-space slot keeps only the forwarding value), and to-space is
+//! the previous collection's from-space buffer, so a collection allocates
+//! nothing once both semispaces have grown to the working set. The payload
+//! buffers of garbage applications and constructors go to a small free
+//! list, which new `let` payloads draw from and popped frames' argument
+//! buffers return to. None of this is visible to the cost model: object
+//! sizes are payload *lengths*.
 
 use std::fmt;
 
 use crate::cost::CostModel;
 use crate::obj::{HValue, HeapObj, HeapRef};
+
+/// Most payload buffers the free list keeps. One E2 kernel tick allocates
+/// about 75 objects and collects once; below 128 spare buffers its ticks
+/// start allocating again, so this keeps twice that while bounding what an
+/// idle heap retains.
+const SPARE_PAYLOADS: usize = 256;
 
 /// A reference that points outside the heap — a memory fault.
 ///
@@ -51,16 +66,16 @@ pub struct Heap {
     objs: Vec<HeapObj>,
     words_used: usize,
     capacity_words: usize,
+    /// The previous from-space, emptied: the next collection's to-space.
+    to_space: Vec<HeapObj>,
+    /// Cleared payload buffers ready for reuse, at most `SPARE_PAYLOADS`.
+    spare_payloads: Vec<Vec<HValue>>,
 }
 
 impl Heap {
     /// A heap holding at most `capacity_words` 32-bit words per semispace.
     pub fn new(capacity_words: usize) -> Self {
-        Heap {
-            objs: Vec::new(),
-            words_used: 0,
-            capacity_words,
-        }
+        Self::from_parts(capacity_words, Vec::new())
     }
 
     /// Words currently allocated.
@@ -94,6 +109,8 @@ impl Heap {
             objs,
             words_used,
             capacity_words,
+            to_space: Vec::new(),
+            spare_payloads: Vec::new(),
         }
     }
 
@@ -126,6 +143,26 @@ impl Heap {
         self.objs.get_mut(r).ok_or(DanglingRef(r))
     }
 
+    /// An empty payload buffer with room for `len` values, reused from the
+    /// free list when one is spare. `len == 0` takes nothing from it.
+    pub(crate) fn payload_buf(&mut self, len: usize) -> Vec<HValue> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let mut buf = self.spare_payloads.pop().unwrap_or_default();
+        buf.reserve(len);
+        buf
+    }
+
+    /// Return a payload buffer to the free list, or free it when the list
+    /// is full (buffers that never allocated are not worth keeping).
+    pub(crate) fn recycle(&mut self, mut buf: Vec<HValue>) {
+        if buf.capacity() > 0 && self.spare_payloads.len() < SPARE_PAYLOADS {
+            buf.clear();
+            self.spare_payloads.push(buf);
+        }
+    }
+
     /// Run a full collection. `roots` are rewritten in place to their
     /// to-space locations; everything unreachable from them is discarded.
     ///
@@ -143,7 +180,7 @@ impl Heap {
         };
         let before = self.words_used;
 
-        let mut to: Vec<HeapObj> = Vec::new();
+        let mut to = std::mem::take(&mut self.to_space);
         let mut to_words = 0usize;
 
         for r in roots.iter_mut() {
@@ -179,15 +216,28 @@ impl Heap {
             scan += 1;
         }
 
-        self.objs = to;
+        let mut from = std::mem::replace(&mut self.objs, to);
         self.words_used = to_words;
         report.words_reclaimed = (before - to_words.min(before)) as u64;
+        // Live objects left only forwarding values behind; what still owns
+        // a payload is garbage.
+        for obj in from.drain(..) {
+            match obj {
+                HeapObj::App { args: buf, .. } | HeapObj::Con { fields: buf, .. } => {
+                    self.recycle(buf)
+                }
+                HeapObj::Ind(_) | HeapObj::BlackHole | HeapObj::Forwarded(_) => {}
+            }
+        }
+        self.to_space = from;
         Ok(report)
     }
 
     /// Evacuate one value: integers pass through; references are checked
     /// (2 cycles), then copied (`N + 4` cycles) unless already forwarded.
-    /// Indirections are short-circuited to their payload.
+    /// Indirections are short-circuited to their payload. The host moves
+    /// the object rather than cloning it: its from-space slot keeps only
+    /// the forwarding value.
     fn evacuate(
         &mut self,
         v: HValue,
@@ -201,26 +251,25 @@ impl Heap {
             HValue::Ref(r) => r,
         };
         report.cycles += cost.gc_ref_check;
-        match self.objs.get(r).ok_or(DanglingRef(r))? {
-            HeapObj::Forwarded(dest) => Ok(*dest),
+        let slot = self.objs.get_mut(r).ok_or(DanglingRef(r))?;
+        match *slot {
+            HeapObj::Forwarded(dest) => Ok(dest),
             HeapObj::Ind(inner) => {
                 // Short-circuit the indirection: its referent stands in for
                 // it from now on.
-                let inner = *inner;
                 let dest = self.evacuate(inner, to, to_words, cost, report)?;
-                self.objs[r] = HeapObj::Forwarded(dest);
+                *self.get_mut(r)? = HeapObj::Forwarded(dest);
                 Ok(dest)
             }
-            obj => {
-                let obj = obj.clone();
+            _ => {
+                let dest = HValue::Ref(to.len());
+                let obj = std::mem::replace(slot, HeapObj::Forwarded(dest));
                 let w = obj.words();
                 report.cycles += cost.gc_copy_base + cost.gc_copy_per_word * w as u64;
                 report.objects_copied += 1;
                 report.words_copied += w as u64;
                 *to_words += w;
                 to.push(obj);
-                let dest = HValue::Ref(to.len() - 1);
-                self.objs[r] = HeapObj::Forwarded(dest);
                 Ok(dest)
             }
         }

@@ -49,6 +49,11 @@ use crate::stats::{Class, Stats};
 /// Default semispace size: 64 Ki words (256 KiB), a plausible embedded SRAM.
 pub const DEFAULT_HEAP_WORDS: usize = 64 * 1024;
 
+/// Most retired frames' local buffers kept for reuse. E2 kernel ticks need
+/// 4 (with 2 they allocate again); 16 leaves room for deeper call chains
+/// while bounding what an idle machine keeps.
+const SPARE_LOCALS: usize = 16;
+
 /// Execution failures of the hardware model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HwError {
@@ -184,12 +189,13 @@ enum Cont {
     /// Discard the WHNF and resume instruction execution (used by the
     /// eager-mode ablation, which forces every `let` immediately).
     ResumeExec,
-    /// Collect primitive operands: force `pending` (stored reversed) one at
-    /// a time, accumulating `ints`, then execute `op`.
+    /// Collect primitive operands (every primitive takes one or two):
+    /// force the `pending` second operand, if any, accumulating `ints`,
+    /// then execute `op`.
     PrimArgs {
         op: PrimOp,
-        pending: Vec<HValue>,
-        ints: Vec<Int>,
+        pending: Option<HValue>,
+        ints: [Int; 2],
     },
 }
 
@@ -254,6 +260,13 @@ pub struct Hw {
     frames: Vec<Frame>,
     conts: Vec<Cont>,
     class: Class,
+    /// Scratch for the root set a collection gathers, kept between
+    /// collections so gathering allocates nothing.
+    gc_roots: Vec<HValue>,
+    /// Cleared local buffers of retired frames, at most `SPARE_LOCALS`.
+    /// They stay apart from the heap's payload free list, so a buffer
+    /// sized for a large frame never becomes a small object's payload.
+    spare_locals: Vec<Vec<HValue>>,
 
     sink: SinkHandle,
     cursor: TraceCursor,
@@ -315,6 +328,8 @@ impl Hw {
             frames: Vec::new(),
             conts: Vec::new(),
             class: Class::Let,
+            gc_roots: Vec::new(),
+            spare_locals: Vec::new(),
             sink: SinkHandle::none(),
             cursor: TraceCursor::default(),
             coroutines: HashMap::new(),
@@ -809,7 +824,8 @@ impl Hw {
     /// the error.
     fn do_gc(&mut self, extra: &mut [HValue]) -> Result<GcReport, HwError> {
         // Gather every live value slot into one vector.
-        let mut roots: Vec<HValue> = Vec::new();
+        let mut roots = std::mem::take(&mut self.gc_roots);
+        roots.clear();
         roots.extend(self.roots.iter().copied());
         for f in &self.frames {
             roots.extend(f.args.iter().copied());
@@ -848,7 +864,7 @@ impl Hw {
         });
 
         // Scatter the (possibly moved) roots back.
-        let mut it = roots.into_iter();
+        let mut it = roots.iter().copied();
         for r in self.roots.iter_mut() {
             *r = it
                 .next()
@@ -901,7 +917,10 @@ impl Hw {
                 .next()
                 .ok_or(HwError::BadState("gc root scatter mismatch"))?;
         }
-        debug_assert!(it.next().is_none());
+        if it.next().is_some() {
+            return Err(HwError::BadState("gc root scatter mismatch"));
+        }
+        self.gc_roots = roots;
         Ok(report)
     }
 
@@ -1009,10 +1028,41 @@ impl Hw {
             .ok_or(HwError::BadState("no active frame"))
     }
 
-    fn pop_frame(&mut self) -> Result<Frame, HwError> {
-        self.frames
+    /// Pop the top frame, announce a coroutine exit if its item is marked,
+    /// and keep its buffers for reuse.
+    fn retire_frame(&mut self) -> Result<(), HwError> {
+        let frame = self
+            .frames
             .pop()
-            .ok_or(HwError::BadState("no active frame"))
+            .ok_or(HwError::BadState("no active frame"))?;
+        self.emit_coroutine_exit(frame.item);
+        self.heap.recycle(frame.args);
+        let mut locals = frame.locals;
+        if self.spare_locals.len() < SPARE_LOCALS {
+            locals.clear();
+            self.spare_locals.push(locals);
+        }
+        Ok(())
+    }
+
+    /// Overwrite heap cell `r` with `obj`, returning the old object's
+    /// payload buffer (empty if it had none) so it can be moved elsewhere
+    /// instead of copied.
+    fn replace_cell(&mut self, r: HeapRef, obj: HeapObj) -> Result<Vec<HValue>, HwError> {
+        Ok(match std::mem::replace(self.heap.get_mut(r)?, obj) {
+            HeapObj::App { args: buf, .. } | HeapObj::Con { fields: buf, .. } => buf,
+            HeapObj::Ind(_) | HeapObj::BlackHole | HeapObj::Forwarded(_) => Vec::new(),
+        })
+    }
+
+    /// Split an over-application: the arguments beyond `arity` move to an
+    /// `Apply` continuation that applies the result to them.
+    fn push_surplus(&mut self, args: &mut Vec<HValue>, arity: usize) {
+        if args.len() > arity {
+            let mut rest = self.heap.payload_buf(args.len() - arity);
+            rest.extend(args.drain(arity..));
+            self.conts.push(Cont::Apply(rest));
+        }
     }
 
     fn code_word(&self, pc: usize) -> Result<Word, HwError> {
@@ -1060,7 +1110,7 @@ impl Hw {
                 let (nargs, callee) =
                     unpack_let_head(w).ok_or(HwError::BadState("malformed let head"))?;
                 self.stats.let_args += nargs as u64;
-                let mut args = Vec::with_capacity(nargs);
+                let mut args = self.heap.payload_buf(nargs);
                 for i in 0..nargs {
                     self.charge(self.cost.let_per_arg);
                     let aw = self.code_word(pc + 1 + i)?;
@@ -1098,8 +1148,7 @@ impl Hw {
                 self.charge(self.cost.result_base);
                 let op = unpack_operand_word(w).ok_or(HwError::BadState("malformed operand"))?;
                 let v = self.resolve(op)?;
-                let frame = self.pop_frame()?;
-                self.emit_coroutine_exit(frame.item);
+                self.retire_frame()?;
                 Ok(State::Force(v))
             }
             _ => Err(HwError::BadState("unknown instruction tag")),
@@ -1120,61 +1169,55 @@ impl Hw {
             }
             HeapObj::BlackHole => Err(HwError::InfiniteLoop),
             HeapObj::Forwarded(_) => Err(HwError::BadState("forwarding pointer outside GC")),
-            HeapObj::App { target, args } => {
-                let target = *target;
-                let args = args.clone();
-                match target {
-                    AppTarget::Value(tv) => {
-                        self.charge(self.cost.ref_check);
-                        self.push_update(r)?;
-                        self.conts.push(Cont::Apply(args));
-                        *self.heap.get_mut(r)? = HeapObj::BlackHole;
-                        Ok(State::Force(tv))
-                    }
-                    AppTarget::Global(id) => self.force_global(r, id, args),
+            HeapObj::App { target, args } => match *target {
+                AppTarget::Value(tv) => {
+                    self.charge(self.cost.ref_check);
+                    self.push_update(r)?;
+                    let args = self.replace_cell(r, HeapObj::BlackHole)?;
+                    self.conts.push(Cont::Apply(args));
+                    Ok(State::Force(tv))
                 }
-            }
+                AppTarget::Global(id) => {
+                    let nargs = args.len();
+                    self.force_global(r, id, nargs)
+                }
+            },
         }
     }
 
-    fn force_global(
-        &mut self,
-        r: HeapRef,
-        id: u32,
-        mut args: Vec<HValue>,
-    ) -> Result<State, HwError> {
+    /// Force an application of global `id` held in cell `r`, which has
+    /// `nargs` arguments. Only the branches that consume the arguments
+    /// take them out of the cell; a partial application stays as it is.
+    fn force_global(&mut self, r: HeapRef, id: u32, nargs: usize) -> Result<State, HwError> {
         if let Some(op) = PrimOp::from_index(id) {
             let arity = op.arity();
-            if args.len() < arity {
+            if nargs < arity {
                 self.charge(self.cost.pap_check);
                 return Ok(State::Return(HValue::Ref(r)));
             }
             self.push_update(r)?;
-            *self.heap.get_mut(r)? = HeapObj::BlackHole;
-            if args.len() > arity {
-                let rest = args.split_off(arity);
-                self.conts.push(Cont::Apply(rest));
-            }
-            let first = args[0];
-            let mut pending: Vec<HValue> = args[1..].to_vec();
-            pending.reverse();
+            let mut args = self.replace_cell(r, HeapObj::BlackHole)?;
+            self.push_surplus(&mut args, arity);
+            let (first, pending) = match args[..] {
+                [a] => (a, None),
+                [a, b] => (a, Some(b)),
+                _ => return Err(HwError::BadState("primitive arity above two")),
+            };
+            self.heap.recycle(args);
             self.conts.push(Cont::PrimArgs {
                 op,
                 pending,
-                ints: Vec::new(),
+                ints: [0; 2],
             });
             return Ok(State::Force(first));
         }
 
         if id == ERROR_CON_INDEX {
             // The error constructor: applying it produces an error value.
-            let code = args
-                .first()
-                .and_then(|v| match v {
-                    HValue::Int(n) => Some(*n),
-                    _ => None,
-                })
-                .unwrap_or(RuntimeError::Propagated.code());
+            let code = match self.heap.get(r)?.payload().first() {
+                Some(HValue::Int(n)) => *n,
+                _ => RuntimeError::Propagated.code(),
+            };
             *self.heap.get_mut(r)? = HeapObj::Con {
                 id: ERROR_CON_INDEX,
                 fields: vec![HValue::Int(code)],
@@ -1182,16 +1225,23 @@ impl Hw {
             return Ok(State::Return(HValue::Ref(r)));
         }
 
-        let meta = self.item(id).ok_or(HwError::UnknownItem(id))?.clone();
-        if meta.is_con {
-            match args.len().cmp(&meta.arity) {
+        let &ItemMeta {
+            arity,
+            locals,
+            is_con,
+            body_off,
+            ..
+        } = self.item(id).ok_or(HwError::UnknownItem(id))?;
+        if is_con {
+            match nargs.cmp(&arity) {
                 std::cmp::Ordering::Less => {
                     self.charge(self.cost.pap_check);
                     Ok(State::Return(HValue::Ref(r)))
                 }
                 std::cmp::Ordering::Equal => {
                     self.charge(self.cost.update);
-                    *self.heap.get_mut(r)? = HeapObj::Con { id, fields: args };
+                    let fields = self.replace_cell(r, HeapObj::BlackHole)?;
+                    *self.heap.get_mut(r)? = HeapObj::Con { id, fields };
                     Ok(State::Return(HValue::Ref(r)))
                 }
                 std::cmp::Ordering::Greater => {
@@ -1211,26 +1261,25 @@ impl Hw {
                 }
             }
         } else {
-            if args.len() < meta.arity {
+            if nargs < arity {
                 self.charge(self.cost.pap_check);
                 return Ok(State::Return(HValue::Ref(r)));
             }
             self.push_update(r)?;
-            *self.heap.get_mut(r)? = HeapObj::BlackHole;
-            if args.len() > meta.arity {
-                let rest = args.split_off(meta.arity);
-                self.conts.push(Cont::Apply(rest));
-            }
+            let mut args = self.replace_cell(r, HeapObj::BlackHole)?;
+            self.push_surplus(&mut args, arity);
             self.charge(self.cost.enter_fun);
             if let Some(&cid) = self.coroutines.get(&id) {
                 self.flush_cycles();
                 self.sink.emit(|| Event::CoroutineEnter { id: cid });
             }
+            let mut locals_buf = self.spare_locals.pop().unwrap_or_default();
+            locals_buf.reserve(locals);
             self.frames.push(Frame {
                 item: id,
                 args,
-                locals: Vec::with_capacity(meta.locals),
-                pc: meta.body_off,
+                locals: locals_buf,
+                pc: body_off,
             });
             Ok(State::Exec)
         }
@@ -1271,10 +1320,13 @@ impl Hw {
                             Ok(Some(State::Return(e)))
                         }
                         HeapObj::App { target, args } => {
-                            // A PAP: extend it with the new arguments.
-                            let target = *target;
-                            let mut all = args.clone();
-                            all.extend(more);
+                            // A PAP: extend a copy of it with the new
+                            // arguments; the PAP itself may be shared.
+                            let (target, n) = (*target, args.len());
+                            let mut all = self.heap.payload_buf(n + more.len());
+                            all.extend_from_slice(self.heap.get(r)?.payload());
+                            all.extend_from_slice(&more);
+                            self.heap.recycle(more);
                             self.charge(self.cost.pap_extend);
                             let nr = self.alloc_gc(HeapObj::App { target, args: all })?;
                             Ok(Some(State::Force(HValue::Ref(nr))))
@@ -1287,7 +1339,7 @@ impl Hw {
             Cont::ResumeExec => Ok(Some(State::Exec)),
             Cont::PrimArgs {
                 op,
-                mut pending,
+                pending,
                 mut ints,
             } => {
                 if self.is_error(v) {
@@ -1301,11 +1353,23 @@ impl Hw {
                     }
                 };
                 self.charge(self.cost.prim_fetch);
-                ints.push(n);
-                if let Some(next) = pending.pop() {
-                    self.conts.push(Cont::PrimArgs { op, pending, ints });
+                if let Some(next) = pending {
+                    // The first of two operands.
+                    ints[0] = n;
+                    self.conts.push(Cont::PrimArgs {
+                        op,
+                        pending: None,
+                        ints,
+                    });
                     return Ok(Some(State::Force(next)));
                 }
+                let ints = if op.arity() == 1 {
+                    ints[0] = n;
+                    &ints[..1]
+                } else {
+                    ints[1] = n;
+                    &ints[..]
+                };
                 // Saturated: execute.
                 self.charge(self.cost.prim_op);
                 let result = match op {
@@ -1331,7 +1395,7 @@ impl Hw {
                         let report = self.do_gc(&mut [])?;
                         HValue::Int(report.words_reclaimed as Int)
                     }
-                    _ => match op.eval_pure(&ints) {
+                    _ => match op.eval_pure(ints) {
                         Ok(n) => HValue::Int(n),
                         Err(e) => self.error_value(e)?,
                     },
@@ -1346,27 +1410,26 @@ impl Hw {
     fn case_dispatch(&mut self, v: HValue) -> Result<State, HwError> {
         // Error scrutinee: the whole function yields the error.
         if self.is_error(v) {
-            let frame = self.pop_frame()?;
-            self.emit_coroutine_exit(frame.item);
+            self.retire_frame()?;
             return Ok(State::Force(v));
         }
         enum Scrut {
             Int(Int),
-            Con(u32, Vec<HValue>),
+            /// A constructor: its identifier and the cell holding it.
+            Con(u32, HeapRef),
             Closure,
         }
         let scrut = match v {
             HValue::Int(n) => Scrut::Int(n),
             HValue::Ref(r) => match self.heap.get(r)? {
-                HeapObj::Con { id, fields } => Scrut::Con(*id, fields.clone()),
+                HeapObj::Con { id, .. } => Scrut::Con(*id, r),
                 HeapObj::App { .. } => Scrut::Closure,
                 _ => return Err(HwError::BadState("case scrutinee is not in WHNF")),
             },
         };
         if let Scrut::Closure = scrut {
             let e = self.error_value(RuntimeError::CaseOnClosure)?;
-            let frame = self.pop_frame()?;
-            self.emit_coroutine_exit(frame.item);
+            self.retire_frame()?;
             return Ok(State::Force(e));
         }
 
@@ -1397,13 +1460,17 @@ impl Hw {
                     self.charge(self.cost.branch_head);
                     self.class = Class::Case;
                     let want = self.code_word(pc + 1)?;
-                    if let Scrut::Con(id, ref fields) = scrut {
+                    if let Scrut::Con(id, r) = scrut {
                         if id == want {
-                            // Bind the fields into consecutive local slots.
-                            let fields = fields.clone();
+                            // Bind the fields into consecutive local slots,
+                            // straight from the heap cell.
+                            let fields = self.heap.get(r)?.payload();
+                            let frame = self
+                                .frames
+                                .last_mut()
+                                .ok_or(HwError::BadState("no active frame"))?;
+                            frame.locals.extend_from_slice(fields);
                             let nf = fields.len() as u64;
-                            let frame = self.top_frame_mut()?;
-                            frame.locals.extend(fields);
                             self.charge(self.cost.bind_field * nf);
                             pc += 2;
                             break;
@@ -1893,5 +1960,112 @@ fun main =
   result r
 "#;
         assert_eq!(run_int(src), 42);
+    }
+
+    /// Forces one program through every `step_force` / `force_global`
+    /// branch that consumes or inspects an application's arguments:
+    /// a closure target; a primitive partially, exactly and over-applied;
+    /// the error constructor; a constructor under-, exactly and
+    /// over-applied; a function partially, exactly and over-applied; plus
+    /// a collection while the results are half forced and a `case` that
+    /// binds constructor fields. The counters and the whole NDJSON event
+    /// stream are pinned exactly, so moving payloads instead of copying
+    /// them can change neither the modeled cost nor the trace.
+    #[test]
+    fn every_force_branch_is_pinned_exactly() {
+        use std::cell::RefCell;
+        use std::io::Write;
+        use std::rc::Rc;
+        use zarf_trace::{NdjsonSink, SharedSink};
+
+        #[derive(Clone, Default)]
+        struct Buf(Rc<RefCell<Vec<u8>>>);
+        impl Write for Buf {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.0.borrow_mut().extend_from_slice(b);
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let src = r#"
+con Pair a b
+con All f1 f2 f3 f4 f5 f6 f7 f8 f9 f10 f11 f12 f13
+fun add3 a b c =
+  let s = add a b in
+  let t = add s c in
+  result t
+fun mk a =
+  let c = add a in
+  result c
+fun sum2 p =
+  case p of
+  | Pair a b =>
+    let r = add a b in
+    result r
+  else result 0
+fun main =
+  let c = add 40 in
+  let v1 = c 2 in
+  let p = add 1 in
+  let s = mul 6 7 in
+  let o = add 1 2 3 in
+  let u = Pair 1 in
+  let e = Pair 1 2 in
+  let x = Pair 1 2 3 in
+  let fp = add3 1 in
+  let g = gc 0 in
+  let fe = add3 1 2 3 in
+  let fo = mk 40 2 in
+  let se = sum2 e in
+  let r = All v1 p s o u e x fp g fe fo se c in
+  result r
+"#;
+        let mut h = hw(src);
+        let buf = Buf::default();
+        let shared = SharedSink::new(NdjsonSink::new(buf.clone()));
+        h.set_sink(Box::new(shared.clone()));
+        let v = h.run(&mut NullPorts).unwrap();
+        let deep = h.deep_value(v, &mut NullPorts).unwrap();
+        let e = h
+            .call(ERROR_CON_INDEX, vec![HValue::Int(3)], &mut NullPorts)
+            .unwrap();
+        assert!(h.as_error(e).is_some());
+        h.collect_garbage().unwrap();
+        drop(h.take_sink());
+        let bytes = buf.0.borrow().clone();
+
+        assert_eq!(
+            format!("{deep:?}"),
+            "Con { name: \"All\", fields: [Int(42), \
+             Closure { target: Prim(Add), applied: [Int(1)] }, Int(42), \
+             Error(ApplyToInt), Closure { target: Con(\"Pair\"), applied: [Int(1)] }, \
+             Con { name: \"Pair\", fields: [Int(1), Int(2)] }, Error(ConOverApplied), \
+             Closure { target: Fn(\"add3\"), applied: [Int(1)] }, Int(39), Int(6), \
+             Int(42), Int(3), Closure { target: Prim(Add), applied: [Int(40)] }] }"
+        );
+        let class = |count, cycles| crate::stats::ClassStats { count, cycles };
+        assert_eq!(
+            *h.stats(),
+            Stats {
+                lets: class(18, 119),
+                cases: class(1, 4),
+                results: class(4, 101),
+                branch_heads: class(1, 1),
+                let_args: 42,
+                gc_cycles: 132,
+                gc_runs: 2,
+                gc_objects_copied: 11,
+                gc_words_copied: 36,
+                load_cycles: 83,
+                allocations: 24,
+                words_allocated: 97,
+                peak_live_words: 75,
+            }
+        );
+        assert_eq!(bytes.len(), 4_583);
+        assert_eq!(zarf_core::codec::crc32(&[&bytes]), 0x0a2a_3666);
     }
 }
