@@ -964,58 +964,19 @@ impl FleetHandle {
         Ok(id)
     }
 
-    /// Queue one op on a session. A fleet whose durable store has
-    /// stalled sheds the op instead ([`FleetError::Overloaded`]):
-    /// accepting work that can never commit durably would silently
-    /// widen the window of state the store cannot recover.
+    /// Queue one op on a session: [`FleetHandle::inject_batch`] of one.
     pub fn inject(&self, id: u64, op: Op) -> Result<(), FleetError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(FleetError::ShuttingDown);
-        }
-        if let Some(store) = &self.shared.cfg.store {
-            if let Some(detail) = store.stalled() {
-                return Err(FleetError::Overloaded(detail));
-            }
-        }
-        if let Some(repl) = &self.shared.cfg.repl {
-            if let Some(detail) = repl.overloaded() {
-                return Err(FleetError::Overloaded(detail));
-            }
-        }
-        let slot = self.shared.slot(id)?;
-        let enqueue = {
-            let mut s = lock(&slot);
-            if let Some(msg) = &s.poisoned {
-                return Err(FleetError::SessionPoisoned(msg.clone()));
-            }
-            if s.closed {
-                return Err(FleetError::UnknownSession(id));
-            }
-            if s.frozen {
-                return Err(FleetError::SessionFrozen(id));
-            }
-            if let Some(cert) = &s.cert {
-                check_op(cert, &op)?;
-            }
-            s.pending.push_back(op);
-            if !s.running && !s.queued {
-                s.queued = true;
-                true
-            } else {
-                false
-            }
-        };
-        if enqueue {
-            self.shared.enqueue(id);
-        }
-        Ok(())
+        self.inject_batch(id, vec![op]).map(|_| ())
     }
 
     /// Queue many ops on a session under one slot lock. Admission is
     /// atomic: every op is checked against the certificate (when the
     /// session is verified) before any is queued, so a rejected batch
     /// leaves the session untouched. Returns the pending count after the
-    /// batch.
+    /// batch. A fleet whose durable store has stalled, or whose standby
+    /// lags too far, sheds the batch instead ([`FleetError::Overloaded`]):
+    /// accepting work that can never commit durably would silently widen
+    /// the window of state the store cannot recover.
     pub fn inject_batch(&self, id: u64, ops: Vec<Op>) -> Result<usize, FleetError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(FleetError::ShuttingDown);

@@ -687,7 +687,18 @@ impl Hw {
     /// When a chaos handle is installed this is the `Alloc` fault site:
     /// the plan can fail the allocation outright, force an adversarial
     /// collection first, or flip a bit in the freshly written cell.
-    fn alloc_gc(&mut self, mut obj: HeapObj) -> Result<HeapRef, HwError> {
+    fn alloc_gc(&mut self, obj: HeapObj) -> Result<HeapRef, HwError> {
+        self.alloc_gc_pinned(obj, &mut [])
+    }
+
+    /// [`Hw::alloc_gc`] for a caller holding `pinned` values outside the
+    /// machine's roots: a collection keeps them live and relocates them
+    /// in place.
+    fn alloc_gc_pinned(
+        &mut self,
+        mut obj: HeapObj,
+        pinned: &mut [HValue],
+    ) -> Result<HeapRef, HwError> {
         let words = obj.words();
         let mut force_gc = false;
         let mut flip_bit = None;
@@ -729,6 +740,7 @@ impl Hw {
                 HeapObj::Ind(v) => extra.push(*v),
                 _ => {}
             }
+            extra.extend(pinned.iter().copied());
             self.do_gc(&mut extra)?;
             // Scatter the relocated payload back into the object.
             let mut it = extra.into_iter();
@@ -758,6 +770,11 @@ impl Hw {
                         .ok_or(HwError::BadState("gc root scatter mismatch"))?
                 }
                 _ => {}
+            }
+            for p in pinned.iter_mut() {
+                *p = it
+                    .next()
+                    .ok_or(HwError::BadState("gc root scatter mismatch"))?;
             }
         }
         self.charge(self.cost.alloc);
@@ -959,7 +976,10 @@ impl Hw {
 
     // -- operand resolution ---------------------------------------------------
 
-    fn resolve(&mut self, op: Operand) -> Result<HValue, HwError> {
+    /// The value of operand `op`. A bare global allocates, which can
+    /// collect: `pinned` are values the caller holds outside the roots,
+    /// kept live and relocated in place.
+    fn resolve(&mut self, op: Operand, pinned: &mut [HValue]) -> Result<HValue, HwError> {
         match op.source {
             Source::Imm => Ok(HValue::Int(op.index)),
             Source::Local => {
@@ -982,10 +1002,13 @@ impl Hw {
                 // A bare global in operand position denotes the (empty)
                 // application of that global — allocate its closure.
                 let id = op.index as u32;
-                let r = self.alloc_gc(HeapObj::App {
-                    target: AppTarget::Global(id),
-                    args: vec![],
-                })?;
+                let r = self.alloc_gc_pinned(
+                    HeapObj::App {
+                        target: AppTarget::Global(id),
+                        args: vec![],
+                    },
+                    pinned,
+                )?;
                 Ok(HValue::Ref(r))
             }
         }
@@ -1116,11 +1139,13 @@ impl Hw {
                     let aw = self.code_word(pc + 1 + i)?;
                     let op =
                         unpack_operand_word(aw).ok_or(HwError::BadState("malformed operand"))?;
-                    args.push(self.resolve(op)?);
+                    // The arguments resolved so far are not rooted yet.
+                    let v = self.resolve(op, &mut args)?;
+                    args.push(v);
                 }
                 let target = match callee.source {
                     Source::Global => AppTarget::Global(callee.index as u32),
-                    _ => AppTarget::Value(self.resolve(callee)?),
+                    _ => AppTarget::Value(self.resolve(callee, &mut [])?),
                 };
                 let r = self.alloc_gc(HeapObj::App { target, args })?;
                 let frame = self.top_frame_mut()?;
@@ -1138,7 +1163,7 @@ impl Hw {
                 self.begin_instr(Class::Case, pc);
                 self.charge(self.cost.case_base);
                 let op = unpack_operand_word(w).ok_or(HwError::BadState("malformed operand"))?;
-                let scrutinee = self.resolve(op)?;
+                let scrutinee = self.resolve(op, &mut [])?;
                 self.top_frame_mut()?.pc = pc + 1;
                 self.conts.push(Cont::CaseDispatch);
                 Ok(State::Force(scrutinee))
@@ -1147,7 +1172,7 @@ impl Hw {
                 self.begin_instr(Class::Result, pc);
                 self.charge(self.cost.result_base);
                 let op = unpack_operand_word(w).ok_or(HwError::BadState("malformed operand"))?;
-                let v = self.resolve(op)?;
+                let v = self.resolve(op, &mut [])?;
                 self.retire_frame()?;
                 Ok(State::Force(v))
             }
@@ -1960,6 +1985,68 @@ fun main =
   result r
 "#;
         assert_eq!(run_int(src), 42);
+    }
+
+    /// A bare global in argument position allocates its closure while the
+    /// `let` still holds the arguments resolved before it. The assembler
+    /// never emits one, but an untrusted image can. Two host calls leave 8
+    /// dead words, so at 14 and 15 heap words that allocation collects and
+    /// moves `l0`; every size must still agree with the evaluator.
+    #[test]
+    fn let_keeps_resolved_args_live_across_a_global_operand() {
+        use zarf_core::machine::{MExpr, MItemKind, MProgram, Operand};
+        let src = r#"
+con Pair a b
+fun junk =
+  let p = Pair in
+  result p
+fun main =
+  let l0 = Pair 7 8 in
+  let l1 = Pair l0 l0 in
+  result l1
+"#;
+        // `g` is what the patched operand denotes: the empty application.
+        let reference = r#"
+con Pair a b
+fun main =
+  let l0 = Pair 7 8 in
+  let g = Pair in
+  let l1 = Pair l0 g in
+  result l1
+"#;
+        let expected = zarf_core::Evaluator::new(&parse(reference).unwrap())
+            .run(&mut NullPorts)
+            .unwrap();
+        let mut items = lower(&parse(src).unwrap()).unwrap().items().to_vec();
+        let index = |name| items.iter().position(|it| it.name.as_deref() == Some(name));
+        let pair = FIRST_USER_INDEX + index("Pair").unwrap() as u32;
+        let main = index("main").unwrap();
+        // `l1 = Pair l0 <global Pair>`.
+        let MItemKind::Fun { body } = &mut items[main].kind else {
+            panic!("main is a function");
+        };
+        let MExpr::Let { body, .. } = body else {
+            panic!("main starts with a let");
+        };
+        let MExpr::Let { args, .. } = &mut **body else {
+            panic!("main's second expression is a let");
+        };
+        args[1] = Operand::global(pair);
+        let image = MProgram::new(items).unwrap();
+        for heap_words in 12..=19 {
+            let config = HwConfig {
+                heap_words,
+                ..HwConfig::default()
+            };
+            let mut h = Hw::from_machine_with(&image, config).unwrap();
+            for _ in 0..2 {
+                h.call_by_name("junk", vec![], &mut NullPorts).unwrap();
+            }
+            assert_eq!(h.heap.words_used(), 8, "dead words before main");
+            let v = h.run(&mut NullPorts).unwrap();
+            let got = h.deep_value(v, &mut NullPorts).unwrap();
+            assert_eq!(got, expected, "heap_words {heap_words}");
+        }
     }
 
     /// Forces one program through every `step_force` / `force_global`

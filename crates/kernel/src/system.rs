@@ -59,16 +59,6 @@ pub const DIAG_COROUTINE: u32 = 4;
 /// collector), used in watchdog events; not a schedulable coroutine.
 pub const KERNEL_COROUTINE: u32 = 0;
 
-/// How a critical-coroutine fault escalates after local recovery fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Escalation {
-    Halt,
-    Degrade,
-    /// Roll the whole system back to the last good checkpoint; carries
-    /// the fault classification for the rollback trace event.
-    Rollback(FaultCause),
-}
-
 /// Human-readable name for a registered coroutine id. `None` is mutator
 /// work outside every coroutine — the scheduler glue in `kernel_iter` —
 /// and unknown ids (none are registered today) report as `(unknown)`.
@@ -293,6 +283,87 @@ impl SupervisedOutcome {
     }
 }
 
+/// A detection that no restart absorbed: the supervised loop resumes at
+/// a checkpoint or ends the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Escalation {
+    Halt,
+    Degrade,
+    /// Roll back to the last good checkpoint after the latest detection.
+    Rollback,
+}
+
+/// The recovery ladder: the one place that decides whether a detection
+/// leads to a halt, a restart (`Ok`: the caller calls the coroutine
+/// again), a rollback or monitor-only degradation. A fault is
+/// `restartable` when re-running the coroutine could help: a critical
+/// call not yet restarted this iteration. A corrupt ICD state (not a
+/// `Pair state out`) and a failed collection never are. `rollback_ok`
+/// holds under [`RecoveryPolicy::RollbackToCheckpoint`] while a good
+/// checkpoint exists and the rollback budget lasts.
+///
+/// | policy   | restartable fault          | other fault       |
+/// |----------|----------------------------|-------------------|
+/// | halt     | halt                       | halt              |
+/// | degrade  | degrade                    | degrade           |
+/// | restart  | restart, then degrade      | degrade           |
+/// | rollback | rollback, restart, degrade | rollback, degrade |
+///
+/// Beside the table: the untrusted diagnostic coroutine is not on the
+/// ladder (see `System::diag_fault`); a failed collection at a checkpoint
+/// boundary is offered no rollback, so it degrades; and a rollback whose
+/// restore fails degrades without a `degrade` event.
+fn ladder(
+    policy: RecoveryPolicy,
+    restartable: bool,
+    rollback_ok: bool,
+    restarts_left: bool,
+) -> Result<(), Escalation> {
+    match policy {
+        RecoveryPolicy::Halt => Err(Escalation::Halt),
+        RecoveryPolicy::DegradeToMonitorOnly => Err(Escalation::Degrade),
+        RecoveryPolicy::RollbackToCheckpoint { .. } if rollback_ok => Err(Escalation::Rollback),
+        _ if restartable && restarts_left => Ok(()),
+        _ => Err(Escalation::Degrade),
+    }
+}
+
+/// The supervised loop's registers: what one iteration hands the next
+/// besides the heap. A checkpoint captures them and a rollback restores
+/// them.
+#[derive(Debug, Clone, Copy)]
+struct Registers {
+    /// The last channel word, which the I/O coroutine paces next.
+    prev: Int,
+    /// The diagnostic coroutine's accumulator.
+    acc: Int,
+    /// Whether the diagnostic coroutine still runs.
+    diag_enabled: bool,
+}
+
+/// The state of one supervised run.
+struct Supervision {
+    config: WatchdogConfig,
+    /// `(interval, max_rollbacks)` under
+    /// [`RecoveryPolicy::RollbackToCheckpoint`].
+    rollback: Option<(u64, u32)>,
+    iteration: u64,
+    regs: Registers,
+    detections: Vec<Detection>,
+    restarts: u32,
+    rollbacks: u32,
+    checkpoint: Option<SystemCheckpoint>,
+    /// Set by a rollback: skip the capture at the boundary it resumes at.
+    skip_capture: bool,
+}
+
+impl Supervision {
+    fn rollback_ok(&self) -> bool {
+        self.rollback
+            .is_some_and(|(_, max)| self.checkpoint.is_some() && self.rollbacks < max)
+    }
+}
+
 /// The complete two-layer Zarf system.
 #[derive(Debug)]
 pub struct System {
@@ -395,14 +466,18 @@ impl System {
         let v = self.hw.run(&mut self.hw_ports)?;
         let final_word = self.hw.as_int(v).unwrap_or(-1);
         self.pump_monitor();
-        Ok(SystemReport {
+        Ok(self.report(final_word))
+    }
+
+    fn report(&self, final_word: Int) -> SystemReport {
+        SystemReport {
             iterations: self.iterations,
             pace_log: self.hw_ports.external.pace_log().to_vec(),
             lambda_stats: self.hw.stats().clone(),
             cpu_cycles: self.cpu.cycles(),
             final_word,
             metrics: self.metrics.as_ref().map(|m| m.with(|s| s.clone())),
-        })
+        }
     }
 
     /// Run the real-time loop with the kernel watchdog supervising every
@@ -420,355 +495,144 @@ impl System {
             capacity: 2 * self.iterations + 64,
             policy: OverflowPolicy::Block,
         });
-        let mut detections: Vec<Detection> = Vec::new();
-        let mut restarts: u32 = 0;
-        let mut rollbacks: u32 = 0;
-        let mut diag_enabled = true;
-        let rollback_cfg = match config.policy {
-            RecoveryPolicy::RollbackToCheckpoint {
-                interval,
-                max_rollbacks,
-            } => Some((interval.max(1), max_rollbacks)),
-            _ => None,
+        let mut run = Supervision {
+            config,
+            rollback: match config.policy {
+                RecoveryPolicy::RollbackToCheckpoint {
+                    interval,
+                    max_rollbacks,
+                } => Some((interval.max(1), max_rollbacks)),
+                _ => None,
+            },
+            iteration: 0,
+            regs: Registers {
+                prev: 0,
+                acc: 0,
+                diag_enabled: true,
+            },
+            detections: Vec::new(),
+            restarts: 0,
+            rollbacks: 0,
+            checkpoint: None,
+            skip_capture: false,
         };
-        let mut checkpoint: Option<SystemCheckpoint> = None;
-        // A rollback resumes *at* a checkpoint boundary with the machine
-        // already in post-capture state; re-capturing there would emit
-        // events the uninterrupted run does not have.
-        let mut skip_capture = false;
-
-        let ids: Vec<Option<u32>> = [
-            "io_step",
-            "icd_step",
-            "chan_step",
-            "diag_step",
-            "init_state",
-        ]
-        .iter()
-        .map(|n| self.hw.id_of(n))
-        .collect();
-        let (Some(io_id), Some(icd_id), Some(chan_id), Some(diag_id), Some(init_id)) =
-            (ids[0], ids[1], ids[2], ids[3], ids[4])
+        let ids = COROUTINES.map(|(_, name)| self.hw.id_of(name));
+        let ([Some(io), Some(icd), Some(chan), Some(diag)], Some(init)) =
+            (ids, self.hw.id_of("init_state"))
         else {
             // A kernel image without the step functions cannot be paced.
-            return self.halted(0, detections, restarts, rollbacks);
+            return self.terminal(run, Escalation::Halt);
         };
-
         // Initial ICD state (the `init_state` CAF), supervised like the
         // coroutine that owns it.
-        let st0 = match self.critical_call(
-            ICD_COROUTINE,
-            init_id,
-            &|_| vec![],
-            &config,
-            0,
-            &mut detections,
-            &mut restarts,
-            false,
-        ) {
+        let st0 = match self.critical_call(&mut run, ICD_COROUTINE, init, &|_| vec![]) {
             Ok(v) => v,
-            Err(Escalation::Halt) => return self.halted(0, detections, restarts, rollbacks),
-            Err(Escalation::Degrade | Escalation::Rollback(_)) => {
-                return self.finish_degraded(0, detections, restarts, rollbacks)
-            }
+            Err(escalation) => return self.terminal(run, escalation),
         };
-        let st_slot = self.hw.push_root(st0);
-        let out_slot = self.hw.push_root(HValue::Int(0));
-        let mut prev: Int = 0;
-        let mut acc: Int = 0;
-
-        let total = self.iterations as u64;
-        let mut i: u64 = 0;
-        while i < total {
-            // 0. Checkpoint boundary: collect first (so the captured
-            // compacted heap is also the *live* layout and a restore is
-            // trace-equivalent), flush the cycle cursor, then capture,
-            // corrupt (chaos), verify, and either keep or reject.
-            if let Some((interval, _)) = rollback_cfg {
-                if i.is_multiple_of(interval) {
-                    if skip_capture {
-                        skip_capture = false;
-                    } else {
-                        if self.hw.collect_garbage().is_err() {
-                            self.detect(KERNEL_COROUTINE, i, FaultCause::Crashed, &mut detections);
-                            self.recover_action(KERNEL_COROUTINE, i, "degrade");
-                            return self.finish_degraded(i, detections, restarts, rollbacks);
-                        }
-                        self.hw.flush_trace();
-                        match self.capture_checkpoint(i, prev, acc, diag_enabled) {
-                            Ok((ckpt, bytes)) => {
-                                self.wd_sink.emit(|| Event::CheckpointCapture {
-                                    iteration: i,
-                                    bytes: bytes as u64,
-                                });
-                                checkpoint = Some(ckpt);
-                            }
-                            Err(e) => {
-                                // Keep pacing on the previous good
-                                // checkpoint; storage rot must not stop
-                                // the loop.
-                                self.wd_sink.emit(|| Event::AuditFail {
-                                    iteration: i,
-                                    error: e.kind(),
-                                });
-                            }
-                        }
-                    }
-                }
+        let roots = [self.hw.push_root(st0), self.hw.push_root(HValue::Int(0))];
+        while run.iteration < self.iterations as u64 {
+            match self.supervised_iteration(&mut run, [io, icd, chan, diag], roots) {
+                Ok(()) => run.iteration += 1,
+                Err(Escalation::Rollback) if self.try_rollback(&mut run) => {}
+                Err(escalation) => return self.terminal(run, escalation),
             }
-            let rollback_ok = match rollback_cfg {
-                Some((_, max_rollbacks)) => checkpoint.is_some() && rollbacks < max_rollbacks,
-                None => false,
-            };
-            // 1. I/O coroutine: tick, pace the previous word, sample.
-            let x_v = match self.critical_call(
-                IO_COROUTINE,
-                io_id,
-                &|_| vec![HValue::Int(prev)],
-                &config,
-                i,
-                &mut detections,
-                &mut restarts,
-                rollback_ok,
-            ) {
-                Ok(v) => v,
-                Err(Escalation::Halt) => return self.halted(i, detections, restarts, rollbacks),
-                Err(Escalation::Degrade) => {
-                    return self.finish_degraded(i, detections, restarts, rollbacks)
-                }
-                Err(Escalation::Rollback(cause)) => {
-                    match self.try_rollback(
-                        IO_COROUTINE,
-                        cause,
-                        i,
-                        checkpoint.as_ref(),
-                        &mut rollbacks,
-                        &mut prev,
-                        &mut acc,
-                        &mut diag_enabled,
-                    ) {
-                        Some(to) => {
-                            i = to;
-                            skip_capture = true;
-                            continue;
-                        }
-                        None => return self.finish_degraded(i, detections, restarts, rollbacks),
-                    }
-                }
-            };
-            let x = self.hw.as_int(x_v).unwrap_or(prev);
-
-            // 2. ICD coroutine: one verified detector step.
-            let pr = match self.critical_call(
-                ICD_COROUTINE,
-                icd_id,
-                &|hw| vec![hw.root(st_slot), HValue::Int(x)],
-                &config,
-                i,
-                &mut detections,
-                &mut restarts,
-                rollback_ok,
-            ) {
-                Ok(v) => v,
-                Err(Escalation::Halt) => return self.halted(i, detections, restarts, rollbacks),
-                Err(Escalation::Degrade) => {
-                    return self.finish_degraded(i, detections, restarts, rollbacks)
-                }
-                Err(Escalation::Rollback(cause)) => {
-                    match self.try_rollback(
-                        ICD_COROUTINE,
-                        cause,
-                        i,
-                        checkpoint.as_ref(),
-                        &mut rollbacks,
-                        &mut prev,
-                        &mut acc,
-                        &mut diag_enabled,
-                    ) {
-                        Some(to) => {
-                            i = to;
-                            skip_capture = true;
-                            continue;
-                        }
-                        None => return self.finish_degraded(i, detections, restarts, rollbacks),
-                    }
-                }
-            };
-            match (self.hw.con_field(pr, 0), self.hw.con_field(pr, 1)) {
-                (Some(st2), Some(out)) => {
-                    self.hw.set_root(st_slot, st2);
-                    self.hw.set_root(out_slot, out);
-                }
-                // Not a `Pair state out`: the state machine is corrupt and
-                // a re-run would start from the same corrupt state — but a
-                // checkpointed state from *before* the corruption is fine.
-                _ => {
-                    self.detect(ICD_COROUTINE, i, FaultCause::Crashed, &mut detections);
-                    match config.policy {
-                        RecoveryPolicy::Halt => {
-                            self.recover_action(ICD_COROUTINE, i, "halt");
-                            return self.halted(i, detections, restarts, rollbacks);
-                        }
-                        RecoveryPolicy::RollbackToCheckpoint { .. } if rollback_ok => {
-                            match self.try_rollback(
-                                ICD_COROUTINE,
-                                FaultCause::Crashed,
-                                i,
-                                checkpoint.as_ref(),
-                                &mut rollbacks,
-                                &mut prev,
-                                &mut acc,
-                                &mut diag_enabled,
-                            ) {
-                                Some(to) => {
-                                    i = to;
-                                    skip_capture = true;
-                                    continue;
-                                }
-                                None => {
-                                    return self.finish_degraded(i, detections, restarts, rollbacks)
-                                }
-                            }
-                        }
-                        _ => {
-                            self.recover_action(ICD_COROUTINE, i, "degrade");
-                            return self.finish_degraded(i, detections, restarts, rollbacks);
-                        }
-                    }
-                }
-            }
-
-            // 3. Channel coroutine: forward the output word to the monitor
-            // (this also forces the word within the coroutine's budget).
-            let c = match self.critical_call(
-                CHAN_COROUTINE,
-                chan_id,
-                &|hw| vec![hw.root(out_slot)],
-                &config,
-                i,
-                &mut detections,
-                &mut restarts,
-                rollback_ok,
-            ) {
-                Ok(v) => v,
-                Err(Escalation::Halt) => return self.halted(i, detections, restarts, rollbacks),
-                Err(Escalation::Degrade) => {
-                    return self.finish_degraded(i, detections, restarts, rollbacks)
-                }
-                Err(Escalation::Rollback(cause)) => {
-                    match self.try_rollback(
-                        CHAN_COROUTINE,
-                        cause,
-                        i,
-                        checkpoint.as_ref(),
-                        &mut rollbacks,
-                        &mut prev,
-                        &mut acc,
-                        &mut diag_enabled,
-                    ) {
-                        Some(to) => {
-                            i = to;
-                            skip_capture = true;
-                            continue;
-                        }
-                        None => return self.finish_degraded(i, detections, restarts, rollbacks),
-                    }
-                }
-            };
-            prev = self.hw.as_int(c).unwrap_or(prev);
-
-            // 4. Diagnostic coroutine: untrusted, so its faults never take
-            // the system down (except under fail-stop) — the watchdog
-            // restarts it from a zeroed accumulator, and benches it
-            // entirely once the restart budget is gone.
-            if diag_enabled {
-                let budget = self.fuel_budget(DIAG_COROUTINE, &config);
-                let r = self.hw.call_with_budget(
-                    diag_id,
-                    vec![HValue::Int(acc)],
-                    &mut self.hw_ports,
-                    budget,
-                );
-                match self.classify(&r) {
-                    None => {
-                        if let Ok(v) = r {
-                            acc = self.hw.as_int(v).unwrap_or(acc);
-                        }
-                    }
-                    Some(cause) => {
-                        self.detect(DIAG_COROUTINE, i, cause, &mut detections);
-                        if config.policy == RecoveryPolicy::Halt {
-                            self.recover_action(DIAG_COROUTINE, i, "halt");
-                            return self.halted(i, detections, restarts, rollbacks);
-                        }
-                        if restarts < config.max_restarts {
-                            restarts += 1;
-                            acc = 0;
-                            self.recover_action(DIAG_COROUTINE, i, "restart");
-                        } else {
-                            diag_enabled = false;
-                            self.recover_action(DIAG_COROUTINE, i, "skip");
-                        }
-                    }
-                }
-            }
-
-            // 5. The kernel's once-per-iteration collection. A memory
-            // fault here means the heap itself is corrupt — nothing to
-            // restart.
-            if self.hw.collect_garbage().is_err() {
-                self.detect(KERNEL_COROUTINE, i, FaultCause::Crashed, &mut detections);
-                match config.policy {
-                    RecoveryPolicy::Halt => {
-                        self.recover_action(KERNEL_COROUTINE, i, "halt");
-                        return self.halted(i, detections, restarts, rollbacks);
-                    }
-                    RecoveryPolicy::RollbackToCheckpoint { .. } if rollback_ok => {
-                        match self.try_rollback(
-                            KERNEL_COROUTINE,
-                            FaultCause::Crashed,
-                            i,
-                            checkpoint.as_ref(),
-                            &mut rollbacks,
-                            &mut prev,
-                            &mut acc,
-                            &mut diag_enabled,
-                        ) {
-                            Some(to) => {
-                                i = to;
-                                skip_capture = true;
-                                continue;
-                            }
-                            None => {
-                                return self.finish_degraded(i, detections, restarts, rollbacks)
-                            }
-                        }
-                    }
-                    _ => {
-                        self.recover_action(KERNEL_COROUTINE, i, "degrade");
-                        return self.finish_degraded(i, detections, restarts, rollbacks);
-                    }
-                }
-            }
-
-            i += 1;
         }
-
-        let final_word = prev;
         self.pump_monitor();
         SupervisedOutcome::Completed(Box::new(SupervisedReport {
-            system: SystemReport {
-                iterations: self.iterations,
-                pace_log: self.hw_ports.external.pace_log().to_vec(),
-                lambda_stats: self.hw.stats().clone(),
-                cpu_cycles: self.cpu.cycles(),
-                final_word,
-                metrics: self.metrics.as_ref().map(|m| m.with(|s| s.clone())),
-            },
-            detections,
-            restarts,
-            rollbacks,
+            system: self.report(run.regs.prev),
+            detections: run.detections,
+            restarts: run.restarts,
+            rollbacks: run.rollbacks,
         }))
+    }
+
+    /// One iteration of the supervised loop, given the four step
+    /// functions and the root slots of the ICD state and the output word.
+    /// Every `?` is a detection the recovery ladder escalated.
+    fn supervised_iteration(
+        &mut self,
+        run: &mut Supervision,
+        [io, icd, chan, diag]: [u32; 4],
+        [state_slot, out_slot]: [usize; 2],
+    ) -> Result<(), Escalation> {
+        self.checkpoint_boundary(run)?;
+        // 1. I/O coroutine: tick, pace the previous word, sample.
+        let prev = run.regs.prev;
+        let x = self.critical_call(run, IO_COROUTINE, io, &|_| vec![HValue::Int(prev)])?;
+        let x = self.hw.as_int(x).unwrap_or(prev);
+
+        // 2. ICD coroutine: one verified detector step.
+        let pr = self.critical_call(run, ICD_COROUTINE, icd, &|hw| {
+            vec![hw.root(state_slot), HValue::Int(x)]
+        })?;
+        let (Some(st2), Some(out)) = (self.hw.con_field(pr, 0), self.hw.con_field(pr, 1)) else {
+            // Not a `Pair state out`: the state machine is corrupt and a
+            // re-run would start from the same corrupt state — but a
+            // checkpointed state from *before* the corruption is fine.
+            return self.escalate(run, ICD_COROUTINE, FaultCause::Crashed, false, true);
+        };
+        self.hw.set_root(state_slot, st2);
+        self.hw.set_root(out_slot, out);
+
+        // 3. Channel coroutine: forward the output word to the monitor
+        // (this also forces the word within the coroutine's budget).
+        let c = self.critical_call(run, CHAN_COROUTINE, chan, &|hw| vec![hw.root(out_slot)])?;
+        run.regs.prev = self.hw.as_int(c).unwrap_or(prev);
+
+        // 4. Diagnostic coroutine: untrusted, off the ladder.
+        if run.regs.diag_enabled {
+            let acc = run.regs.acc;
+            let budget = run.config.budgets[DIAG_COROUTINE as usize - 1];
+            match self.budgeted_call(diag, vec![HValue::Int(acc)], budget) {
+                Ok(v) => run.regs.acc = self.hw.as_int(v).unwrap_or(acc),
+                Err(cause) => self.diag_fault(run, cause)?,
+            }
+        }
+
+        // 5. The kernel's once-per-iteration collection. A memory fault
+        // here means the heap itself is corrupt — nothing to restart.
+        if self.hw.collect_garbage().is_err() {
+            return self.escalate(run, KERNEL_COROUTINE, FaultCause::Crashed, false, true);
+        }
+        Ok(())
+    }
+
+    /// Checkpoint boundary: collect first (so the captured compacted heap
+    /// is also the *live* layout and a restore is trace-equivalent), flush
+    /// the cycle cursor, then capture, corrupt (chaos), verify, and either
+    /// keep or reject. A rollback resumes *at* a boundary with the machine
+    /// already in post-capture state, so the first boundary after one is
+    /// skipped: re-capturing there would emit events the uninterrupted run
+    /// does not have.
+    fn checkpoint_boundary(&mut self, run: &mut Supervision) -> Result<(), Escalation> {
+        let i = run.iteration;
+        let Some((interval, _)) = run.rollback else {
+            return Ok(());
+        };
+        if !i.is_multiple_of(interval) || std::mem::take(&mut run.skip_capture) {
+            return Ok(());
+        }
+        if self.hw.collect_garbage().is_err() {
+            // Offered no rollback (see `ladder`).
+            return self.escalate(run, KERNEL_COROUTINE, FaultCause::Crashed, false, false);
+        }
+        self.hw.flush_trace();
+        match self.capture_checkpoint(i, run.regs) {
+            Ok((ckpt, bytes)) => {
+                self.wd_sink.emit(|| Event::CheckpointCapture {
+                    iteration: i,
+                    bytes: bytes as u64,
+                });
+                run.checkpoint = Some(ckpt);
+            }
+            // Keep pacing on the previous good checkpoint; storage rot
+            // must not stop the loop.
+            Err(e) => self.wd_sink.emit(|| Event::AuditFail {
+                iteration: i,
+                error: e.kind(),
+            }),
+        }
+        Ok(())
     }
 
     /// Capture, serialize, (chaos-)corrupt, and verify one whole-system
@@ -778,196 +642,133 @@ impl System {
     fn capture_checkpoint(
         &mut self,
         iteration: u64,
-        prev: Int,
-        acc: Int,
-        diag_enabled: bool,
+        regs: Registers,
     ) -> Result<(SystemCheckpoint, usize), SnapshotError> {
         let machine = MachineSnapshot::capture(&self.hw)?;
         let (chan_a_to_b, chan_b_to_a, chan_overflows) = self.hw_ports.fifo_state();
         let ckpt = SystemCheckpoint {
             machine,
             iteration,
-            prev,
-            acc,
-            diag_enabled,
+            prev: regs.prev,
+            acc: regs.acc,
+            diag_enabled: regs.diag_enabled,
             heart: self.hw_ports.external.checkpoint_state(),
             chan_a_to_b,
             chan_b_to_a,
             chan_overflows,
         };
         let mut bytes = ckpt.to_bytes()?;
-        if let Some(chaos) = self.chaos.clone() {
-            if let Some(kind @ FaultKind::SnapshotCorrupt { byte, bit }) =
-                chaos.next(FaultSite::Snapshot)
-            {
-                let op = chaos.ops(FaultSite::Snapshot) - 1;
-                self.wd_sink.emit(|| Event::FaultInjected {
-                    site: FaultSite::Snapshot.name(),
-                    kind: kind.name(),
-                    op,
-                    detail: kind.detail(),
-                });
-                let idx = (byte as usize) % bytes.len();
-                bytes[idx] ^= 1 << (bit % 8);
-            }
+        if let Some(FaultKind::SnapshotCorrupt { byte, bit }) =
+            self.planned_fault(FaultSite::Snapshot)
+        {
+            let idx = (byte as usize) % bytes.len();
+            bytes[idx] ^= 1 << (bit % 8);
         }
         let decoded = SystemCheckpoint::from_bytes(&bytes)?;
         decoded.machine.audit_self_contained()?;
         Ok((decoded, bytes.len()))
     }
 
-    /// Roll the whole system back to `checkpoint`. Returns the iteration
-    /// to resume from, or `None` when no rollback could be performed (the
-    /// caller escalates to monitor-only). Chaos counters, the watchdog's
-    /// detection history, and its restart/rollback budgets deliberately
-    /// survive the rollback — faults are external-world events and must
-    /// neither re-fire nor be forgotten.
-    #[allow(clippy::too_many_arguments)]
-    fn try_rollback(
-        &mut self,
-        coroutine: u32,
-        cause: FaultCause,
-        from_iteration: u64,
-        checkpoint: Option<&SystemCheckpoint>,
-        rollbacks: &mut u32,
-        prev: &mut Int,
-        acc: &mut Int,
-        diag_enabled: &mut bool,
-    ) -> Option<u64> {
-        let ckpt = checkpoint?;
+    /// Roll the whole system back to the last good checkpoint and resume
+    /// there, answering the latest detection. Returns `false` when no
+    /// rollback could be performed (the run then degrades). Chaos
+    /// counters, the watchdog's detection history, and its
+    /// restart/rollback budgets deliberately survive the rollback —
+    /// faults are external-world events and must neither re-fire nor be
+    /// forgotten.
+    fn try_rollback(&mut self, run: &mut Supervision) -> bool {
+        let (Some(ckpt), Some(&last)) = (&run.checkpoint, run.detections.last()) else {
+            return false;
+        };
         if ckpt.machine.restore_into(&mut self.hw).is_err() {
-            return None;
+            return false;
         }
         self.hw_ports.external.restore_state(&ckpt.heart);
         self.hw_ports
             .restore_fifo_state(&ckpt.chan_a_to_b, &ckpt.chan_b_to_a, ckpt.chan_overflows);
-        *prev = ckpt.prev;
-        *acc = ckpt.acc;
-        *diag_enabled = ckpt.diag_enabled;
-        *rollbacks += 1;
+        run.regs = Registers {
+            prev: ckpt.prev,
+            acc: ckpt.acc,
+            diag_enabled: ckpt.diag_enabled,
+        };
+        let from_iteration = run.iteration;
+        run.iteration = ckpt.iteration;
+        run.rollbacks += 1;
+        run.skip_capture = true;
         // The rollback event comes last: everything after it in the
         // stream is post-resume and must match the uninterrupted run.
-        self.recover_action(coroutine, from_iteration, "rollback");
+        self.recover_action(last.coroutine, from_iteration, "rollback");
         self.wd_sink.emit(|| Event::CheckpointRollback {
             from_iteration,
             to_iteration: ckpt.iteration,
-            cause: cause.name(),
+            cause: last.cause.name(),
         });
-        Some(ckpt.iteration)
+        true
     }
 
-    /// One supervised coroutine call with at most one restart. `Err` is an
-    /// escalation the caller turns into a terminal outcome (or, when
-    /// `rollback_ok`, a checkpoint rollback the caller performs — it owns
-    /// the checkpoint and the loop registers).
-    #[allow(clippy::too_many_arguments)]
+    /// One supervised critical-coroutine call, restarted at most once.
     fn critical_call(
         &mut self,
+        run: &mut Supervision,
         coroutine: u32,
         id: u32,
-        make_args: &dyn Fn(&Hw) -> Vec<HValue>,
-        config: &WatchdogConfig,
-        iteration: u64,
-        detections: &mut Vec<Detection>,
-        restarts: &mut u32,
-        rollback_ok: bool,
+        args: &dyn Fn(&Hw) -> Vec<HValue>,
     ) -> Result<HValue, Escalation> {
-        let mut retried = false;
+        let budget = run.config.budgets[coroutine as usize - 1];
+        let mut restartable = true;
         loop {
-            let budget = self.fuel_budget(coroutine, config);
-            let args = make_args(&self.hw);
-            let result = self
-                .hw
-                .call_with_budget(id, args, &mut self.hw_ports, budget);
-            let cause = match self.classify(&result) {
-                None => match result {
-                    Ok(v) => return Ok(v),
-                    Err(_) => FaultCause::Crashed,
-                },
-                Some(cause) => cause,
-            };
-            self.detect(coroutine, iteration, cause, detections);
-            match config.policy {
-                RecoveryPolicy::Halt => {
-                    self.recover_action(coroutine, iteration, "halt");
-                    return Err(Escalation::Halt);
-                }
-                RecoveryPolicy::DegradeToMonitorOnly => {
-                    self.recover_action(coroutine, iteration, "degrade");
-                    return Err(Escalation::Degrade);
-                }
-                RecoveryPolicy::RestartCoroutine => {
-                    if !retried && *restarts < config.max_restarts {
-                        *restarts += 1;
-                        retried = true;
-                        self.recover_action(coroutine, iteration, "restart");
-                        continue;
-                    }
-                    self.recover_action(coroutine, iteration, "degrade");
-                    return Err(Escalation::Degrade);
-                }
-                RecoveryPolicy::RollbackToCheckpoint { .. } => {
-                    if rollback_ok {
-                        // The caller restores the checkpoint; it owns the
-                        // loop registers this call cannot see.
-                        return Err(Escalation::Rollback(cause));
-                    }
-                    // Rollback budget exhausted (or no good checkpoint
-                    // yet): escalate to a coroutine restart, then to
-                    // monitor-only.
-                    if !retried && *restarts < config.max_restarts {
-                        *restarts += 1;
-                        retried = true;
-                        self.recover_action(coroutine, iteration, "restart");
-                        continue;
-                    }
-                    self.recover_action(coroutine, iteration, "degrade");
-                    return Err(Escalation::Degrade);
+            match self.budgeted_call(id, args(&self.hw), budget) {
+                Ok(v) => return Ok(v),
+                Err(cause) => {
+                    self.escalate(run, coroutine, cause, restartable, true)?;
+                    restartable = false;
                 }
             }
         }
     }
 
-    /// The fuel budget for one coroutine call, after any planned
-    /// [`FaultKind::FuelCut`] for this call slot.
-    fn fuel_budget(&mut self, coroutine: u32, config: &WatchdogConfig) -> u64 {
-        let base = config.budgets[(coroutine - 1) as usize].max(1);
-        let Some(chaos) = &self.chaos else {
-            return base;
-        };
-        match chaos.next(FaultSite::Coroutine) {
-            Some(kind @ FaultKind::FuelCut { cycles }) => {
-                let op = chaos.ops(FaultSite::Coroutine) - 1;
-                self.wd_sink.emit(|| Event::FaultInjected {
-                    site: FaultSite::Coroutine.name(),
-                    kind: kind.name(),
-                    op,
-                    detail: kind.detail(),
-                });
-                base.min(cycles.max(1))
-            }
-            _ => base,
-        }
-    }
-
-    /// Classify a coroutine call result: `None` means healthy.
-    fn classify(&self, result: &Result<HValue, HwError>) -> Option<FaultCause> {
-        match result {
-            Ok(v) => self.hw.as_error(*v).map(|_| FaultCause::Crashed),
-            Err(HwError::CycleLimit(_)) => Some(FaultCause::Overrun),
-            Err(HwError::InfiniteLoop) => Some(FaultCause::Livelock),
-            Err(_) => Some(FaultCause::Crashed),
-        }
-    }
-
-    fn detect(
+    /// Call a step function under its fuel budget (cut short by any
+    /// planned [`FaultKind::FuelCut`] for this call slot) and classify the
+    /// result: `Err` is a detection.
+    fn budgeted_call(
         &mut self,
-        coroutine: u32,
-        iteration: u64,
-        cause: FaultCause,
-        detections: &mut Vec<Detection>,
-    ) {
-        detections.push(Detection {
+        id: u32,
+        args: Vec<HValue>,
+        budget: u64,
+    ) -> Result<HValue, FaultCause> {
+        let mut budget = budget.max(1);
+        if let Some(FaultKind::FuelCut { cycles }) = self.planned_fault(FaultSite::Coroutine) {
+            budget = budget.min(cycles.max(1));
+        }
+        let result = self
+            .hw
+            .call_with_budget(id, args, &mut self.hw_ports, budget);
+        match result {
+            Ok(v) if self.hw.as_error(v).is_none() => Ok(v),
+            Err(HwError::CycleLimit(_)) => Err(FaultCause::Overrun),
+            Err(HwError::InfiniteLoop) => Err(FaultCause::Livelock),
+            Ok(_) | Err(_) => Err(FaultCause::Crashed),
+        }
+    }
+
+    /// Draw the next planned fault at a watchdog-owned `site` and trace it.
+    fn planned_fault(&mut self, site: FaultSite) -> Option<FaultKind> {
+        let chaos = self.chaos.as_ref()?;
+        let kind = chaos.next(site)?;
+        let op = chaos.ops(site) - 1;
+        self.wd_sink.emit(|| Event::FaultInjected {
+            site: site.name(),
+            kind: kind.name(),
+            op,
+            detail: kind.detail(),
+        });
+        Some(kind)
+    }
+
+    /// Record one detection of `coroutine` at the current iteration.
+    fn detect(&mut self, run: &mut Supervision, coroutine: u32, cause: FaultCause) {
+        let iteration = run.iteration;
+        run.detections.push(Detection {
             coroutine,
             iteration,
             cause,
@@ -979,6 +780,58 @@ impl System {
         });
     }
 
+    /// Record a detection and carry out what [`ladder`] makes of it. A
+    /// rollback is offered only where `rollbackable` holds.
+    fn escalate(
+        &mut self,
+        run: &mut Supervision,
+        coroutine: u32,
+        cause: FaultCause,
+        restartable: bool,
+        rollbackable: bool,
+    ) -> Result<(), Escalation> {
+        self.detect(run, coroutine, cause);
+        let rollback_ok = rollbackable && run.rollback_ok();
+        let restarts_left = run.restarts < run.config.max_restarts;
+        let rung = ladder(run.config.policy, restartable, rollback_ok, restarts_left);
+        let action = match rung {
+            Ok(()) => {
+                run.restarts += 1;
+                "restart"
+            }
+            Err(Escalation::Halt) => "halt",
+            Err(Escalation::Degrade) => "degrade",
+            // A rollback reports itself once the checkpoint is restored.
+            Err(Escalation::Rollback) => return rung,
+        };
+        self.recover_action(coroutine, run.iteration, action);
+        rung
+    }
+
+    /// The diagnostic coroutine's own rule (see [`ladder`]): halt under
+    /// fail-stop, otherwise restart it from a zeroed accumulator while the
+    /// restart budget lasts, then bench it for the rest of the run.
+    fn diag_fault(&mut self, run: &mut Supervision, cause: FaultCause) -> Result<(), Escalation> {
+        self.detect(run, DIAG_COROUTINE, cause);
+        let halt = run.config.policy == RecoveryPolicy::Halt;
+        let action = if halt {
+            "halt"
+        } else if run.restarts < run.config.max_restarts {
+            run.restarts += 1;
+            run.regs.acc = 0;
+            "restart"
+        } else {
+            run.regs.diag_enabled = false;
+            "skip"
+        };
+        self.recover_action(DIAG_COROUTINE, run.iteration, action);
+        if halt {
+            Err(Escalation::Halt)
+        } else {
+            Ok(())
+        }
+    }
+
     fn recover_action(&mut self, coroutine: u32, iteration: u64, action: &'static str) {
         self.wd_sink.emit(|| Event::WatchdogRecover {
             coroutine,
@@ -987,51 +840,41 @@ impl System {
         });
     }
 
-    /// Monitor-only fallback: the λ-layer is out of the loop, but the
-    /// 200 Hz schedule keeps running host-side — pace an inhibit word each
-    /// tick and forward the raw sample to the untrusted monitor.
-    fn finish_degraded(
-        &mut self,
-        iteration: u64,
-        detections: Vec<Detection>,
-        restarts: u32,
-        rollbacks: u32,
-    ) -> SupervisedOutcome {
-        let mut completed = iteration;
-        for _ in iteration..self.iterations as u64 {
-            let _ = self.hw_ports.getint(PORT_TIMER);
-            let _ = self.hw_ports.putint(PORT_PACE, 0);
-            if let Ok(x) = self.hw_ports.getint(PORT_ECG) {
-                let _ = self.hw_ports.putint(CHANNEL_PORT, x);
+    /// End a supervised run on an escalation. `Halt` fail-stops. Anything
+    /// else — including a rollback that could not be performed —
+    /// falls back to monitor-only: the λ-layer is out of the loop, but the
+    /// 200 Hz schedule keeps running host-side, pacing an inhibit word each
+    /// tick and forwarding the raw sample to the untrusted monitor.
+    fn terminal(&mut self, run: Supervision, escalation: Escalation) -> SupervisedOutcome {
+        let halted = escalation == Escalation::Halt;
+        if !halted {
+            for _ in run.iteration..self.iterations as u64 {
+                let _ = self.hw_ports.getint(PORT_TIMER);
+                let _ = self.hw_ports.putint(PORT_PACE, 0);
+                if let Ok(x) = self.hw_ports.getint(PORT_ECG) {
+                    let _ = self.hw_ports.putint(CHANNEL_PORT, x);
+                }
             }
-            completed += 1;
+            self.pump_monitor();
         }
-        self.pump_monitor();
-        SupervisedOutcome::Degraded(DegradationReport {
-            iteration,
-            completed_iterations: completed,
-            detections,
-            restarts,
-            rollbacks,
+        let report = DegradationReport {
+            iteration: run.iteration,
+            // The monitor-only loop runs every remaining tick.
+            completed_iterations: if halted {
+                run.iteration
+            } else {
+                self.iterations as u64
+            },
+            detections: run.detections,
+            restarts: run.restarts,
+            rollbacks: run.rollbacks,
             pace_log: self.hw_ports.external.pace_log().to_vec(),
-        })
-    }
-
-    fn halted(
-        &mut self,
-        iteration: u64,
-        detections: Vec<Detection>,
-        restarts: u32,
-        rollbacks: u32,
-    ) -> SupervisedOutcome {
-        SupervisedOutcome::Halted(DegradationReport {
-            iteration,
-            completed_iterations: iteration,
-            detections,
-            restarts,
-            rollbacks,
-            pace_log: self.hw_ports.external.pace_log().to_vec(),
-        })
+        };
+        if halted {
+            SupervisedOutcome::Halted(report)
+        } else {
+            SupervisedOutcome::Degraded(report)
+        }
     }
 
     /// Step the monitor core until the channel is empty and it has gone

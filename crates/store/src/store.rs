@@ -275,10 +275,19 @@ struct OfflineState {
     journal_torn: bool,
     journal_damage: Option<String>,
     segments: Vec<(u32, SegmentScan)>,
-    payloads: HashMap<ChunkId, Vec<u8>>,
 }
 
-fn load_offline(dir: &Path) -> Result<OfflineState, StoreError> {
+/// Chunk payloads by id, the first record winning.
+type Payloads = HashMap<ChunkId, Vec<u8>>;
+
+/// Decode and verify everything on disk. Only the offline tools that
+/// reassemble sessions ([`fsck`] and [`gc`]) pass `payloads`;
+/// `Store::open` indexes chunk locations alone and never copies a
+/// payload.
+fn load_offline(
+    dir: &Path,
+    mut payloads: Option<&mut Payloads>,
+) -> Result<OfflineState, StoreError> {
     let mut manifest = Manifest::default();
     let mut manifest_error = None;
     match fs::read(dir.join(MANIFEST_FILE)) {
@@ -319,15 +328,12 @@ fn load_offline(dir: &Path) -> Result<OfflineState, StoreError> {
     }
     indices.sort_unstable();
     let mut segments = Vec::new();
-    let mut payloads = HashMap::new();
     for idx in indices {
         let bytes =
             fs::read(dir.join(segment_name(idx))).map_err(|e| io_err("read segment", &e))?;
         let scan = scan_segment(&bytes, idx);
-        for (id, loc, _) in &scan.chunks {
-            let payload =
-                &bytes[loc.offset as usize + 24..loc.offset as usize + 24 + loc.len as usize];
-            payloads.entry(*id).or_insert_with(|| payload.to_vec());
+        if let Some(payloads) = payloads.as_deref_mut() {
+            collect_payloads(payloads, &bytes, &scan);
         }
         segments.push((idx, scan));
     }
@@ -339,8 +345,18 @@ fn load_offline(dir: &Path) -> Result<OfflineState, StoreError> {
         journal_torn,
         journal_damage,
         segments,
-        payloads,
     })
+}
+
+/// Copy every chunk `scan` verified in one segment's `bytes`.
+fn collect_payloads(payloads: &mut Payloads, bytes: &[u8], scan: &SegmentScan) {
+    for (id, loc, _) in &scan.chunks {
+        // The payload follows the record's magic, length and chunk id.
+        let start = loc.offset as usize + 4 + 4 + 16;
+        if let Some(payload) = bytes.get(start..start + loc.len as usize) {
+            payloads.entry(*id).or_insert_with(|| payload.to_vec());
+        }
+    }
 }
 
 impl Store {
@@ -360,7 +376,7 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("remove stale manifest tmp", &e)),
         }
-        let state = load_offline(&dir)?;
+        let state = load_offline(&dir, None)?;
         if let Some(detail) = state.manifest_error {
             return Err(StoreError::ManifestCorrupt { detail });
         }
@@ -1081,7 +1097,8 @@ fn json_opt(v: &Option<String>) -> String {
 /// the manifest and journal, and prove every session reassembles to
 /// its recorded length and hash. Read-only; safe on a damaged store.
 pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
-    let state = load_offline(dir.as_ref())?;
+    let mut payloads = Payloads::new();
+    let state = load_offline(dir.as_ref(), Some(&mut payloads))?;
     let mut report = FsckReport {
         manifest_error: state.manifest_error,
         journal_damage: state.journal_damage,
@@ -1110,7 +1127,7 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
         let mut problem = None;
         for chunk in &session.chunks {
             referenced.insert(*chunk);
-            match state.payloads.get(chunk) {
+            match payloads.get(chunk) {
                 Some(p) => assembled.extend_from_slice(p),
                 None => {
                     problem = Some(format!("missing chunk {chunk}"));
@@ -1133,7 +1150,7 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
             report.bad_sessions.push((session.id, why));
         }
     }
-    for (id, payload) in &state.payloads {
+    for (id, payload) in &payloads {
         if !referenced.contains(id) {
             report.unreferenced_chunks += 1;
             report.unreferenced_bytes += payload.len() as u64 + RECORD_OVERHEAD as u64;
@@ -1178,7 +1195,8 @@ impl GcReport {
 /// recoverable store into an unrecoverable one. Run [`fsck`] first.
 pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
     let dir = dir.as_ref();
-    let state = load_offline(dir)?;
+    let mut payloads = Payloads::new();
+    let state = load_offline(dir, Some(&mut payloads))?;
     if let Some(detail) = state.manifest_error {
         return Err(StoreError::ManifestCorrupt { detail });
     }
@@ -1197,14 +1215,14 @@ pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
     for session in state.manifest.sessions.values() {
         for chunk in &session.chunks {
             if seen.insert(*chunk) {
-                match state.payloads.get(chunk) {
+                match payloads.get(chunk) {
                     Some(p) => live.push((*chunk, p.clone())),
                     None => return Err(StoreError::MissingChunk { chunk: *chunk }),
                 }
             }
         }
     }
-    for (id, payload) in &state.payloads {
+    for (id, payload) in &payloads {
         if !seen.contains(id) {
             report.dropped_chunks += 1;
             report.reclaimed_bytes += payload.len() as u64 + RECORD_OVERHEAD as u64;
