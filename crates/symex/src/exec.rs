@@ -12,14 +12,17 @@
 //!
 //! Forking is *partitioning*: wherever execution splits (a `case` over a
 //! symbolic integer, a symbolic divisor), the branch conditions cover the
-//! whole input space and are pairwise disjoint. A branch is only dropped
-//! when its condition is **provably** unsatisfiable
-//! ([`crate::solve::Propagator::quick_unsat`]) or when a budget bound
-//! truncates it — and truncation always leaves a typed [`Incompleteness`]
-//! marker on the resulting outcome. Hence, over the returned outcomes: if
-//! no marker is present, every concrete execution of the function (under
-//! the explored argument shapes) follows exactly one completed outcome.
-//! That is the entire soundness argument for spuriousness proofs.
+//! whole input space and are pairwise disjoint. The executor never drops
+//! a fork for being infeasible: an outcome's path condition may be
+//! unsatisfiable, and every consumer decides the outcomes it acts on
+//! through [`crate::solve::solve`], the crate's one feasibility oracle.
+//! The only paths dropped are summary paths whose substituted condition
+//! grounds to false at a call site, and paths a budget bound truncates —
+//! truncation always leaves a typed [`Incompleteness`] marker on the
+//! resulting outcome. Hence, over the returned outcomes: if no marker is
+//! present, every concrete execution of the function (under the explored
+//! argument shapes) follows exactly one completed outcome. That is the
+//! entire soundness argument for spuriousness proofs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -30,14 +33,10 @@ use zarf_core::prim::PrimOp;
 
 use crate::budget::{Incompleteness, SymexBudget};
 use crate::seed::{cross, materialize_tag, EnvCtx, FieldAlt};
-use crate::solve::{Lit, Propagator};
+use crate::solve::Lit;
 use crate::summary::{Summaries, Summary, SummaryPath};
 use crate::term::{TermId, TermStore};
 use crate::value::{canonical, leaf_terms, shape_key, subst_sv, CTarget, ShapeKey, SymVal, SV};
-
-/// Skip the (quadratic-ish) unsat pre-check once a path condition grows
-/// past this many literals; assuming feasibility is always sound.
-const PRUNE_LIT_CAP: usize = 48;
 
 /// Everything one symbolic path has accumulated.
 #[derive(Debug, Clone, Default)]
@@ -97,13 +96,6 @@ pub struct Exec<'p> {
     pub total_steps: u64,
     /// Completed paths across all explorations (statistics).
     pub total_paths: u64,
-    /// Feasibility checks run on forked path conditions (statistics).
-    pub prune_checks: u64,
-    /// Forks dropped because their condition was proved unsat
-    /// (statistics).
-    pub pruned: u64,
-    /// Scratch state for the feasibility checks, reused across forks.
-    prop: Propagator,
     steps_left: u64,
     paths_done: usize,
     case_maps: HashMap<u32, Rc<HashMap<usize, usize>>>,
@@ -127,9 +119,6 @@ impl<'p> Exec<'p> {
             summaries: Summaries::new(program),
             total_steps: 0,
             total_paths: 0,
-            prune_checks: 0,
-            pruned: 0,
-            prop: Propagator::new(),
             steps_left: 0,
             paths_done: 0,
             case_maps: HashMap::new(),
@@ -201,18 +190,6 @@ impl<'p> Exec<'p> {
         let mut st = st;
         st.incomplete.insert(why);
         (st, None)
-    }
-
-    /// Whether a path condition is still possibly satisfiable. Only a
-    /// *proof* of unsatisfiability prunes; long conditions skip the check.
-    fn feasible(&mut self, lits: &[Lit]) -> bool {
-        if lits.len() > PRUNE_LIT_CAP {
-            return true;
-        }
-        self.prune_checks += 1;
-        let unsat = self.prop.quick_unsat(&self.store, lits);
-        self.pruned += u64::from(unsat);
-        !unsat
     }
 
     fn resolve(&mut self, env: &Env, op: Operand) -> Result<SV, Incompleteness> {
@@ -463,9 +440,6 @@ impl<'p> Exec<'p> {
                             }
                             let mut st2 = st.clone();
                             st2.lits.push(Lit::eq(t, n));
-                            if !self.feasible(&st2.lits) {
-                                continue;
-                            }
                             st2.arm_hits.push((f, ci, i));
                             self.eval_expr(f, &b.body, env.clone(), st2, depth, out);
                         }
@@ -473,9 +447,7 @@ impl<'p> Exec<'p> {
                         for &n in &seen {
                             st2.lits.push(Lit::ne(t, n));
                         }
-                        if self.feasible(&st2.lits) {
-                            self.eval_expr(f, default, env, st2, depth, out);
-                        }
+                        self.eval_expr(f, default, env, st2, depth, out);
                     }
                 }
             }
@@ -618,20 +590,16 @@ impl<'p> Exec<'p> {
                     return vec![(st, Some(SymVal::int(t)))];
                 }
                 // Symbolic divisor: partition on d == 0 / d != 0.
-                let mut out = AppRes::new();
                 let mut zst = st.clone();
                 zst.lits.push(Lit::eq(ts[1], 0));
-                if self.feasible(&zst.lits) {
-                    zst.faults.push((RuntimeError::DivideByZero, f));
-                    out.push((zst, Some(SymVal::error(RuntimeError::DivideByZero))));
-                }
+                zst.faults.push((RuntimeError::DivideByZero, f));
                 let mut nst = st;
                 nst.lits.push(Lit::ne(ts[1], 0));
-                if self.feasible(&nst.lits) {
-                    let t = self.store.app(op, ts);
-                    out.push((nst, Some(SymVal::int(t))));
-                }
-                out
+                let t = self.store.app(op, ts);
+                vec![
+                    (zst, Some(SymVal::error(RuntimeError::DivideByZero))),
+                    (nst, Some(SymVal::int(t))),
+                ]
             }
             _ => {
                 let t = self.store.app(op, ts);
@@ -856,9 +824,6 @@ impl<'p> Exec<'p> {
                     rhs: l.rhs,
                 });
             }
-            if !self.feasible(&st2.lits) {
-                continue;
-            }
             st2.faults.extend(p.faults.iter().copied());
             st2.arm_hits.extend(p.arm_hits.iter().copied());
             st2.incomplete.extend(p.incomplete.iter().copied());
@@ -875,6 +840,7 @@ impl<'p> Exec<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::{solve, Verdict};
     use zarf_asm::{lower, parse};
 
     fn machine(src: &str) -> MProgram {
@@ -948,8 +914,8 @@ mod tests {
 
     #[test]
     fn guarded_division_has_no_feasible_fault() {
-        // The guard makes the zero-divisor branch unsatisfiable; the fork
-        // is pruned by the solver.
+        // The executor keeps the guarded zero-divisor fork; its condition
+        // (a != 0 && a == 0) is what `solve` proves unsatisfiable.
         let m = machine(
             "fun f a =\n case a of\n | 0 => result 0\n else\n  let x = div 10 a in\n  result x\n\
              fun main =\n result 0\n",
@@ -958,11 +924,16 @@ mod tests {
         let mut ex = Exec::new(&m, SymexBudget::default());
         let a = fresh_int(&mut ex);
         let out = ex.explore(f, vec![a]);
-        assert!(
-            !out.iter().any(|o| o.faulted(f, 1)),
-            "guard should prune the divide-by-zero path: {out:?}"
-        );
+        // a == 0, then a != 0 split on the divisor.
+        assert_eq!(out.len(), 3, "{out:?}");
         assert!(out.iter().all(|o| o.st.incomplete.is_empty()));
+        let faults: Vec<_> = out.iter().filter(|o| o.faulted(f, 1)).collect();
+        assert_eq!(faults.len(), 1, "{out:?}");
+        let verdict = |o: &Outcome| solve(&ex.store, &o.st.lits, ex.budget.solver_effort);
+        assert_eq!(verdict(faults[0]), Verdict::Unsat);
+        for o in out.iter().filter(|o| !o.faulted(f, 1)) {
+            assert!(matches!(verdict(o), Verdict::Sat(_)), "{o:?}");
+        }
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! |---|---|
 //! | [`term`] | hash-consed symbolic integer terms |
 //! | [`value`] | symbolic values, shape keys, canonicalization |
-//! | [`solve`] | in-repo solver (interval propagation on the shared `zarf_verify::interval` lattice with reusable dense state, congruence hints, model search) — no external SMT |
+//! | [`solve`] | in-repo solver and the crate's one feasibility oracle (interval propagation on the shared `zarf_verify::interval` lattice, congruence hints, model search) — no external SMT |
 //! | [`budget`] | typed exploration budgets and incompleteness markers |
 //! | [`summary`] | compositional per-function summaries, memoized by argument shape |
-//! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op |
+//! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op; forks partition the inputs, and none is dropped as infeasible |
 //! | [`seed`] | entry envelopes instantiated from the shape analysis |
 //! | [`witness`] | producer pools, witness assembly, replay validation, spuriousness proofs |
 //! | [`report`] | per-query verdicts and run statistics |
@@ -92,8 +92,6 @@ pub fn decide(
         summary_hits: ex.summaries.hits,
         summary_misses: ex.summaries.misses,
         pool: pool.entries.len(),
-        prune_checks: ex.prune_checks,
-        pruned: ex.pruned,
     };
     SymexReport { verdicts, stats }
 }

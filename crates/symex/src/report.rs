@@ -87,10 +87,6 @@ pub struct SymexStats {
     pub summary_misses: u64,
     /// Producer values discovered for witness construction.
     pub pool: usize,
-    /// Feasibility checks run on forked path conditions.
-    pub prune_checks: u64,
-    /// Forks dropped because their path condition was proved unsat.
-    pub pruned: u64,
 }
 
 /// The complete symbolic-execution report.

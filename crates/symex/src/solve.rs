@@ -27,15 +27,11 @@
 //! Anything else is [`Verdict::Unknown`]: the caller must not treat it as
 //! either proof.
 //!
-//! The solver is **not incremental**: every check re-propagates the whole
-//! path condition from ⊤, so an answer depends only on `(store, lits)`.
-//! What is reused is memory. A [`Propagator`] keeps its per-check state in
-//! dense vectors indexed by a term's position in the sorted reachable set,
-//! and the executor owns one for every fork-pruning check, so the hot path
-//! neither allocates nor hashes once the buffers are warm. Reuse never
-//! changes an answer: each check resets exactly the state the previous
-//! one touched, so a reused propagator and a fresh one prune the same
-//! forks.
+//! The solver is **not incremental**: every check builds a fresh
+//! propagator and propagates the whole path condition from ⊤, so an
+//! answer depends only on `(store, lits)`. [`solve`] is the crate's one
+//! feasibility oracle: the executor forks without checking, and every
+//! path a verdict acts on goes through it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -96,25 +92,18 @@ const NE_CAP: usize = 32;
 /// `slot` value of a term outside the current reachable set.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Reusable propagation state over the subgraph reachable from one
-/// conjunction.
+/// Propagation state over the subgraph reachable from one conjunction.
 ///
 /// Every per-term vector is indexed by the term's *position* in `order`
-/// (the reachable ids, ascending), found through `slot`. A check resets
-/// only the slots the previous check set, and the other buffers are
-/// truncated and refilled, so after warm-up a check allocates nothing.
-/// Terms outside the store (dangling ids, which safe use never mints) get
-/// no position: they read as ⊤ and are never narrowed, which can only
-/// weaken a refutation, never invent one.
-#[derive(Debug, Default)]
-pub struct Propagator {
+/// (the reachable ids, ascending), found through `slot`. Terms outside
+/// the store (dangling ids, which safe use never mints) get no position:
+/// they read as ⊤ and are never narrowed, which can only weaken a
+/// refutation, never invent one.
+struct Propagator {
     /// Reachable term ids in ascending (topological) order.
     order: Vec<TermId>,
-    /// Term id → position in `order`, or [`NO_SLOT`]. While collecting,
-    /// any other value is the visited mark.
+    /// Term id → position in `order`, or [`NO_SLOT`].
     slot: Vec<u32>,
-    /// Depth-first worklist for collecting `order`.
-    stack: Vec<TermId>,
     iv: Vec<Interval>,
     /// Excluded points, sorted and deduplicated, at most [`NE_CAP`].
     ne: Vec<Vec<i64>>,
@@ -131,16 +120,41 @@ pub struct Propagator {
 }
 
 impl Propagator {
-    /// An empty propagator; buffers grow on first use.
-    pub fn new() -> Self {
-        Propagator::default()
-    }
-
-    /// Propagation-only satisfiability pre-check: `true` means the
-    /// conjunction is *provably* unsatisfiable (sound — usable to prune
-    /// forks and to discharge warnings).
-    pub fn quick_unsat(&mut self, store: &TermStore, lits: &[Lit]) -> bool {
-        !self.propagate(store, lits)
+    /// Collect the terms reachable from `lits` into `order`, assign their
+    /// positions, and start every term at ⊤.
+    fn load(store: &TermStore, lits: &[Lit]) -> Self {
+        let mut slot = vec![NO_SLOT; store.len()];
+        let mut order = Vec::new();
+        let mut stack: Vec<TermId> = lits.iter().map(|l| l.term).collect();
+        while let Some(t) = stack.pop() {
+            // Any value but `NO_SLOT` marks a visited term until the
+            // positions are assigned below.
+            match slot.get_mut(t as usize) {
+                Some(s) if *s == NO_SLOT => *s = 0,
+                _ => continue,
+            }
+            order.push(t);
+            if let Term::App(_, args) = store.term(t) {
+                stack.extend(args);
+            }
+        }
+        order.sort_unstable();
+        for (i, &t) in order.iter().enumerate() {
+            if let Some(s) = slot.get_mut(t as usize) {
+                *s = i as u32;
+            }
+        }
+        let n = order.len();
+        Propagator {
+            order,
+            slot,
+            iv: vec![Interval::top(); n],
+            ne: vec![Vec::new(); n],
+            cong: vec![None; n],
+            exact: vec![false; n],
+            changes: 0,
+            unsat: false,
+        }
     }
 
     fn pos(&self, t: TermId) -> Option<usize> {
@@ -209,59 +223,9 @@ impl Propagator {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Collect the terms reachable from `lits` into `order`, assign their
-    /// positions, and reset every per-term buffer to its starting value.
-    fn load(&mut self, store: &TermStore, lits: &[Lit]) {
-        for &t in &self.order {
-            if let Some(s) = self.slot.get_mut(t as usize) {
-                *s = NO_SLOT;
-            }
-        }
-        self.order.clear();
-        if self.slot.len() < store.len() {
-            self.slot.resize(store.len(), NO_SLOT);
-        }
-        self.stack.clear();
-        self.stack.extend(lits.iter().map(|l| l.term));
-        while let Some(t) = self.stack.pop() {
-            if t as usize >= store.len() {
-                continue;
-            }
-            match self.slot.get_mut(t as usize) {
-                Some(s) if *s == NO_SLOT => *s = 0,
-                _ => continue,
-            }
-            self.order.push(t);
-            if let Term::App(_, args) = store.term(t) {
-                self.stack.extend(args);
-            }
-        }
-        self.order.sort_unstable();
-        for (i, &t) in self.order.iter().enumerate() {
-            if let Some(s) = self.slot.get_mut(t as usize) {
-                *s = i as u32;
-            }
-        }
-        let n = self.order.len();
-        self.iv.clear();
-        self.iv.resize(n, Interval::top());
-        self.exact.clear();
-        self.exact.resize(n, false);
-        self.cong.clear();
-        self.cong.resize(n, None);
-        if self.ne.len() < n {
-            self.ne.resize_with(n, Vec::new);
-        }
-        for set in self.ne.iter_mut().take(n) {
-            set.clear();
-        }
-        self.unsat = false;
-    }
-
     /// Run propagation to a bounded fixpoint. `false` means proved UNSAT;
-    /// on `true` the state describes the conjunction until the next call.
+    /// on `true` the state describes the conjunction.
     fn propagate(&mut self, store: &TermStore, lits: &[Lit]) -> bool {
-        self.load(store, lits);
         self.forward(store);
         for lit in lits {
             if lit.eq {
@@ -628,7 +592,7 @@ fn candidates(p: &Propagator, lits: &[Lit], vt: TermId) -> Vec<Int> {
 /// Decide one conjunction. `effort` bounds the number of candidate models
 /// verified.
 pub fn solve(store: &TermStore, lits: &[Lit], effort: u32) -> Verdict {
-    let mut p = Propagator::new();
+    let mut p = Propagator::load(store, lits);
     if !p.propagate(store, lits) {
         return Verdict::Unsat;
     }
@@ -781,7 +745,6 @@ mod tests {
             solve(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)], 100),
             Verdict::Unsat
         );
-        assert!(Propagator::new().quick_unsat(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)]));
     }
 
     #[test]
@@ -850,7 +813,6 @@ mod tests {
         let seven = s.constant(7);
         let masked = s.app(PrimOp::And, vec![t, seven]);
         let lits = [Lit::eq(masked, 9)];
-        assert!(Propagator::new().quick_unsat(&s, &lits));
         assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
     }
 
@@ -863,7 +825,6 @@ mod tests {
         let ge0 = s.app(PrimOp::Ge, vec![t, zero]);
         let md = s.app(PrimOp::Mod, vec![t, five]);
         let lits = [Lit::eq(ge0, 1), Lit::eq(md, -1)];
-        assert!(Propagator::new().quick_unsat(&s, &lits));
         assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
     }
 
@@ -878,47 +839,8 @@ mod tests {
         // before `x` is pinned; only a second round pins `y` to 7.
         let xy = s.app(PrimOp::Add, vec![x, y]);
         let lits = [Lit::eq(xy, 10), Lit::eq(x1, 4), Lit::ne(y, 7)];
-        assert!(Propagator::new().quick_unsat(&s, &lits));
-        assert!(!Propagator::new().quick_unsat(&s, &lits[..2]));
-    }
-
-    #[test]
-    fn reused_propagator_matches_a_fresh_one() {
-        let mut s = TermStore::new();
-        let (_, x) = s.fresh_var();
-        let (_, y) = s.fresh_var();
-        let one = s.constant(1);
-        let ten = s.constant(10);
-        let seven = s.constant(7);
-        let x1 = s.app(PrimOp::Add, vec![x, one]);
-        let lt = s.app(PrimOp::Lt, vec![x, ten]);
-        let md = s.app(PrimOp::Mod, vec![y, seven]);
-        let unsat_a = vec![Lit::eq(x, 3), Lit::eq(x1, 7)];
-        // A disequality recorded against `y` must not leak into a later
-        // check where another term takes its position.
-        let sat_ne = vec![Lit::ne(y, 5)];
-        let sat_pin = vec![Lit::eq(x, 5)];
-        let unsat_b = vec![Lit::eq(lt, 1), Lit::eq(x, 12)];
-        let sat_wide = vec![Lit::eq(lt, 1), Lit::eq(md, 3), Lit::ne(x, 0), Lit::ne(y, 3)];
-        let sequence = [
-            &unsat_a, &sat_ne, &sat_pin, &unsat_b, &sat_wide, &sat_pin, &unsat_a, &sat_ne,
-            &sat_wide, &unsat_b, &sat_ne, &sat_pin,
-        ];
-        let mut reused = Propagator::new();
-        for lits in sequence {
-            assert_eq!(
-                reused.quick_unsat(&s, lits),
-                Propagator::new().quick_unsat(&s, lits),
-                "{lits:?}"
-            );
-        }
-        assert!(reused.quick_unsat(&s, &unsat_a) && reused.quick_unsat(&s, &unsat_b));
-        assert!(!reused.quick_unsat(&s, &sat_ne) && !reused.quick_unsat(&s, &sat_pin));
-        // The store growing between checks is picked up.
-        let y1 = s.app(PrimOp::Sub, vec![y, one]);
-        let grown = vec![Lit::eq(y1, 4), Lit::eq(y, 6)];
-        assert!(reused.quick_unsat(&s, &grown));
-        assert!(!reused.quick_unsat(&s, &sat_ne));
+        assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
+        assert!(matches!(solve(&s, &lits[..2], 100), Verdict::Sat(_)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use zarf_core::machine::MProgram;
 use zarf_core::prim::PrimOp;
 use zarf_core::{Int, Program};
 use zarf_symex::exec::{Exec, Outcome};
-use zarf_symex::solve::{solve, Lit, Propagator, Verdict};
+use zarf_symex::solve::{solve, Lit, Verdict};
 use zarf_symex::term::{TermId, TermStore};
 use zarf_symex::value::SymVal;
 use zarf_symex::{decide, Status, SymexBudget};
@@ -498,21 +498,15 @@ fn render(store: &TermStore, lits: &[Lit]) -> String {
         .join(" && ")
 }
 
-/// One soundness trial over a fresh DAG; checks go through both a fresh
-/// propagator and the shared `reused` one. Returns whether the solver
-/// found a model for the satisfiable set.
-fn solver_trial(seed: u64, reused: &mut Propagator) -> bool {
+/// One soundness trial over a fresh DAG, checked through `solve` alone.
+/// Returns whether the solver found a model for the satisfiable set.
+fn solver_trial(seed: u64) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let dag = random_dag(&mut rng);
     let store = &dag.store;
     let lits = true_lits(&mut rng, &dag);
     let shown = render(store, &lits);
     assert!(holds(store, &lits, &dag.model), "generator: {shown}");
-    assert!(
-        !Propagator::new().quick_unsat(store, &lits),
-        "refuted: {shown}"
-    );
-    assert!(!reused.quick_unsat(store, &lits), "reused refuted: {shown}");
     let verdict = solve(store, &lits, 400);
     match &verdict {
         Verdict::Unsat => panic!("solver refuted: {shown}"),
@@ -532,19 +526,7 @@ fn solver_trial(seed: u64, reused: &mut Propagator) -> bool {
     bad.insert(rng.gen_range(0..=bad.len()), Lit::eq(t, v));
     bad.insert(rng.gen_range(0..=bad.len()), clash);
     let shown = render(store, &bad);
-    assert!(
-        Propagator::new().quick_unsat(store, &bad),
-        "missed: {shown}"
-    );
-    assert!(reused.quick_unsat(store, &bad), "reused missed: {shown}");
-    assert_eq!(solve(store, &bad, 400), Verdict::Unsat, "{shown}");
-
-    // After the refutation, the reused propagator still answers the
-    // satisfiable set as before.
-    assert!(
-        !reused.quick_unsat(store, &lits),
-        "stale state after refuting: {shown}"
-    );
+    assert_eq!(solve(store, &bad, 400), Verdict::Unsat, "missed: {shown}");
     matches!(verdict, Verdict::Sat(_))
 }
 
@@ -552,18 +534,15 @@ fn solver_trial(seed: u64, reused: &mut Propagator) -> bool {
 /// search can actually satisfy, not only `Unknown`s.
 #[test]
 fn solver_trials_find_models() {
-    let mut reused = Propagator::new();
-    let sat = (0..300u64)
-        .filter(|&s| solver_trial(s, &mut reused))
-        .count();
+    let sat = (0..300u64).filter(|&s| solver_trial(s)).count();
     assert!(sat >= 200, "only {sat}/300 satisfied sets got a model");
 }
 
 proptest! {
-    /// Satellite: propagation never refutes a satisfiable set, always
-    /// refutes a pinned contradiction, and state reuse changes nothing.
+    /// Satellite: the solver never refutes a satisfiable set and always
+    /// refutes a pinned contradiction.
     #[test]
     fn solver_is_sound_on_random_dags(seed in any::<u64>()) {
-        solver_trial(seed, &mut Propagator::new());
+        solver_trial(seed);
     }
 }

@@ -1140,7 +1140,7 @@ impl<'a, 'm> Walker<'a, 'm> {
                             self.arms.push((case_index, arm_index, b.pattern));
                         }
                         // Keep the numbering pure pre-order over the syntax:
-                        // cases inside the pruned body still take indices, so
+                        // cases inside the skipped body still take indices, so
                         // downstream tools (the symbolic executor) can number
                         // cases without re-deriving reachability.
                         self.case_counter += count_cases(&b.body);

@@ -469,8 +469,7 @@ fn run_vet(rest: &[String]) -> ExitCode {
             format!(
                 ",\"symex\":{{\"witnesses\":{},\"discharged\":{},\"undecided\":{},\
                  \"pool\":{},\"paths\":{},\"steps\":{},\"terms\":{},\
-                 \"summary_hits\":{},\"summary_misses\":{},\
-                 \"prune_checks\":{},\"pruned\":{}}}",
+                 \"summary_hits\":{},\"summary_misses\":{}}}",
                 r.witnesses(),
                 r.discharged(),
                 r.undecided(),
@@ -480,8 +479,6 @@ fn run_vet(rest: &[String]) -> ExitCode {
                 r.stats.terms,
                 r.stats.summary_hits,
                 r.stats.summary_misses,
-                r.stats.prune_checks,
-                r.stats.pruned,
             )
         });
         println!(

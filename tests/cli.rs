@@ -199,6 +199,36 @@ fn vet_json_reports_bounds_and_certificates() {
 }
 
 #[test]
+fn vet_symex_json_reports_verdicts_and_exploration_counts() {
+    let (ok, out, err) = zarf(&["vet", "@icd", "--model", "service", "--symex", "--json"]);
+    assert!(ok, "{err}");
+    let mut lines = out.lines();
+    let report = lines.next().unwrap();
+    let symex = report
+        .split_once(",\"symex\":{")
+        .map(|(_, rest)| rest)
+        .unwrap_or_else(|| panic!("no symex object: {report}"));
+    for key in [
+        "\"witnesses\":1,",
+        "\"discharged\":0,",
+        "\"undecided\":0,",
+        "\"paths\":",
+        "\"steps\":",
+        "\"terms\":",
+        "\"summary_hits\":",
+        "\"summary_misses\":",
+    ] {
+        assert!(symex.contains(key), "missing {key}: {symex}");
+    }
+    assert!(!symex.contains("prune"), "{symex}");
+    let verdict = lines.next().unwrap();
+    assert!(
+        verdict.contains("\"witnesses\":1,\"discharged\":0,\"undecided\":0"),
+        "{verdict}"
+    );
+}
+
+#[test]
 fn vet_certifies_the_shipped_images() {
     for image in ["@kernel", "@session", "@icd"] {
         for model in ["standalone", "service"] {
