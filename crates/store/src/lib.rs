@@ -32,7 +32,10 @@
 //!
 //! Offline, [`fsck`] sweeps every record and every session for damage
 //! and [`gc`] rewrites live chunks into fresh segments, dropping
-//! unreferenced ones.
+//! unreferenced ones. Both, like [`Store::open`], stream each segment one
+//! record at a time and keep only the chunk index; payloads are read on
+//! demand, so their memory is the index plus one session, not the data
+//! directory.
 
 mod chunk;
 mod hash;

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -41,8 +41,8 @@ use crate::manifest::{
     SessionRecord,
 };
 use crate::segment::{
-    encode_header, encode_record, parse_segment_name, read_record, scan_segment, segment_name,
-    ChunkLoc, SegmentScan, RECORD_OVERHEAD,
+    decode_record, encode_header, encode_record, parse_segment_name, scan_segment, segment_name,
+    ChunkLoc, SegmentScan, SEGMENT_HEADER_LEN,
 };
 use crate::tier::ChunkCache;
 use crate::StoreError;
@@ -125,6 +125,15 @@ struct IoCtl {
 }
 
 impl IoCtl {
+    fn new(chaos: Option<FaultPlan>) -> IoCtl {
+        IoCtl {
+            chaos,
+            io_events: 0,
+            injected: Vec::new(),
+            stalled: None,
+        }
+    }
+
     /// Count one I/O event and return the fault scheduled for it.
     fn draw(&mut self) -> (u64, Option<FaultKind>) {
         let ev = self.io_events;
@@ -266,7 +275,8 @@ fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
 }
 
 /// Everything on disk, decoded and verified — shared by open, fsck
-/// and gc so all three agree on what "recovered state" means.
+/// and gc so all three agree on what "recovered state" means. It holds
+/// the metadata and where each chunk lives, never a chunk payload.
 struct OfflineState {
     manifest: Manifest,
     manifest_error: Option<String>,
@@ -275,19 +285,15 @@ struct OfflineState {
     journal_torn: bool,
     journal_damage: Option<String>,
     segments: Vec<(u32, SegmentScan)>,
+    /// Every verified chunk's location; the first record for an id wins
+    /// (a duplicate holds identical bytes — that is what content
+    /// addressing means).
+    chunks: HashMap<ChunkId, ChunkLoc>,
 }
 
-/// Chunk payloads by id, the first record winning.
-type Payloads = HashMap<ChunkId, Vec<u8>>;
-
-/// Decode and verify everything on disk. Only the offline tools that
-/// reassemble sessions ([`fsck`] and [`gc`]) pass `payloads`;
-/// `Store::open` indexes chunk locations alone and never copies a
-/// payload.
-fn load_offline(
-    dir: &Path,
-    mut payloads: Option<&mut Payloads>,
-) -> Result<OfflineState, StoreError> {
+/// Decode and verify everything on disk, streaming each segment one
+/// record at a time.
+fn load_offline(dir: &Path) -> Result<OfflineState, StoreError> {
     let mut manifest = Manifest::default();
     let mut manifest_error = None;
     match fs::read(dir.join(MANIFEST_FILE)) {
@@ -328,13 +334,14 @@ fn load_offline(
     }
     indices.sort_unstable();
     let mut segments = Vec::new();
+    let mut chunks = HashMap::new();
     for idx in indices {
-        let bytes =
-            fs::read(dir.join(segment_name(idx))).map_err(|e| io_err("read segment", &e))?;
-        let scan = scan_segment(&bytes, idx);
-        if let Some(payloads) = payloads.as_deref_mut() {
-            collect_payloads(payloads, &bytes, &scan);
-        }
+        let file =
+            File::open(dir.join(segment_name(idx))).map_err(|e| io_err("read segment", &e))?;
+        let scan = scan_segment(BufReader::new(file), idx, |id, loc| {
+            chunks.entry(id).or_insert(loc);
+        })
+        .map_err(|e| io_err("read segment", &e))?;
         segments.push((idx, scan));
     }
     Ok(OfflineState {
@@ -345,18 +352,8 @@ fn load_offline(
         journal_torn,
         journal_damage,
         segments,
+        chunks,
     })
-}
-
-/// Copy every chunk `scan` verified in one segment's `bytes`.
-fn collect_payloads(payloads: &mut Payloads, bytes: &[u8], scan: &SegmentScan) {
-    for (id, loc, _) in &scan.chunks {
-        // The payload follows the record's magic, length and chunk id.
-        let start = loc.offset as usize + 4 + 4 + 16;
-        if let Some(payload) = bytes.get(start..start + loc.len as usize) {
-            payloads.entry(*id).or_insert_with(|| payload.to_vec());
-        }
-    }
 }
 
 impl Store {
@@ -376,48 +373,29 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("remove stale manifest tmp", &e)),
         }
-        let state = load_offline(&dir, None)?;
+        let state = load_offline(&dir)?;
         if let Some(detail) = state.manifest_error {
             return Err(StoreError::ManifestCorrupt { detail });
         }
 
-        // Index every verified chunk; first record for an id wins (a
-        // duplicate holds identical bytes — that is what content
-        // addressing means).
-        let mut chunks = HashMap::new();
-        let mut chunk_bytes = 0u64;
-        let mut max_seg = 0u32;
-        let mut active_usable = true;
         for (idx, scan) in &state.segments {
-            for (id, loc, len) in &scan.chunks {
-                if !chunks.contains_key(id) {
-                    chunk_bytes += *len as u64 + RECORD_OVERHEAD as u64;
-                    chunks.insert(*id, *loc);
-                }
-            }
-            if *idx >= max_seg {
-                max_seg = *idx;
-                active_usable = scan.damage.is_none();
-                if let Some(torn) = scan.torn_at {
-                    // Truncate the crash boundary so future appends are
-                    // contiguous with the verified prefix.
-                    let f = OpenOptions::new()
-                        .write(true)
-                        .open(dir.join(segment_name(*idx)))
-                        .map_err(|e| io_err("open segment for truncation", &e))?;
-                    f.set_len(torn.max(scan.valid_len))
-                        .map_err(|e| io_err("truncate torn segment", &e))?;
-                }
+            if let Some(torn) = scan.torn_at {
+                // Truncate the crash boundary so future appends are
+                // contiguous with the verified prefix.
+                let f = OpenOptions::new()
+                    .write(true)
+                    .open(dir.join(segment_name(*idx)))
+                    .map_err(|e| io_err("open segment for truncation", &e))?;
+                f.set_len(torn.max(scan.valid_len))
+                    .map_err(|e| io_err("truncate torn segment", &e))?;
             }
         }
         // Appends continue in the highest clean segment; a damaged one
         // is left as evidence and a fresh segment is started after it.
-        let seg_index = if state.segments.is_empty() {
-            1
-        } else if active_usable {
-            max_seg
-        } else {
-            max_seg + 1
+        let seg_index = match state.segments.last() {
+            None => 1,
+            Some((idx, scan)) if scan.damage.is_none() => *idx,
+            Some((idx, _)) => idx + 1,
         };
 
         // Resolve journal damage by folding the verified prefix into a
@@ -425,11 +403,8 @@ impl Store {
         // verified record either way.
         let journal_path = dir.join(JOURNAL_FILE);
         if state.journal_damage.is_some() {
-            let tmp = dir.join(MANIFEST_TMP);
             let bytes = encode_manifest(&state.manifest)?;
-            fs::write(&tmp, &bytes).map_err(|e| io_err("write recovery manifest", &e))?;
-            fs::rename(&tmp, dir.join(MANIFEST_FILE))
-                .map_err(|e| io_err("install recovery manifest", &e))?;
+            install_manifest(&mut IoCtl::new(None), &dir, &bytes, cfg.fsync)?;
             fs::write(&journal_path, b"").map_err(|e| io_err("reset damaged journal", &e))?;
         } else if state.journal_torn {
             let f = OpenOptions::new()
@@ -448,15 +423,10 @@ impl Store {
         let recovered_sessions = state.manifest.sessions.len() as u64;
         let inner = Inner {
             cfg: cfg.clone(),
-            ctl: IoCtl {
-                chaos: cfg.chaos,
-                io_events: 0,
-                injected: Vec::new(),
-                stalled: None,
-            },
+            ctl: IoCtl::new(cfg.chaos),
             manifest: state.manifest,
-            chunks,
-            chunk_bytes,
+            chunk_bytes: state.chunks.values().map(ChunkLoc::record_len).sum(),
+            chunks: state.chunks,
             cache: ChunkCache::new(cfg.resident_bytes),
             seg_index,
             seg_file: None,
@@ -921,25 +891,7 @@ fn append_journal(inner: &mut Inner, rec: &JournalRecord) -> Result<(), StoreErr
 /// then truncate the journal it subsumes.
 fn checkpoint(inner: &mut Inner) -> Result<(), StoreError> {
     let bytes = encode_manifest(&inner.manifest).map_err(|e| inner.ctl.stall(e.to_string()))?;
-    let tmp = inner.dir.join(MANIFEST_TMP);
-    let mut file = File::create(&tmp).map_err(|e| {
-        let detail = format!("create manifest tmp: {e}");
-        inner.ctl.stall(detail)
-    })?;
-    guarded_write(&mut inner.ctl, &mut file, &bytes, false, "manifest write")?;
-    if inner.cfg.fsync {
-        guarded_fsync(&mut inner.ctl, &file, "manifest fsync")?;
-    }
-    drop(file);
-    fs::rename(&tmp, inner.dir.join(MANIFEST_FILE)).map_err(|e| {
-        let detail = format!("manifest rename: {e}");
-        inner.ctl.stall(detail)
-    })?;
-    if inner.cfg.fsync {
-        if let Ok(d) = File::open(&inner.dir) {
-            guarded_fsync(&mut inner.ctl, &d, "dir fsync")?;
-        }
-    }
+    install_manifest(&mut inner.ctl, &inner.dir, &bytes, inner.cfg.fsync)?;
     if let Some(journal) = inner.journal.as_ref() {
         journal.set_len(0).map_err(|e| {
             let detail = format!("journal truncate: {e}");
@@ -951,9 +903,37 @@ fn checkpoint(inner: &mut Inner) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Install `bytes` as the manifest: write `store.zman.tmp`, fsync it,
+/// rename it over `store.zman`, then fsync the directory so the rename
+/// itself is durable. Only after that may a caller reset the journal or
+/// delete segments the manifest no longer needs. Every write and fsync
+/// is a guarded event on `ctl`.
+fn install_manifest(
+    ctl: &mut IoCtl,
+    dir: &Path,
+    bytes: &[u8],
+    fsync: bool,
+) -> Result<(), StoreError> {
+    let tmp = dir.join(MANIFEST_TMP);
+    let mut file =
+        File::create(&tmp).map_err(|e| ctl.stall(format!("create manifest tmp: {e}")))?;
+    guarded_write(ctl, &mut file, bytes, false, "manifest write")?;
+    if fsync {
+        guarded_fsync(ctl, &file, "manifest fsync")?;
+    }
+    drop(file);
+    fs::rename(&tmp, dir.join(MANIFEST_FILE))
+        .map_err(|e| ctl.stall(format!("manifest rename: {e}")))?;
+    if fsync {
+        if let Ok(d) = File::open(dir) {
+            guarded_fsync(ctl, &d, "dir fsync")?;
+        }
+    }
+    Ok(())
+}
+
 /// Fetch one chunk's bytes: resident cache first, then the verified
-/// disk read. Every disk byte is CRC- and content-hash-checked on the way
-/// in; every failure names the chunk.
+/// disk read.
 fn get_chunk(inner: &mut Inner, id: ChunkId) -> Result<Vec<u8>, StoreError> {
     if let Some(bytes) = inner.cache.get(id) {
         return Ok(bytes);
@@ -963,7 +943,17 @@ fn get_chunk(inner: &mut Inner, id: ChunkId) -> Result<Vec<u8>, StoreError> {
         .get(&id)
         .copied()
         .ok_or(StoreError::MissingChunk { chunk: id })?;
-    let path = inner.dir.join(segment_name(loc.segment));
+    let bytes = read_chunk_at(&inner.dir, id, loc)?;
+    inner.stats.disk_reads += 1;
+    inner.cache.insert(id, bytes.clone());
+    Ok(bytes)
+}
+
+/// Read chunk `id`'s record at `loc` under `dir` with one `read_exact`
+/// and return its payload. Every byte is CRC- and content-hash-checked
+/// on the way in; every failure names the chunk.
+fn read_chunk_at(dir: &Path, id: ChunkId, loc: ChunkLoc) -> Result<Vec<u8>, StoreError> {
+    let path = dir.join(segment_name(loc.segment));
     let mut file = match File::open(&path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -973,7 +963,7 @@ fn get_chunk(inner: &mut Inner, id: ChunkId) -> Result<Vec<u8>, StoreError> {
     };
     file.seek(SeekFrom::Start(loc.offset))
         .map_err(|e| io_err("seek segment", &e))?;
-    let mut buf = vec![0u8; RECORD_OVERHEAD + loc.len as usize];
+    let mut buf = vec![0u8; loc.record_len() as usize];
     file.read_exact(&mut buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             StoreError::ChunkCorrupt {
@@ -984,14 +974,9 @@ fn get_chunk(inner: &mut Inner, id: ChunkId) -> Result<Vec<u8>, StoreError> {
             io_err("read segment", &e)
         }
     })?;
-    match read_record(&buf, loc.segment, 0) {
-        Ok(Some((rid, _, payload))) if rid == id => {
-            let bytes = payload.to_vec();
-            inner.stats.disk_reads += 1;
-            inner.cache.insert(id, bytes.clone());
-            Ok(bytes)
-        }
-        Ok(Some((rid, _, _))) => Err(StoreError::ChunkCorrupt {
+    match decode_record(&buf, 0) {
+        Ok(Some((rid, payload))) if rid == id => Ok(payload.to_vec()),
+        Ok(Some((rid, _))) => Err(StoreError::ChunkCorrupt {
             chunk: id,
             detail: format!(
                 "record at segment {} offset {} holds {rid}",
@@ -1096,9 +1081,12 @@ fn json_opt(v: &Option<String>) -> String {
 /// Offline integrity sweep: walk every record of every segment, decode
 /// the manifest and journal, and prove every session reassembles to
 /// its recorded length and hash. Read-only; safe on a damaged store.
+/// Sessions are reassembled one at a time from verified on-demand
+/// reads, so memory holds the chunk index and one session, never the
+/// data directory.
 pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
-    let mut payloads = Payloads::new();
-    let state = load_offline(dir.as_ref(), Some(&mut payloads))?;
+    let dir = dir.as_ref();
+    let state = load_offline(dir)?;
     let mut report = FsckReport {
         manifest_error: state.manifest_error,
         journal_damage: state.journal_damage,
@@ -1108,12 +1096,8 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
     };
     for (idx, scan) in &state.segments {
         report.segments += 1;
-        report.records += scan.chunks.len() as u64;
-        report.record_bytes += scan
-            .chunks
-            .iter()
-            .map(|(_, _, len)| *len as u64 + RECORD_OVERHEAD as u64)
-            .sum::<u64>();
+        report.records += scan.records;
+        report.record_bytes += scan.valid_len.saturating_sub(SEGMENT_HEADER_LEN);
         if scan.torn_at.is_some() {
             report.torn_segments += 1;
         }
@@ -1122,15 +1106,20 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
         }
     }
     let mut referenced = std::collections::HashSet::new();
+    let mut assembled = Vec::new();
     for session in state.manifest.sessions.values() {
-        let mut assembled = Vec::new();
+        assembled.clear();
         let mut problem = None;
         for chunk in &session.chunks {
             referenced.insert(*chunk);
-            match payloads.get(chunk) {
-                Some(p) => assembled.extend_from_slice(p),
-                None => {
-                    problem = Some(format!("missing chunk {chunk}"));
+            let Some(loc) = state.chunks.get(chunk) else {
+                problem = Some(format!("missing chunk {chunk}"));
+                break;
+            };
+            match read_chunk_at(dir, *chunk, *loc) {
+                Ok(p) => assembled.extend_from_slice(&p),
+                Err(e) => {
+                    problem = Some(e.to_string());
                     break;
                 }
             }
@@ -1150,10 +1139,10 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
             report.bad_sessions.push((session.id, why));
         }
     }
-    for (id, payload) in &payloads {
+    for (id, loc) in &state.chunks {
         if !referenced.contains(id) {
             report.unreferenced_chunks += 1;
-            report.unreferenced_bytes += payload.len() as u64 + RECORD_OVERHEAD as u64;
+            report.unreferenced_bytes += loc.record_len();
         }
     }
     Ok(report)
@@ -1195,8 +1184,7 @@ impl GcReport {
 /// recoverable store into an unrecoverable one. Run [`fsck`] first.
 pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
     let dir = dir.as_ref();
-    let mut payloads = Payloads::new();
-    let state = load_offline(dir, Some(&mut payloads))?;
+    let state = load_offline(dir)?;
     if let Some(detail) = state.manifest_error {
         return Err(StoreError::ManifestCorrupt { detail });
     }
@@ -1215,42 +1203,48 @@ pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
     for session in state.manifest.sessions.values() {
         for chunk in &session.chunks {
             if seen.insert(*chunk) {
-                match payloads.get(chunk) {
-                    Some(p) => live.push((*chunk, p.clone())),
+                match state.chunks.get(chunk) {
+                    Some(loc) => live.push((*chunk, *loc)),
                     None => return Err(StoreError::MissingChunk { chunk: *chunk }),
                 }
             }
         }
     }
-    for (id, payload) in &payloads {
+    for (id, loc) in &state.chunks {
         if !seen.contains(id) {
             report.dropped_chunks += 1;
-            report.reclaimed_bytes += payload.len() as u64 + RECORD_OVERHEAD as u64;
+            report.reclaimed_bytes += loc.record_len();
         }
     }
-    let new_index = state.segments.iter().map(|(i, _)| *i).max().unwrap_or(0) + 1;
+    report.live_chunks = live.len() as u64;
+    report.live_bytes = live.iter().map(|(_, loc)| loc.record_len()).sum();
+    // Stream each live record, read and verified on demand, into the
+    // new segment; a failure removes the partial segment again.
+    let new_index = state.segments.last().map_or(0, |(i, _)| *i) + 1;
     let new_path = dir.join(segment_name(new_index));
-    let mut out = encode_header().to_vec();
-    for (id, payload) in &live {
-        out.extend_from_slice(&encode_record(*id, payload));
-        report.live_chunks += 1;
-        report.live_bytes += payload.len() as u64 + RECORD_OVERHEAD as u64;
+    let written = File::create(&new_path)
+        .map_err(|e| io_err("create gc segment", &e))
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            let write_err = |e: std::io::Error| io_err("write gc segment", &e);
+            w.write_all(&encode_header()).map_err(write_err)?;
+            for (id, loc) in &live {
+                let payload = read_chunk_at(dir, *id, *loc)?;
+                w.write_all(&encode_record(*id, &payload))
+                    .map_err(write_err)?;
+            }
+            let f = w.into_inner().map_err(|e| write_err(e.into_error()))?;
+            f.sync_all().map_err(|e| io_err("sync gc segment", &e))
+        });
+    if let Err(e) = written {
+        let _ = fs::remove_file(&new_path);
+        return Err(e);
     }
-    let mut f = File::create(&new_path).map_err(|e| io_err("create gc segment", &e))?;
-    f.write_all(&out)
-        .map_err(|e| io_err("write gc segment", &e))?;
-    f.sync_all().map_err(|e| io_err("sync gc segment", &e))?;
-    drop(f);
     // Checkpoint the (unchanged) manifest so the journal can go, then
     // retire every pre-gc segment. Chunk locations are rediscovered by
     // scan on the next open, so the manifest needs no location data.
-    let tmp = dir.join(MANIFEST_TMP);
     let bytes = encode_manifest(&state.manifest)?;
-    fs::write(&tmp, &bytes).map_err(|e| io_err("write gc manifest", &e))?;
-    fs::rename(&tmp, dir.join(MANIFEST_FILE)).map_err(|e| io_err("install gc manifest", &e))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    install_manifest(&mut IoCtl::new(None), dir, &bytes, true)?;
     match fs::remove_file(dir.join(JOURNAL_FILE)) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -1264,22 +1258,22 @@ pub fn gc(dir: impl AsRef<Path>) -> Result<GcReport, StoreError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use zarf_chaos::FaultPlan;
 
     /// Self-cleaning temp dir (the repo has no tempfile dependency).
-    struct TempDir(PathBuf);
+    pub(crate) struct TempDir(PathBuf);
 
     impl TempDir {
-        fn new(name: &str) -> TempDir {
+        pub(crate) fn new(name: &str) -> TempDir {
             let path =
                 std::env::temp_dir().join(format!("zarf_store_test_{}_{name}", std::process::id()));
             let _ = fs::remove_dir_all(&path);
             TempDir(path)
         }
 
-        fn path(&self) -> &Path {
+        pub(crate) fn path(&self) -> &Path {
             &self.0
         }
     }
@@ -1290,7 +1284,7 @@ mod tests {
         }
     }
 
-    fn meta(id: u64, seq: u64) -> SessionMeta {
+    pub(crate) fn meta(id: u64, seq: u64) -> SessionMeta {
         SessionMeta {
             id,
             commit_seq: seq,
@@ -1304,7 +1298,7 @@ mod tests {
 
     /// Deterministic mixed-entropy bytes: runs (compressible) plus
     /// LCG words (not), so the chunker gets real work.
-    fn snapshot(seed: u64, len: usize) -> Vec<u8> {
+    pub(crate) fn snapshot(seed: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut s = seed;
         while out.len() < len {

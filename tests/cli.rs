@@ -228,6 +228,95 @@ fn vet_symex_json_reports_verdicts_and_exploration_counts() {
     );
 }
 
+/// `zarf store fsck` and `gc` over a data directory written through the
+/// library: a clean sweep, a collection that keeps exactly the live
+/// sessions' chunks, a clean sweep with no garbage after it, and a
+/// flipped payload byte that fails `fsck` naming its segment.
+#[test]
+fn store_fsck_and_gc_check_collect_and_name_damage() {
+    use zarf::store::{SessionMeta, Store, StoreConfig};
+
+    let dir = std::env::temp_dir().join(format!("zarf_cli_test_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig {
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let (live, total) = {
+        let store = Store::open(&dir, cfg).unwrap();
+        for id in 1..=4u64 {
+            let mut s = id;
+            let snap: Vec<u8> = (0..40_000)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (s >> 56) as u8
+                })
+                .collect();
+            let meta = SessionMeta {
+                id,
+                commit_seq: 1,
+                ops_done: 0,
+                heap_words: 4096,
+                op_budget: 0,
+                fuel_slice: 500,
+                verified: false,
+            };
+            store.put_session(&meta, &snap).unwrap();
+        }
+        store.remove_session(3).unwrap();
+        let live: std::collections::HashSet<_> = store
+            .sessions()
+            .into_iter()
+            .flat_map(|s| s.chunks)
+            .collect();
+        (live.len() as u64, store.stats().chunks)
+    };
+    assert!(live > 3 && total > live, "live {live} of {total} chunks");
+    let path = dir.to_str().unwrap();
+
+    let (ok, out, err) = zarf(&["store", "fsck", path, "--json"]);
+    assert!(ok, "{out}{err}");
+    assert!(out.contains("\"clean\":true"), "{out}");
+    let (ok, out, err) = zarf(&["store", "gc", path, "--json"]);
+    assert!(ok, "{err}");
+    let counts = format!("\"live_chunks\":{live},");
+    assert!(out.contains(&counts), "{out}");
+    let dropped = format!("\"dropped_chunks\":{},", total - live);
+    assert!(out.contains(&dropped), "{out}");
+    let (ok, out, err) = zarf(&["store", "fsck", path, "--json"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("\"clean\":true"), "{out}");
+    assert!(out.contains("\"unreferenced_chunks\":0,"), "{out}");
+
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .find(|name| name.starts_with("seg-"))
+        .unwrap();
+    let index: u32 = segment["seg-".len()..segment.len() - ".zseg".len()]
+        .parse()
+        .unwrap();
+    let seg_path = dir.join(&segment);
+    let mut bytes = std::fs::read(&seg_path).unwrap();
+    bytes[8 + 24] ^= 0x01; // the first record's first payload byte
+    std::fs::write(&seg_path, bytes).unwrap();
+    let run = Command::new(env!("CARGO_BIN_EXE_zarf"))
+        .args(["store", "fsck", path, "--json"])
+        .output()
+        .unwrap();
+    let out = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(
+        run.status.code(),
+        Some(1),
+        "a flipped payload byte must fail fsck: {out}"
+    );
+    let named = format!("\"damaged_segments\":[{{\"segment\":{index},\"offset\":8,");
+    assert!(out.contains(&named), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn vet_certifies_the_shipped_images() {
     for image in ["@kernel", "@session", "@icd"] {
