@@ -12,6 +12,10 @@
 //! It holds a single `#[test]`, so no other test thread allocates while it
 //! counts.
 
+// The counting global allocator below is the one `unsafe` this test
+// needs; the workspace denies `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -16,12 +16,13 @@
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use zarf_core::{Int, Word};
 use zarf_trace::metrics::Histogram;
 
-use crate::poll::{would_block, IdleBackoff, WriteBuf};
+use crate::poll::{wait, would_block, Interest, Watch, WriteBuf, MAX_WAIT};
 use crate::wire::{FrameBuffer, Request, Response, RetryPolicy, ZFLT};
 use crate::{FleetError, Op, SessionConfig};
 
@@ -401,7 +402,7 @@ fn drive_partition(addr: &str, count: usize, program: &[Word], step_item: u32) -
     // Logical slots whose transport died, waiting out their backoff:
     // (ready-at instant, next 1-based attempt number).
     let mut retries: Vec<(Instant, u32)> = Vec::new();
-    let mut backoff = IdleBackoff::new();
+    let mut watches: Vec<Watch> = Vec::new();
     loop {
         let mut progress = false;
         let now = Instant::now();
@@ -456,10 +457,31 @@ fn drive_partition(addr: &str, count: usize, program: &[Word], step_item: u32) -
         if to_open == 0 && live == 0 && retries.is_empty() {
             break;
         }
-        if progress {
-            backoff.progress();
-        } else {
-            backoff.idle();
+        if !progress {
+            // Wait until a response lands or the earliest retry or
+            // poll-gap deadline; a failed wait just runs the next pass.
+            let mut deadline = Instant::now() + MAX_WAIT;
+            watches.clear();
+            for conn in &conns {
+                if matches!(conn.phase, Phase::Done | Phase::Failed) {
+                    continue;
+                }
+                if conn.phase == Phase::Drain && conn.inflight.is_empty() {
+                    deadline = deadline.min(conn.next_poll_at);
+                }
+                let interest = Interest {
+                    read: true,
+                    write: !conn.wr.is_empty(),
+                };
+                watches.push(Watch::new(conn.stream.as_raw_fd(), interest));
+            }
+            for &(ready_at, _) in &retries {
+                deadline = deadline.min(ready_at);
+            }
+            let _ = wait(
+                &mut watches,
+                deadline.saturating_duration_since(Instant::now()),
+            );
         }
     }
     for conn in &conns {

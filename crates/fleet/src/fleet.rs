@@ -19,6 +19,7 @@
 //! * **Lock order:** slot lock before queue locks; the registry lock is
 //!   never held across either.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -874,12 +875,14 @@ impl FleetHandle {
 
     /// Resume a session from `ZSNP` bytes (e.g. a previous fleet's
     /// [`FleetHandle::snapshot`]); the bytes are decoded and audited
-    /// before the session becomes visible.
-    pub fn open_snapshot(
+    /// before the session becomes visible. An owned buffer becomes the
+    /// session's snapshot without a copy.
+    pub fn open_snapshot<'a>(
         &self,
-        bytes: &[u8],
+        bytes: impl Into<Cow<'a, [u8]>>,
         config: Option<SessionConfig>,
     ) -> Result<u64, FleetError> {
+        let bytes = bytes.into().into_owned();
         let config = config.unwrap_or_else(|| self.shared.cfg.session.clone());
         if config.verified {
             // Certification runs over a program image; a mid-run snapshot
@@ -889,14 +892,14 @@ impl FleetHandle {
             ));
         }
         let snap =
-            MachineSnapshot::from_bytes(bytes).map_err(|e| FleetError::Snapshot(e.to_string()))?;
+            MachineSnapshot::from_bytes(&bytes).map_err(|e| FleetError::Snapshot(e.to_string()))?;
         snap.audit_self_contained()
             .map_err(|e| FleetError::Snapshot(e.to_string()))?;
         let hw = snap
             .to_hw(config.hw_config())
             .map_err(|e| FleetError::Snapshot(e.to_string()))?;
         let stats = hw.stats().clone();
-        self.install(config, bytes.to_vec(), stats, None)
+        self.install(config, bytes, stats, None)
     }
 
     fn install(

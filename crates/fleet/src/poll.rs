@@ -1,15 +1,18 @@
 //! Readiness-loop plumbing for the nonblocking frontier: a growable
-//! write buffer that flushes opportunistically, an adaptive idle
-//! backoff, and the `WouldBlock` test — all on `std` alone.
+//! write buffer that flushes opportunistically, the `WouldBlock` test,
+//! and a readiness wait over `poll(2)`.
 //!
-//! The fleet frontier cannot use an OS readiness API without pulling in
-//! a dependency, so [`crate::server::serve`] instead iterates its
-//! connections attempting nonblocking reads and writes. That is cheap
-//! while traffic flows (every pass does real work) and is kept cheap
-//! while idle by [`IdleBackoff`], which escalates a short sleep whenever
-//! a full pass over the fleet made no progress.
+//! [`crate::server::serve`] iterates its connections attempting
+//! nonblocking reads and writes. While traffic flows every pass does real
+//! work; when a pass moves nothing, the loop blocks in [`wait`] on the
+//! descriptors that could make the next pass move something, so a frame
+//! is picked up as soon as it lands. The build has no external crates,
+//! so [`wait`] binds the C library's `poll` directly: it is the
+//! workspace's only `unsafe` outside test files.
 
+use std::ffi::{c_int, c_short};
 use std::io::{self, Write};
+use std::os::fd::RawFd;
 use std::time::Duration;
 
 /// True when a nonblocking socket op failed only because it would have
@@ -91,48 +94,117 @@ impl WriteBuf {
     }
 }
 
-/// Sleep escalation for passes that find no ready connection.
-///
-/// The first idle pass sleeps [`IdleBackoff::FLOOR`]; each further idle
-/// pass doubles the sleep up to [`IdleBackoff::CEILING`]. Any progress
-/// resets to zero, so an active fleet never sleeps at all.
-#[derive(Debug, Default)]
-pub struct IdleBackoff {
-    current: Option<Duration>,
+/// Longest readiness wait. Bounds how late a waiting loop notices a
+/// condition no descriptor signals: a stop flag, or a deadline of its own.
+pub const MAX_WAIT: Duration = Duration::from_millis(2);
+
+/// What a [`wait`] caller wants to hear about on one descriptor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Interest {
+    /// Wake when a read would not block (data, EOF, error or, on a
+    /// listener, a pending connection).
+    pub read: bool,
+    /// Wake when a write would not block.
+    pub write: bool,
 }
 
-impl IdleBackoff {
-    /// Shortest idle sleep: long enough to stop a hot spin, short enough
-    /// to be invisible in request latency.
-    pub const FLOOR: Duration = Duration::from_micros(100);
-    /// Longest idle sleep: bounds shutdown-flag and accept latency when
-    /// the whole fleet is quiescent.
-    pub const CEILING: Duration = Duration::from_millis(2);
+impl Interest {
+    /// Nothing to wait for.
+    pub const NONE: Interest = Interest {
+        read: false,
+        write: false,
+    };
+    /// Readability only.
+    pub const READ: Interest = Interest {
+        read: true,
+        write: false,
+    };
+}
 
-    /// A backoff that has not yet slept.
-    pub fn new() -> IdleBackoff {
-        IdleBackoff::default()
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+const POLLNVAL: c_short = 0x20;
+
+/// One descriptor and its [`Interest`], laid out as the C `struct pollfd`
+/// so a slice of them goes to `poll(2)` as is. After [`wait`],
+/// [`Watch::ready`] reports what the kernel found.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct Watch {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+impl Watch {
+    /// Watch `fd` for `interest`.
+    pub fn new(fd: RawFd, interest: Interest) -> Watch {
+        let mut events = 0;
+        if interest.read {
+            events |= POLLIN;
+        }
+        if interest.write {
+            events |= POLLOUT;
+        }
+        Watch {
+            fd,
+            events,
+            revents: 0,
+        }
     }
 
-    /// The loop made progress this pass: forget any accumulated sleep.
-    pub fn progress(&mut self) {
-        self.current = None;
+    /// What the last [`wait`] found ready. An error or hang-up counts as
+    /// ready for both directions: the next read or write reports it.
+    pub fn ready(&self) -> Interest {
+        let failed = self.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
+        Interest {
+            read: failed || self.revents & POLLIN != 0,
+            write: failed || self.revents & POLLOUT != 0,
+        }
     }
+}
 
-    /// The loop found nothing to do this pass: sleep, escalating.
-    pub fn idle(&mut self) {
-        let d = match self.current {
-            None => IdleBackoff::FLOOR,
-            Some(d) => (d * 2).min(IdleBackoff::CEILING),
-        };
-        self.current = Some(d);
-        std::thread::sleep(d);
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
+
+/// Block until a descriptor in `watches` is ready for its interest, or
+/// until `timeout` (rounded up to whole milliseconds) passes. Returns how
+/// many descriptors are ready: 0 on timeout or when a signal cut the
+/// wait short, so callers simply run their next pass.
+#[allow(unsafe_code)]
+pub fn wait(watches: &mut [Watch], timeout: Duration) -> io::Result<usize> {
+    extern "C" {
+        fn poll(fds: *mut Watch, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+    let ms = c_int::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+    let nfds = NfdsT::try_from(watches.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many descriptors"))?;
+    // SAFETY: `Watch` is `#[repr(C)]` with the field order and types of
+    // `struct pollfd`, and `watches` is an exclusive borrow of exactly
+    // `nfds` of them, so `poll` reads and writes only memory we own for
+    // the duration of the call. A stale or closed fd is reported in
+    // `revents` (POLLNVAL), not undefined behaviour.
+    let n = unsafe { poll(watches.as_mut_ptr(), nfds, ms) };
+    if n >= 0 {
+        return Ok(n as usize);
+    }
+    let e = io::Error::last_os_error();
+    if e.kind() == io::ErrorKind::Interrupted {
+        Ok(0)
+    } else {
+        Err(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
     /// A sink that accepts at most `cap` bytes per write call and
     /// refuses (WouldBlock) after `limit` total bytes.
@@ -210,16 +282,35 @@ mod tests {
     }
 
     #[test]
-    fn backoff_escalates_and_resets() {
-        let mut b = IdleBackoff::new();
-        assert_eq!(b.current, None);
-        b.idle();
-        assert_eq!(b.current, Some(IdleBackoff::FLOOR));
-        for _ in 0..16 {
-            b.idle();
-        }
-        assert_eq!(b.current, Some(IdleBackoff::CEILING));
-        b.progress();
-        assert_eq!(b.current, None);
+    fn a_written_byte_is_reported_readable() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        a.write_all(b"x").unwrap();
+        let mut w = [Watch::new(b.as_raw_fd(), Interest::READ)];
+        // A broken wait reports "not ready" here, not a slow pass: the
+        // timeout is far beyond anything the assertion depends on.
+        assert_eq!(wait(&mut w, Duration::from_secs(60)).unwrap(), 1);
+        assert!(w[0].ready().read);
+        assert!(!w[0].ready().write);
+    }
+
+    #[test]
+    fn nothing_written_is_not_ready_at_zero_timeout() {
+        let (_a, b) = UnixStream::pair().unwrap();
+        let mut w = [Watch::new(b.as_raw_fd(), Interest::READ)];
+        assert_eq!(wait(&mut w, Duration::ZERO).unwrap(), 0);
+        assert_eq!(w[0].ready(), Interest::NONE);
+    }
+
+    #[test]
+    fn an_empty_send_buffer_is_reported_writable() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        let mut w = [Watch::new(a.as_raw_fd(), both)];
+        assert_eq!(wait(&mut w, Duration::from_secs(60)).unwrap(), 1);
+        assert!(w[0].ready().write);
+        assert!(!w[0].ready().read);
     }
 }

@@ -58,6 +58,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -67,6 +68,7 @@ use zarf_core::codec::{put_bytes, put_string, put_u32, put_u64, Frame, Reader};
 use zarf_hw::verify_container;
 use zarf_store::{content_hash, ChunkId, SessionRecord, Store};
 
+use crate::poll::{wait, Interest, Watch, MAX_WAIT};
 use crate::wire::{RetryPolicy, WireError, MAX_FRAME_PAYLOAD};
 use crate::{FleetError, Request, Response};
 
@@ -535,7 +537,7 @@ impl ChaosLink<'_> {
 /// the acknowledged commit sequence.
 fn ship_commit(link: &mut ChaosLink<'_>, store: &Store, id: u64) -> Result<Option<u64>, WireError> {
     // The record is read at ship time, so coalesced commits ship once.
-    let Some(rec) = store.sessions().into_iter().find(|r| r.id == id) else {
+    let Some(rec) = store.session(id) else {
         return Ok(None); // closed since noted; the close will follow
     };
     let seq = rec.commit_seq;
@@ -696,11 +698,7 @@ pub struct ReplReceiverStats {
 
 /// The commit sequence the standby store holds for a session, if any.
 fn held_seq(store: &Store, session: u64) -> Option<u64> {
-    store
-        .sessions()
-        .into_iter()
-        .find(|r| r.id == session)
-        .map(|r| r.commit_seq)
+    store.session(session).map(|r| r.commit_seq)
 }
 
 /// Serve the `ZREP` protocol on `listener`, writing every verified
@@ -730,7 +728,10 @@ pub fn serve_repl(
                 serve_repl_conn(stream, &store, &stop, &mut stats);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                // Wake on the next connection, or re-check `stop`.
+                let mut w = [Watch::new(listener.as_raw_fd(), Interest::READ)];
+                wait(&mut w, MAX_WAIT)
+                    .map_err(|e| FleetError::Wire(WireError::Io(e.to_string())))?;
             }
             Err(e) => return Err(FleetError::Wire(WireError::Io(e.to_string()))),
         }

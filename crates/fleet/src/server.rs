@@ -20,12 +20,20 @@
 //!   rest. Responses are queued on a per-connection [`WriteBuf`].
 //! * **Flush** — opportunistic nonblocking writes of whatever each
 //!   socket will take.
+//! * **Reap** — drop dead connections and ones that hit EOF with
+//!   nothing left to answer.
+//! * **Wait** — a pass that moved nothing blocks in `poll(2)`
+//!   ([`crate::poll::wait`]) on the listener, every connection that
+//!   would still be read, and every connection with queued response
+//!   bytes, for at most [`MAX_WAIT`]. A frame that lands wakes the loop
+//!   at once; there is no sleep on a timer.
 //!
 //! Clients may pipeline: many request frames can be in flight before any
 //! response is read, and responses to one connection's requests are
 //! written in request order. Shutdown is cooperative — a `Shutdown`
 //! frame or an external stop flag ([`ServeOptions::stop`]) flips a flag
-//! the loop checks every pass; no self-connection.
+//! the loop checks every pass, so an idle loop sees the external flag
+//! within [`MAX_WAIT`]; no self-connection.
 //!
 //! Chaos: a frontier [`FaultPlan`] (see [`ServeOptions::chaos`]) is
 //! consulted once per queued response, indexed by a global response-write
@@ -36,6 +44,7 @@
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +52,7 @@ use std::time::{Duration, Instant};
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite};
 
 use crate::fleet::FleetHandle;
-use crate::poll::{would_block, IdleBackoff, WriteBuf};
+use crate::poll::{wait, would_block, Interest, Watch, WriteBuf, MAX_WAIT};
 use crate::wire::{
     FrameBuffer, Request, Response, RetryPolicy, WireError, ERR_CERTIFICATION, ERR_FROZEN,
     ERR_INTERNAL, ERR_LOAD, ERR_OVERLOADED, ERR_POISONED, ERR_SHUTDOWN, ERR_SNAPSHOT,
@@ -77,114 +86,109 @@ fn error_response(e: FleetError) -> Response {
 
 /// Answer one decoded request against the fleet. Shared by the TCP server
 /// and any in-process protocol testing; `Shutdown` is handled by the
-/// caller (it terminates the serve loop, not the fleet).
-pub fn dispatch(handle: &FleetHandle, req: &Request) -> Response {
-    let outcome =
-        match req {
-            Request::LoadProgram { config, program } => handle
-                .open_program(program, Some(config.clone()))
-                .map(|session| Response::Opened { session }),
-            Request::Restore { config, snapshot } => handle
-                .open_snapshot(snapshot, Some(config.clone()))
-                .map(|session| Response::Opened { session }),
-            Request::Inject { session, op } => handle.inject(*session, op.clone()).and_then(|()| {
-                let stats = handle.session_stats(*session)?;
-                Ok(Response::Accepted {
-                    session: *session,
-                    pending: stats.pending as u64,
-                })
-            }),
-            Request::InjectBatch { session, ops } => handle
-                .inject_batch(*session, ops.clone())
-                .map(|pending| Response::AcceptedBatch {
-                    session: *session,
-                    accepted: ops.len() as u64,
+/// caller (it terminates the serve loop, not the fleet). The request is
+/// consumed: its ops, config and snapshot bytes move into the fleet.
+pub fn dispatch(handle: &FleetHandle, req: Request) -> Response {
+    let outcome = match req {
+        Request::LoadProgram { config, program } => handle
+            .open_program(&program, Some(config))
+            .map(|session| Response::Opened { session }),
+        Request::Restore { config, snapshot } => handle
+            .open_snapshot(snapshot, Some(config))
+            .map(|session| Response::Opened { session }),
+        Request::Inject { session, op } => {
+            handle
+                .inject_batch(session, vec![op])
+                .map(|pending| Response::Accepted {
+                    session,
                     pending: pending as u64,
-                }),
-            Request::Poll { session } => handle.poll(*session).map(|p| Response::Output {
-                session: *session,
-                ops_done: p.ops_done,
-                pending: p.pending as u64,
-                words: p.words,
+                })
+        }
+        Request::InjectBatch { session, ops } => {
+            let accepted = ops.len() as u64;
+            handle
+                .inject_batch(session, ops)
+                .map(|pending| Response::AcceptedBatch {
+                    session,
+                    accepted,
+                    pending: pending as u64,
+                })
+        }
+        Request::Poll { session } => handle.poll(session).map(|p| Response::Output {
+            session,
+            ops_done: p.ops_done,
+            pending: p.pending as u64,
+            words: p.words,
+        }),
+        Request::Snapshot { session } => handle
+            .snapshot(session)
+            .map(|bytes| Response::SnapshotData { session, bytes }),
+        Request::Stats { session } => {
+            if session == 0 {
+                Ok(Response::StatsData {
+                    pairs: handle.stats().pairs(),
+                })
+            } else {
+                handle.session_stats(session).map(|s| Response::StatsData {
+                    pairs: vec![
+                        ("ops_done".into(), s.ops_done),
+                        ("pending".into(), s.pending as u64),
+                        ("slices".into(), s.slices),
+                        ("kills".into(), s.kills),
+                        ("evictions".into(), s.evictions),
+                        ("rehydrations".into(), s.rehydrations),
+                        ("commit_seq".into(), s.commit_seq),
+                        ("snapshot_bytes".into(), s.snapshot_bytes as u64),
+                        ("total_cycles".into(), s.total_cycles),
+                        ("poisoned".into(), u64::from(s.poisoned.is_some())),
+                    ],
+                })
+            }
+        }
+        Request::Close { session } => handle.close(session).map(|()| Response::Closed { session }),
+        Request::Quiesce { session } => {
+            handle
+                .quiesce(session, QUIESCE_WAIT)
+                .map(|commit_seq| Response::Quiesced {
+                    session,
+                    commit_seq,
+                })
+        }
+        Request::SessionManifest { session } => handle
+            .store()
+            .ok_or_else(|| {
+                FleetError::Snapshot("fleet has no durable store to migrate from".into())
+            })
+            .and_then(|store| {
+                store
+                    .session(session)
+                    .ok_or(FleetError::UnknownSession(session))
+            })
+            .map(|rec| Response::ManifestData {
+                session,
+                record: rec.encode(),
             }),
-            Request::Snapshot { session } => {
-                handle
-                    .snapshot(*session)
-                    .map(|bytes| Response::SnapshotData {
-                        session: *session,
-                        bytes,
-                    })
-            }
-            Request::Stats { session } => {
-                if *session == 0 {
-                    Ok(Response::StatsData {
-                        pairs: handle.stats().pairs(),
-                    })
-                } else {
-                    handle.session_stats(*session).map(|s| Response::StatsData {
-                        pairs: vec![
-                            ("ops_done".into(), s.ops_done),
-                            ("pending".into(), s.pending as u64),
-                            ("slices".into(), s.slices),
-                            ("kills".into(), s.kills),
-                            ("evictions".into(), s.evictions),
-                            ("rehydrations".into(), s.rehydrations),
-                            ("commit_seq".into(), s.commit_seq),
-                            ("snapshot_bytes".into(), s.snapshot_bytes as u64),
-                            ("total_cycles".into(), s.total_cycles),
-                            ("poisoned".into(), u64::from(s.poisoned.is_some())),
-                        ],
-                    })
-                }
-            }
-            Request::Close { session } => handle
-                .close(*session)
-                .map(|()| Response::Closed { session: *session }),
-            Request::Quiesce { session } => {
-                handle
-                    .quiesce(*session, QUIESCE_WAIT)
-                    .map(|commit_seq| Response::Quiesced {
-                        session: *session,
-                        commit_seq,
-                    })
-            }
-            Request::SessionManifest { session } => handle
-                .store()
-                .ok_or_else(|| {
-                    FleetError::Snapshot("fleet has no durable store to migrate from".into())
+        Request::FetchChunk { id } => handle
+            .store()
+            .ok_or_else(|| {
+                FleetError::Snapshot("fleet has no durable store to migrate from".into())
+            })
+            .and_then(|store| {
+                store
+                    .get_chunk_bytes(zarf_store::ChunkId(id))
+                    .map_err(FleetError::from)
+            })
+            .map(|bytes| Response::ChunkData { bytes }),
+        Request::Release { session, resume } => {
+            handle
+                .release(session, resume)
+                .map(|()| Response::Released {
+                    session,
+                    resumed: resume,
                 })
-                .and_then(|store| {
-                    store
-                        .sessions()
-                        .into_iter()
-                        .find(|rec| rec.id == *session)
-                        .ok_or(FleetError::UnknownSession(*session))
-                })
-                .map(|rec| Response::ManifestData {
-                    session: *session,
-                    record: rec.encode(),
-                }),
-            Request::FetchChunk { id } => handle
-                .store()
-                .ok_or_else(|| {
-                    FleetError::Snapshot("fleet has no durable store to migrate from".into())
-                })
-                .and_then(|store| {
-                    store
-                        .get_chunk_bytes(zarf_store::ChunkId(*id))
-                        .map_err(FleetError::from)
-                })
-                .map(|bytes| Response::ChunkData { bytes }),
-            Request::Release { session, resume } => {
-                handle
-                    .release(*session, *resume)
-                    .map(|()| Response::Released {
-                        session: *session,
-                        resumed: *resume,
-                    })
-            }
-            Request::Shutdown => Ok(Response::Bye),
-        };
+        }
+        Request::Shutdown => Ok(Response::Bye),
+    };
     outcome.unwrap_or_else(error_response)
 }
 
@@ -258,6 +262,20 @@ impl Conn {
     /// Nothing left to do for this connection.
     fn drained(&self) -> bool {
         self.inbox.is_empty() && self.wr.is_empty()
+    }
+
+    /// What an idle loop waits on for this connection: reading while the
+    /// read phase would still read it, writing while responses are queued.
+    /// Watching anything the loop would not act on would wake it straight
+    /// back up into another empty pass.
+    fn interest(&self) -> Interest {
+        Interest {
+            read: !self.dead
+                && !self.eof
+                && !self.close_after_flush
+                && self.inbox.len() < INBOX_CAP,
+            write: !self.dead && !self.wr.is_empty(),
+        }
     }
 }
 
@@ -346,7 +364,7 @@ pub fn serve_with(
     let chaos = opts.chaos.unwrap_or_default();
     let max_frame = opts.max_frame.unwrap_or(MAX_FRAME_PAYLOAD);
     let mut conns: Vec<Conn> = Vec::new();
-    let mut backoff = IdleBackoff::new();
+    let mut watches: Vec<Watch> = Vec::new();
     let mut write_events: u64 = 0;
     let mut cursor: usize = 0;
     let mut shutting_down = false;
@@ -361,7 +379,10 @@ pub fn serve_with(
             }
         }
 
-        // Accept phase.
+        // Accept phase. A failed accept (say, out of descriptors) leaves
+        // the listener readable, so the wait below skips it this pass
+        // rather than wake straight back into the same failure.
+        let mut watch_listener = !shutting_down;
         if !shutting_down {
             for _ in 0..ACCEPT_BUDGET {
                 match listener.accept() {
@@ -374,7 +395,10 @@ pub fn serve_with(
                         progress = true;
                     }
                     Err(ref e) if would_block(e) => break,
-                    Err(_) => break,
+                    Err(_) => {
+                        watch_listener = false;
+                        break;
+                    }
                 }
             }
         }
@@ -419,8 +443,8 @@ pub fn serve_with(
                         break;
                     };
                     progress = true;
-                    let resp = dispatch(&handle, &req);
                     let is_shutdown = matches!(req, Request::Shutdown);
+                    let resp = dispatch(&handle, req);
                     queue_response(conn, &resp, &chaos, &mut write_events);
                     if is_shutdown {
                         conn.close_after_flush = true;
@@ -460,10 +484,19 @@ pub fn serve_with(
             }
         }
 
-        if progress {
-            backoff.progress();
-        } else {
-            backoff.idle();
+        if !progress {
+            watches.clear();
+            if watch_listener {
+                watches.push(Watch::new(listener.as_raw_fd(), Interest::READ));
+            }
+            for conn in &conns {
+                let interest = conn.interest();
+                if interest != Interest::NONE {
+                    watches.push(Watch::new(conn.stream.as_raw_fd(), interest));
+                }
+            }
+            wait(&mut watches, MAX_WAIT)
+                .map_err(|e| FleetError::Wire(WireError::Io(format!("poll: {e}"))))?;
         }
     }
     Ok(())
@@ -547,5 +580,58 @@ impl Client {
             Response::Error { code, message } => Err(FleetError::Remote { code, message }),
             resp => Ok(resp),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Conn::new(stream, MAX_FRAME_PAYLOAD), peer)
+    }
+
+    #[test]
+    fn interest_follows_connection_state() {
+        let (mut c, _peer) = conn();
+        assert_eq!(c.interest(), Interest::READ);
+
+        for _ in 0..INBOX_CAP {
+            c.inbox.push_back(Request::Shutdown);
+        }
+        assert!(
+            !c.interest().read,
+            "a full inbox leaves bytes in the socket"
+        );
+        c.inbox.pop_front();
+        assert!(c.interest().read);
+
+        c.wr.queue(b"queued response");
+        assert_eq!(
+            c.interest(),
+            Interest {
+                read: true,
+                write: true
+            }
+        );
+
+        c.eof = true;
+        assert_eq!(
+            c.interest(),
+            Interest {
+                read: false,
+                write: true
+            }
+        );
+
+        c.eof = false;
+        c.close_after_flush = true;
+        assert!(!c.interest().read, "a closing connection is not read");
+
+        c.dead = true;
+        assert_eq!(c.interest(), Interest::NONE);
     }
 }

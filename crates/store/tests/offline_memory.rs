@@ -12,6 +12,10 @@
 //! It holds a single `#[test]`, so no other test thread allocates while
 //! it measures.
 
+// The counting global allocator below is the one `unsafe` this test
+// needs; the workspace denies `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
