@@ -497,6 +497,16 @@ struct SliceCommit {
     metrics: MetricsSink,
 }
 
+/// Where a slice's machine comes from: this worker's resident cache, or
+/// the session's committed snapshot bytes. Built and consumed once per
+/// slice, so the machine is moved rather than boxed: a box would put an
+/// allocation on every resident slice.
+#[allow(clippy::large_enum_variant)]
+enum Machine {
+    Resident(Hw),
+    Snapshot(Vec<u8>),
+}
+
 /// Outcome of the unlocked run phase of one slice.
 enum SliceRun {
     /// Commit the slice atomically.
@@ -572,8 +582,9 @@ impl Worker {
             return; // closed while queued
         };
 
-        // Phase 1: take work under the slot lock.
-        let (bytes, ops, commit_seq, slice_idx, config) = {
+        // Phase 1: take work, and this worker's cached machine or the
+        // committed bytes, under the slot lock.
+        let (machine, ops, slice_idx, config) = {
             let mut s = lock(&slot);
             s.queued = false;
             if s.closed || s.poisoned.is_some() || s.pending.is_empty() || s.running {
@@ -583,16 +594,13 @@ impl Worker {
             }
             s.running = true;
             s.slices += 1;
-            let seq = s.commit_seq;
-            let bytes = if self
-                .resident
-                .iter()
-                .any(|(sid, sq, _)| *sid == id && *sq == seq)
-            {
-                None
-            } else {
-                match self.shared.committed_bytes(id, &s) {
-                    Ok(b) => Some(b),
+            let machine = match self.take_resident(id, s.commit_seq) {
+                Some(hw) => Machine::Resident(hw),
+                None => match self.shared.committed_bytes(id, &s) {
+                    Ok(b) => {
+                        s.rehydrations += 1;
+                        Machine::Snapshot(b)
+                    }
                     Err(e) => {
                         // The committed state is unreadable (store
                         // corruption): poison with the typed cause.
@@ -602,12 +610,11 @@ impl Worker {
                         self.shared.notify_idle();
                         return;
                     }
-                }
+                },
             };
             (
-                bytes,
+                machine,
                 s.pending.iter().cloned().collect::<Vec<Op>>(),
-                seq,
                 s.slices - 1,
                 s.config.clone(),
             )
@@ -622,7 +629,7 @@ impl Worker {
             .and_then(|p| p.at(FaultSite::Fleet, slice_idx));
 
         // Phase 2: run unlocked.
-        let result = self.run_ops(id, bytes, ops, commit_seq, &config, fault);
+        let result = self.run_ops(machine, ops, &config, fault);
 
         // Phase 3: commit (or discard) under the slot lock.
         let mut requeue = false;
@@ -754,46 +761,19 @@ impl Worker {
     /// The unlocked run phase: rehydrate (or reuse) the machine, execute
     /// queued ops until the fuel slice is spent, hibernate.
     fn run_ops(
-        &mut self,
-        id: u64,
-        bytes: Option<Vec<u8>>,
+        &self,
+        machine: Machine,
         ops: Vec<Op>,
-        commit_seq: u64,
         config: &SessionConfig,
         fault: Option<FaultKind>,
     ) -> SliceRun {
-        let mut hw = match bytes {
-            None => match self.take_resident(id, commit_seq) {
-                Some(hw) => hw,
-                // The cache was invalidated between phase 1 and here; fall
-                // back to the committed bytes.
-                None => {
-                    let Ok(slot) = self.shared.slot(id) else {
-                        return SliceRun::Killed;
-                    };
-                    let bytes = {
-                        let s = lock(&slot);
-                        match self.shared.committed_bytes(id, &s) {
-                            Ok(b) => b,
-                            Err(e) => return SliceRun::Poison(format!("snapshot fetch: {e}")),
-                        }
-                    };
-                    match Hw::rehydrate(&bytes, config.hw_config()) {
-                        Ok(hw) => hw,
-                        Err(e) => return SliceRun::Poison(format!("rehydrate: {e}")),
-                    }
-                }
-            },
-            Some(bytes) => {
-                // Drop any stale cache entry for this session first.
-                let _stale = self.take_resident(id, commit_seq);
+        let mut hw = match machine {
+            Machine::Resident(hw) => hw,
+            Machine::Snapshot(bytes) => {
                 self.shared
                     .counters
                     .rehydrations
                     .fetch_add(1, Ordering::Relaxed);
-                if let Ok(slot) = self.shared.slot(id) {
-                    lock(&slot).rehydrations += 1;
-                }
                 match Hw::rehydrate(&bytes, config.hw_config()) {
                     Ok(hw) => hw,
                     Err(e) => return SliceRun::Poison(format!("rehydrate: {e}")),

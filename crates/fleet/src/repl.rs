@@ -17,14 +17,22 @@
 //!   store *is* a recoverable fleet directory — promotion is just
 //!   `Fleet::start` (or `zarf serve`) over it, and every acknowledged
 //!   session resumes byte-identical to a standalone run.
-//! * **Migration** ([`migrate_session`]): move one live session between
-//!   serving fleets with exactly-once cutover. The source quiesces the
-//!   session at a slice boundary (new ops are shed typed), the
-//!   destination receives only the chunks it is missing, verifies the
-//!   reassembled snapshot end-to-end (length, whole-snapshot hash, and
-//!   a structural `ZSNP` audit), and only after its acknowledgement
-//!   does the source release the session. Any failure resumes the
-//!   session on the source — it is never lost in the middle.
+//! * **Migration** ([`migrate_session`]): move one live session from a
+//!   serving fleet onto a `ZREP` receiver (a standby) with exactly-once
+//!   cutover. The source quiesces the session at a slice boundary (new
+//!   ops are shed typed), the destination receives only the chunks it
+//!   is missing, verifies the reassembled snapshot end-to-end (length,
+//!   whole-snapshot hash, and a structural `ZSNP` audit), and only
+//!   after its acknowledgement does the source release the session.
+//!   Any failure resumes the session on the source — it is never lost
+//!   in the middle. Promoting the destination store serves it there.
+//!
+//! Each side of the protocol is one code path. The sender is one link
+//! type whose `ship` step (Offer → Need → Chunks → Commit → CommitAck)
+//! serves the pump and migration alike; they differ only in where
+//! chunk bytes come from (the local store, or the source fleet over
+//! `ZFLT`). The receiver answers each message in one function, and its
+//! connection loop alone turns a typed reject into an `Err` frame.
 //!
 //! ## Frame layout
 //!
@@ -47,8 +55,10 @@
 //! | 10     | `Err`       | code u32, message string                    |
 //!
 //! The receiver is idempotent by construction: chunks are
-//! content-addressed (a duplicate write is a no-op), an `Offer` the
-//! receiver already holds answers `already`, and a `Commit` for a
+//! content-addressed (a duplicate write is a no-op), an `Offer` of the
+//! exact record the receiver holds answers `already` (an older held
+//! record is the base of a delta; a newer or different one under the
+//! same id is rejected typed), and a `Commit` for a
 //! record already adopted at that sequence re-acks instead of failing —
 //! so duplicated or replayed frames after a reconnect converge on the
 //! same store state. The `FaultSite::Repl` chaos axis (link drop,
@@ -118,8 +128,8 @@ pub enum ReplMsg {
     },
     /// The receiver's delta plan for an offer.
     Need {
-        /// The receiver already holds this session at (or past) the
-        /// offered commit; nothing to ship.
+        /// The receiver already holds exactly the offered record (same
+        /// commit sequence and snapshot hash); nothing to ship.
         already: bool,
         /// Chunk ids the receiver is missing (deduplicated).
         chunks: Vec<ChunkId>,
@@ -410,15 +420,17 @@ impl ReplSink {
     /// `None` means no work arrived in time or the sink shut down.
     pub fn next_work(&self, timeout: Duration) -> Option<ReplWork> {
         let mut s = self.lock();
+        let mut timed_out = false;
         loop {
             if let Some(id) = s.closed.pop_front() {
                 return Some(ReplWork::Close(id));
             }
-            if let Some(&id) = s.dirty.iter().next() {
-                s.dirty.remove(&id);
+            if let Some(id) = s.dirty.pop_first() {
                 return Some(ReplWork::Commit(id));
             }
-            if s.shutdown {
+            // A timeout still drains once more above, so a notify racing
+            // it wins.
+            if s.shutdown || timed_out {
                 return None;
             }
             let (guard, wait) = self
@@ -426,17 +438,7 @@ impl ReplSink {
                 .wait_timeout(s, timeout)
                 .unwrap_or_else(|e| e.into_inner());
             s = guard;
-            if wait.timed_out() {
-                // One last drain so a notify racing the timeout wins.
-                if let Some(id) = s.closed.pop_front() {
-                    return Some(ReplWork::Close(id));
-                }
-                if let Some(&id) = s.dirty.iter().next() {
-                    s.dirty.remove(&id);
-                    return Some(ReplWork::Commit(id));
-                }
-                return None;
-            }
+            timed_out = wait.timed_out();
         }
     }
 }
@@ -456,19 +458,41 @@ pub struct ReplicatorConfig {
     pub chaos: Option<FaultPlan>,
 }
 
-/// A sender-side link wrapper that injects `FaultSite::Repl` faults on
-/// the frames it sends.
+/// The sender's end of a `ZREP` link, used by the replication pump and
+/// by migration alike. It injects `FaultSite::Repl` faults on the frames
+/// it sends when given a plan.
 struct ChaosLink<'a> {
     stream: TcpStream,
     chaos: Option<&'a FaultPlan>,
-    /// The pump's monotone send counter (persists across reconnects so
-    /// a plan's later coordinates stay reachable).
+    /// The sender's monotone send counter (the pump's persists across
+    /// reconnects so a plan's later coordinates stay reachable).
     frames_sent: &'a mut u64,
     /// A frame held back by a `Reorder` fault, sent after the next one.
     held: Option<Vec<u8>>,
 }
 
-impl ChaosLink<'_> {
+impl<'a> ChaosLink<'a> {
+    /// Connect to the receiver at `target` under `policy` and open the
+    /// link with `Hello`. Returns the link and the `(session,
+    /// commit_seq)` pairs the receiver already holds.
+    fn open(
+        target: &str,
+        policy: &RetryPolicy,
+        chaos: Option<&'a FaultPlan>,
+        frames_sent: &'a mut u64,
+    ) -> Result<(ChaosLink<'a>, Vec<(u64, u64)>), FleetError> {
+        let mut link = ChaosLink {
+            stream: crate::server::connect(target, policy)?,
+            chaos,
+            frames_sent,
+            held: None,
+        };
+        match link.call(&ReplMsg::Hello)? {
+            ReplMsg::HelloAck { acked } => Ok((link, acked)),
+            other => Err(refused(other)),
+        }
+    }
+
     fn raw_send(&mut self, frame: &[u8]) -> Result<(), WireError> {
         self.stream
             .write_all(frame)
@@ -531,49 +555,58 @@ impl ChaosLink<'_> {
         self.send(msg)?;
         self.recv()
     }
+
+    /// Make `rec` durable on the receiver: `Offer`, then every chunk its
+    /// `Need` names (read through `fetch_chunk`), then `Commit`, which
+    /// the receiver acknowledges only after verifying the reassembled
+    /// snapshot. The replication pump and migration differ only in
+    /// where `fetch_chunk` reads from.
+    fn ship(
+        &mut self,
+        rec: SessionRecord,
+        mut fetch_chunk: impl FnMut(ChunkId) -> Result<Vec<u8>, FleetError>,
+    ) -> Result<MigrateReport, FleetError> {
+        let mut report = MigrateReport {
+            session: rec.id,
+            commit_seq: rec.commit_seq,
+            already: false,
+            chunks_shipped: 0,
+            bytes_shipped: 0,
+            snap_len: rec.snap_len,
+        };
+        let need = match self.call(&ReplMsg::Offer { rec })? {
+            ReplMsg::Need { already: true, .. } => {
+                report.already = true;
+                return Ok(report);
+            }
+            ReplMsg::Need { chunks, .. } => chunks,
+            other => return Err(refused(other)),
+        };
+        for id in need {
+            let bytes = fetch_chunk(id)?;
+            report.chunks_shipped += 1;
+            report.bytes_shipped += bytes.len() as u64;
+            self.send(&ReplMsg::Chunk { id, bytes })?;
+        }
+        match self.call(&ReplMsg::Commit {
+            session: report.session,
+            commit_seq: report.commit_seq,
+        })? {
+            ReplMsg::CommitAck {
+                session,
+                commit_seq,
+            } if session == report.session && commit_seq == report.commit_seq => Ok(report),
+            other => Err(refused(other)),
+        }
+    }
 }
 
-/// Ship one session's latest record over an established link. Returns
-/// the acknowledged commit sequence.
-fn ship_commit(link: &mut ChaosLink<'_>, store: &Store, id: u64) -> Result<Option<u64>, WireError> {
-    // The record is read at ship time, so coalesced commits ship once.
-    let Some(rec) = store.session(id) else {
-        return Ok(None); // closed since noted; the close will follow
-    };
-    let seq = rec.commit_seq;
-    let need = match link.call(&ReplMsg::Offer { rec: rec.clone() })? {
-        ReplMsg::Need { already: true, .. } => {
-            return Ok(Some(seq));
-        }
-        ReplMsg::Need {
-            already: false,
-            chunks,
-        } => chunks,
-        ReplMsg::Err { code, message } => {
-            return Err(WireError::Io(format!(
-                "standby rejected offer ({code}): {message}"
-            )))
-        }
-        other => return Err(WireError::Malformed(msg_name(&other))),
-    };
-    for chunk in need {
-        let bytes = store
-            .get_chunk_bytes(chunk)
-            .map_err(|e| WireError::Io(format!("read chunk for standby: {e}")))?;
-        link.send(&ReplMsg::Chunk { id: chunk, bytes })?;
-    }
-    match link.call(&ReplMsg::Commit {
-        session: id,
-        commit_seq: seq,
-    })? {
-        ReplMsg::CommitAck {
-            session,
-            commit_seq,
-        } if session == id && commit_seq == seq => Ok(Some(seq)),
-        ReplMsg::Err { code, message } => Err(WireError::Io(format!(
-            "standby rejected commit ({code}): {message}"
-        ))),
-        other => Err(WireError::Malformed(msg_name(&other))),
+/// The error for a reply an exchange did not expect: the receiver's
+/// typed reject, or a protocol violation.
+fn refused(reply: ReplMsg) -> FleetError {
+    match reply {
+        ReplMsg::Err { code, message } => FleetError::Remote { code, message },
+        other => FleetError::Wire(WireError::Malformed(msg_name(&other))),
     }
 }
 
@@ -608,75 +641,86 @@ pub fn spawn_replicator(
         .name("zarf-repl-pump".into())
         .spawn(move || {
             let mut frames_sent = 0u64;
-            let mut attempt = 0u32;
-            'reconnect: loop {
-                if sink.is_shutdown() {
-                    return;
+            // Links in a row that failed before moving any work. A link
+            // that opens but has its first exchange rejected counts too,
+            // so a standby refusing a record is not redialled in a hot
+            // loop.
+            let mut fruitless = 0u32;
+            while !sink.is_shutdown() {
+                if fruitless > 0 {
+                    std::thread::sleep(cfg.policy.backoff(fruitless));
                 }
-                if attempt > 0 {
-                    std::thread::sleep(cfg.policy.backoff(attempt.min(20)));
-                }
-                attempt = attempt.saturating_add(1);
-                let stream = match TcpStream::connect(&cfg.target) {
-                    Ok(s) => s,
-                    Err(_) => continue 'reconnect,
-                };
-                let _ = stream.set_read_timeout(Some(cfg.policy.op_deadline));
-                let _ = stream.set_write_timeout(Some(cfg.policy.op_deadline));
-                let _ = stream.set_nodelay(true);
-                let mut link = ChaosLink {
-                    stream,
-                    chaos: cfg.chaos.as_ref(),
-                    frames_sent: &mut frames_sent,
-                    held: None,
-                };
-                // Seed the acked map from what the standby already has,
-                // so a reconnect never reships acknowledged state.
-                match link.call(&ReplMsg::Hello) {
-                    Ok(ReplMsg::HelloAck { acked }) => {
+                let progressed = match ChaosLink::open(
+                    &cfg.target,
+                    &cfg.policy,
+                    cfg.chaos.as_ref(),
+                    &mut frames_sent,
+                ) {
+                    Ok((mut link, acked)) => {
+                        // Seed the acked map from what the standby
+                        // already has, so a reconnect never reships
+                        // acknowledged state.
                         for (id, seq) in acked {
                             sink.note_acked(id, seq);
                         }
+                        pump(&mut link, &store, &sink)
                     }
-                    _ => continue 'reconnect,
-                }
-                attempt = 0;
-                loop {
-                    let Some(work) = sink.next_work(Duration::from_millis(50)) else {
-                        if sink.is_shutdown() {
-                            return;
-                        }
-                        continue;
-                    };
-                    match work {
-                        ReplWork::Commit(id) => match ship_commit(&mut link, &store, id) {
-                            Ok(Some(seq)) => {
-                                sink.note_acked(id, seq);
-                                eprintln!("zarf-repl: repl-ack session={id} seq={seq}");
-                            }
-                            Ok(None) => {}
-                            Err(_) => {
-                                sink.mark_dirty(id);
-                                continue 'reconnect;
-                            }
-                        },
-                        ReplWork::Close(id) => {
-                            match link.call(&ReplMsg::Close { session: id }) {
-                                Ok(ReplMsg::CloseAck { session }) if session == id => {
-                                    eprintln!("zarf-repl: repl-close session={id}");
-                                }
-                                _ => {
-                                    // Requeue the close, reconnect.
-                                    sink.note_close(id);
-                                    continue 'reconnect;
-                                }
-                            }
-                        }
-                    }
-                }
+                    Err(_) => false,
+                };
+                fruitless = if progressed {
+                    0
+                } else {
+                    fruitless.saturating_add(1)
+                };
             }
         })
         .map_err(|e| FleetError::Load(format!("spawn replication pump: {e}")))
+}
+
+/// Drain `sink` over an open link until the sink shuts down or the link
+/// fails; a failed unit of work is requeued before returning. Returns
+/// whether any unit of work completed on this link.
+fn pump(link: &mut ChaosLink<'_>, store: &Store, sink: &ReplSink) -> bool {
+    let mut progressed = false;
+    loop {
+        let Some(work) = sink.next_work(Duration::from_millis(50)) else {
+            if sink.is_shutdown() {
+                return progressed;
+            }
+            continue;
+        };
+        match work {
+            ReplWork::Commit(id) => {
+                // The record is read at ship time, so coalesced commits
+                // ship once.
+                let Some(rec) = store.session(id) else {
+                    continue; // closed since noted; the close will follow
+                };
+                let seq = rec.commit_seq;
+                match link.ship(rec, |c| store.get_chunk_bytes(c).map_err(FleetError::Store)) {
+                    Ok(_) => {
+                        sink.note_acked(id, seq);
+                        eprintln!("zarf-repl: repl-ack session={id} seq={seq}");
+                    }
+                    Err(_) => {
+                        sink.mark_dirty(id);
+                        return progressed;
+                    }
+                }
+            }
+            ReplWork::Close(id) => match link.call(&ReplMsg::Close { session: id }) {
+                Ok(ReplMsg::CloseAck { session }) if session == id => {
+                    eprintln!("zarf-repl: repl-close session={id}");
+                }
+                _ => {
+                    // Requeue the close, reconnect.
+                    sink.note_close(id);
+                    return progressed;
+                }
+            },
+        }
+        progressed = true;
+    }
 }
 
 // -- the receiver: standby side -----------------------------------------------
@@ -694,11 +738,6 @@ pub struct ReplReceiverStats {
     pub closes: u64,
     /// Messages rejected with a typed `Err` frame.
     pub rejects: u64,
-}
-
-/// The commit sequence the standby store holds for a session, if any.
-fn held_seq(store: &Store, session: u64) -> Option<u64> {
-    store.session(session).map(|r| r.commit_seq)
 }
 
 /// Serve the `ZREP` protocol on `listener`, writing every verified
@@ -747,9 +786,6 @@ fn serve_repl_conn(
 ) {
     // Records offered but not yet committed on this connection.
     let mut pending: HashMap<u64, SessionRecord> = HashMap::new();
-    let reply = |stream: &mut TcpStream, msg: &ReplMsg| -> bool {
-        ZREP.write(stream, &msg.encode()).is_ok()
-    };
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -768,105 +804,109 @@ fn serve_repl_conn(
             }
             Err(_) => return,
         }
-        let msg = match ZREP.read(&mut stream) {
-            Ok(payload) => match ReplMsg::decode(&payload) {
-                Ok(m) => m,
-                Err(_) => {
-                    // Structural damage past the CRC: tell the peer and
-                    // drop the link (no resync point mid-stream).
-                    stats.rejects += 1;
-                    let _ = reply(
-                        &mut stream,
-                        &ReplMsg::Err {
-                            code: REPL_ERR_PROTOCOL,
-                            message: "undecodable message".into(),
-                        },
-                    );
-                    return;
-                }
-            },
-            Err(_) => return, // EOF or damaged stream: back to accept
+        let Ok(payload) = ZREP.read(&mut stream) else {
+            return; // EOF or damaged stream: back to accept
         };
-        match msg {
-            ReplMsg::Hello => {
-                let acked = store
-                    .sessions()
-                    .into_iter()
-                    .map(|r| (r.id, r.commit_seq))
-                    .collect();
-                if !reply(&mut stream, &ReplMsg::HelloAck { acked }) {
+        let verdict = ReplMsg::decode(&payload)
+            .map_err(|_| (REPL_ERR_PROTOCOL, "undecodable message".to_string()))
+            .and_then(|msg| answer(msg, store, &mut pending, stats));
+        match verdict {
+            Ok(None) => {}
+            Ok(Some(reply)) => {
+                if ZREP.write(&mut stream, &reply.encode()).is_err() {
                     return;
                 }
             }
-            ReplMsg::Offer { rec } => {
-                if held_seq(store, rec.id).is_some_and(|have| have >= rec.commit_seq) {
-                    if !reply(
-                        &mut stream,
-                        &ReplMsg::Need {
-                            already: true,
-                            chunks: vec![],
-                        },
-                    ) {
-                        return;
-                    }
-                    continue;
+            Err((code, message)) => {
+                // Tell the peer and drop the link: there is no resync
+                // point mid-stream, and the next `Hello` starts clean.
+                stats.rejects += 1;
+                let _ = ZREP.write(&mut stream, &ReplMsg::Err { code, message }.encode());
+                return;
+            }
+        }
+    }
+}
+
+/// The receiver's answer to one message: a reply (`None` for a
+/// pipelined `Chunk`), or a typed `(code, message)` reject.
+fn answer(
+    msg: ReplMsg,
+    store: &Store,
+    pending: &mut HashMap<u64, SessionRecord>,
+    stats: &mut ReplReceiverStats,
+) -> Result<Option<ReplMsg>, (u32, String)> {
+    let reply = match msg {
+        ReplMsg::Hello => ReplMsg::HelloAck {
+            acked: store
+                .sessions()
+                .into_iter()
+                .map(|r| (r.id, r.commit_seq))
+                .collect(),
+        },
+        ReplMsg::Offer { rec } => {
+            if let Some(held) = store.session(rec.id) {
+                // `already` only for the very record offered. Ids are
+                // per-fleet counters, so a held record that is newer, or
+                // at the same sequence with other bytes, is another
+                // session: acking it would retire the offered one onto
+                // nothing.
+                if held.commit_seq == rec.commit_seq && held.snap_hash == rec.snap_hash {
+                    return Ok(Some(ReplMsg::Need {
+                        already: true,
+                        chunks: vec![],
+                    }));
                 }
-                let mut seen = BTreeSet::new();
-                let missing: Vec<ChunkId> = rec
-                    .chunks
-                    .iter()
-                    .copied()
-                    .filter(|c| seen.insert(c.0) && !store.has_chunk(*c))
-                    .collect();
-                pending.insert(rec.id, rec);
-                if !reply(
-                    &mut stream,
-                    &ReplMsg::Need {
-                        already: false,
-                        chunks: missing,
-                    },
-                ) {
-                    return;
+                if held.commit_seq >= rec.commit_seq {
+                    return Err((
+                        REPL_ERR_PROTOCOL,
+                        format!(
+                            "session {} is held at seq {} ({}); offered seq {} ({}) is not its successor",
+                            rec.id,
+                            held.commit_seq,
+                            held.snap_hash.to_hex(),
+                            rec.commit_seq,
+                            rec.snap_hash.to_hex()
+                        ),
+                    ));
                 }
             }
-            ReplMsg::Chunk { id, bytes } => {
-                // Re-hash before the store sees it: a chunk that does
-                // not match its claimed address is rejected typed.
-                if content_hash(&bytes) != id {
-                    stats.rejects += 1;
-                    let _ = reply(
-                        &mut stream,
-                        &ReplMsg::Err {
-                            code: REPL_ERR_HASH,
-                            message: format!("chunk {} does not hash to its id", id.to_hex()),
-                        },
-                    );
-                    return;
-                }
-                match store.put_chunk(&bytes) {
-                    Ok(_) => {
-                        stats.chunks += 1;
-                        stats.bytes += bytes.len() as u64;
-                    }
-                    Err(e) => {
-                        stats.rejects += 1;
-                        let _ = reply(
-                            &mut stream,
-                            &ReplMsg::Err {
-                                code: REPL_ERR_STORE,
-                                message: format!("store chunk: {e}"),
-                            },
-                        );
-                        return;
-                    }
-                }
+            let mut seen = BTreeSet::new();
+            let chunks = rec
+                .chunks
+                .iter()
+                .copied()
+                .filter(|c| seen.insert(c.0) && !store.has_chunk(*c))
+                .collect();
+            pending.insert(rec.id, rec);
+            ReplMsg::Need {
+                already: false,
+                chunks,
             }
-            ReplMsg::Commit {
-                session,
-                commit_seq,
-            } => {
-                let outcome = match pending.remove(&session) {
-                    Some(rec) if rec.commit_seq == commit_seq => store
+        }
+        ReplMsg::Chunk { id, bytes } => {
+            // Re-hash before the store sees it: a chunk that does not
+            // match its claimed address is rejected typed.
+            if content_hash(&bytes) != id {
+                return Err((
+                    REPL_ERR_HASH,
+                    format!("chunk {} does not hash to its id", id.to_hex()),
+                ));
+            }
+            store
+                .put_chunk(&bytes)
+                .map_err(|e| (REPL_ERR_STORE, format!("store chunk: {e}")))?;
+            stats.chunks += 1;
+            stats.bytes += bytes.len() as u64;
+            return Ok(None);
+        }
+        ReplMsg::Commit {
+            session,
+            commit_seq,
+        } => {
+            match pending.remove(&session) {
+                Some(rec) if rec.commit_seq == commit_seq => {
+                    store
                         .adopt_session(&rec)
                         .map_err(|e| format!("adopt: {e}"))
                         .and_then(|()| {
@@ -875,73 +915,47 @@ fn serve_repl_conn(
                             let bytes = store
                                 .get_snapshot(session)
                                 .map_err(|e| format!("read back: {e}"))?;
-                            verify_container(&bytes).map_err(|e| format!("audit: {e}"))?;
-                            Ok(())
-                        }),
-                    Some(rec) => Err(format!(
-                        "commit seq {commit_seq} does not match offered {}",
-                        rec.commit_seq
-                    )),
-                    // Duplicate commit after a reconnect: re-ack if the
-                    // store already holds that state (idempotence).
-                    None if held_seq(store, session).is_some_and(|have| have >= commit_seq) => {
-                        Ok(())
-                    }
-                    None => Err("commit without an offer".into()),
-                };
-                match outcome {
-                    Ok(()) => {
-                        stats.commits += 1;
-                        if !reply(
-                            &mut stream,
-                            &ReplMsg::CommitAck {
-                                session,
-                                commit_seq,
-                            },
-                        ) {
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        stats.rejects += 1;
-                        let _ = reply(
-                            &mut stream,
-                            &ReplMsg::Err {
-                                code: REPL_ERR_STORE,
-                                message,
-                            },
-                        );
-                        return;
-                    }
+                            verify_container(&bytes).map_err(|e| format!("audit: {e}"))
+                        })
+                        .map_err(|e| (REPL_ERR_STORE, e))?;
                 }
-            }
-            ReplMsg::Close { session } => {
-                // Best-effort: an unknown session is already "closed".
-                let _ = store.remove_session(session);
-                pending.remove(&session);
-                stats.closes += 1;
-                if !reply(&mut stream, &ReplMsg::CloseAck { session }) {
-                    return;
+                Some(rec) => {
+                    return Err((
+                        REPL_ERR_STORE,
+                        format!(
+                            "commit seq {commit_seq} does not match offered {}",
+                            rec.commit_seq
+                        ),
+                    ))
                 }
+                // Duplicate commit after a reconnect: re-ack if the store
+                // already holds that state (idempotence).
+                None if store
+                    .session(session)
+                    .is_some_and(|held| held.commit_seq >= commit_seq) => {}
+                None => return Err((REPL_ERR_STORE, "commit without an offer".into())),
             }
-            other => {
-                stats.rejects += 1;
-                let _ = reply(
-                    &mut stream,
-                    &ReplMsg::Err {
-                        code: REPL_ERR_PROTOCOL,
-                        message: msg_name(&other).into(),
-                    },
-                );
-                return;
+            stats.commits += 1;
+            ReplMsg::CommitAck {
+                session,
+                commit_seq,
             }
         }
-    }
+        ReplMsg::Close { session } => {
+            // Best-effort: an unknown session is already "closed".
+            let _ = store.remove_session(session);
+            pending.remove(&session);
+            stats.closes += 1;
+            ReplMsg::CloseAck { session }
+        }
+        other => return Err((REPL_ERR_PROTOCOL, msg_name(&other).into())),
+    };
+    Ok(Some(reply))
 }
 
 // -- migration ----------------------------------------------------------------
 
-/// What a completed migration moved.
+/// What a completed migration moved (what one `ship` of a record moved).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrateReport {
     /// The migrated session.
@@ -960,166 +974,78 @@ pub struct MigrateReport {
     pub snap_len: u64,
 }
 
-/// Move one session from the serving fleet at `from` to the serving
-/// fleet at `to`, with exactly-once cutover:
+/// Move one session from the serving fleet at `from` onto the `ZREP`
+/// receiver at `to`, with exactly-once cutover:
 ///
 /// 1. `Quiesce` freezes the session on the source at a slice boundary
 ///    (new injects are shed with `ERR_FROZEN` while queued ops drain).
-/// 2. The source's manifest record is fetched and offered to the
-///    destination's `ZREP` endpoint, which answers with the chunk ids
-///    it is missing — a warm destination (prior commit already
-///    replicated) typically needs under 10% of the snapshot.
-/// 3. Missing chunks are streamed source → destination; the
-///    destination reassembles, verifies length + whole-snapshot hash +
-///    structural `ZSNP` audit, and only then acks the commit.
-/// 4. Only after that ack does `Release { resume: false }` retire the
-///    session on the source. Any earlier failure releases with
-///    `resume: true` instead — the session thaws and keeps serving on
-///    the source, never lost in between.
+/// 2. The source's manifest record is fetched and shipped to `to`
+///    exactly as the replication pump ships a commit, with chunks read
+///    from the source over `ZFLT` (`FetchChunk`). The destination asks
+///    only for the chunks it is missing — a warm destination (prior
+///    commit already replicated) typically needs under 10% of the
+///    snapshot — and acks the commit only after verifying length,
+///    whole-snapshot hash and a structural `ZSNP` audit.
+/// 3. Only after that ack does `Release { resume: false }` retire the
+///    session on the source. Any earlier failure, including a
+///    destination that holds a different record under the same id,
+///    releases with `resume: true` instead — the session thaws and
+///    keeps serving on the source, never lost in between.
 ///
-/// `to` is the destination fleet's *replication* listener (the address
-/// `zarf serve --repl-listen` prints), not its `ZFLT` address.
+/// `from` is the source's `ZFLT` address; `to` is a `ZREP` listener
+/// ([`serve_repl`], e.g. `zarf standby --listen`). Promoting the
+/// destination store (`Fleet::start` or `zarf serve` over it) serves
+/// the moved session.
 pub fn migrate_session(
     from: &str,
     to: &str,
     session: u64,
     policy: &RetryPolicy,
 ) -> Result<MigrateReport, FleetError> {
+    let unexpected = |what: &str, reply: Response| {
+        FleetError::Wire(WireError::Io(format!("unexpected {what} reply: {reply:?}")))
+    };
     let mut src = crate::server::Client::connect_with(from, *policy)?;
     let commit_seq = match src.call(&Request::Quiesce { session })? {
         Response::Quiesced {
             session: s,
             commit_seq,
         } if s == session => commit_seq,
-        other => {
-            return Err(FleetError::Wire(WireError::Io(format!(
-                "unexpected quiesce reply: {other:?}"
-            ))))
-        }
+        other => return Err(unexpected("quiesce", other)),
     };
     // From here on, any failure must thaw the session on the source.
     let result = (|| -> Result<MigrateReport, FleetError> {
         let record = match src.call(&Request::SessionManifest { session })? {
             Response::ManifestData { session: s, record } if s == session => record,
-            other => {
-                return Err(FleetError::Wire(WireError::Io(format!(
-                    "unexpected manifest reply: {other:?}"
-                ))))
-            }
+            other => return Err(unexpected("manifest", other)),
         };
         let rec = SessionRecord::decode(&record).map_err(WireError::from)?;
-        if rec.commit_seq != commit_seq {
+        if (rec.id, rec.commit_seq) != (session, commit_seq) {
             return Err(FleetError::Wire(WireError::Io(format!(
-                "manifest seq {} behind quiesced seq {commit_seq}",
-                rec.commit_seq
+                "manifest names session {} at seq {}, not the quiesced {session} at {commit_seq}",
+                rec.id, rec.commit_seq
             ))));
         }
-        let mut dst =
-            TcpStream::connect(to).map_err(|e| FleetError::Wire(WireError::Io(e.to_string())))?;
-        let _ = dst.set_read_timeout(Some(policy.op_deadline));
-        let _ = dst.set_write_timeout(Some(policy.op_deadline));
-        let _ = dst.set_nodelay(true);
-        let call = |dst: &mut TcpStream, msg: &ReplMsg| -> Result<ReplMsg, FleetError> {
-            ZREP.write(dst, &msg.encode())?;
-            let payload = ZREP.read(dst)?;
-            Ok(ReplMsg::decode(&payload)?)
-        };
-        match call(&mut dst, &ReplMsg::Hello)? {
-            ReplMsg::HelloAck { .. } => {}
-            other => {
-                return Err(FleetError::Wire(WireError::Io(format!(
-                    "unexpected hello reply: {}",
-                    msg_name(&other)
-                ))))
+        let mut frames_sent = 0;
+        let (mut dst, _) = ChaosLink::open(to, policy, None, &mut frames_sent)?;
+        dst.ship(rec, |id| {
+            match src.call(&Request::FetchChunk { id: id.0 })? {
+                Response::ChunkData { bytes } => Ok(bytes),
+                other => Err(unexpected("chunk", other)),
             }
-        }
-        let snap_len = rec.snap_len;
-        let (already, need) = match call(&mut dst, &ReplMsg::Offer { rec: rec.clone() })? {
-            ReplMsg::Need { already, chunks } => (already, chunks),
-            ReplMsg::Err { code, message } => {
-                return Err(FleetError::Remote { code, message });
-            }
-            other => {
-                return Err(FleetError::Wire(WireError::Io(format!(
-                    "unexpected offer reply: {}",
-                    msg_name(&other)
-                ))))
-            }
-        };
-        let mut chunks_shipped = 0u64;
-        let mut bytes_shipped = 0u64;
-        if !already {
-            for chunk in need {
-                let bytes = match src.call(&Request::FetchChunk { id: chunk.0 })? {
-                    Response::ChunkData { bytes } => bytes,
-                    other => {
-                        return Err(FleetError::Wire(WireError::Io(format!(
-                            "unexpected chunk reply: {other:?}"
-                        ))))
-                    }
-                };
-                ZREP.write(
-                    &mut dst,
-                    &ReplMsg::Chunk {
-                        id: chunk,
-                        bytes: bytes.clone(),
-                    }
-                    .encode(),
-                )?;
-                chunks_shipped += 1;
-                bytes_shipped += bytes.len() as u64;
-            }
-            match call(
-                &mut dst,
-                &ReplMsg::Commit {
-                    session,
-                    commit_seq,
-                },
-            )? {
-                ReplMsg::CommitAck {
-                    session: s,
-                    commit_seq: q,
-                } if s == session && q == commit_seq => {}
-                ReplMsg::Err { code, message } => {
-                    return Err(FleetError::Remote { code, message });
-                }
-                other => {
-                    return Err(FleetError::Wire(WireError::Io(format!(
-                        "unexpected commit reply: {}",
-                        msg_name(&other)
-                    ))))
-                }
-            }
-        }
-        Ok(MigrateReport {
-            session,
-            commit_seq,
-            already,
-            chunks_shipped,
-            bytes_shipped,
-            snap_len,
         })
     })();
+    // Cutover only once the destination verified and acked; otherwise
+    // thaw the session on the source. The thaw is best-effort: a source
+    // that is gone stays authoritative once restarted, because the
+    // destination never acked.
+    let release = src.call(&Request::Release {
+        session,
+        resume: result.is_err(),
+    });
     match result {
-        Ok(report) => {
-            // Cutover: the destination verified and acked; retire the
-            // source copy. Only now can the session serve elsewhere.
-            src.call(&Request::Release {
-                session,
-                resume: false,
-            })?;
-            Ok(report)
-        }
-        Err(e) => {
-            // Thaw the session on the source; best-effort (the source
-            // may be gone, in which case it stays authoritative anyway
-            // once restarted — the destination never acked).
-            let _ = src.call(&Request::Release {
-                session,
-                resume: true,
-            });
-            Err(e)
-        }
+        Ok(report) => release.map(|_| report),
+        Err(e) => Err(e),
     }
 }
 
@@ -1285,6 +1211,57 @@ mod tests {
         sink.shutdown();
         assert!(sink.is_shutdown());
         assert_eq!(sink.next_work(Duration::from_millis(10)), None);
+    }
+
+    #[test]
+    fn offers_answer_already_only_for_the_held_record() {
+        let dir = std::env::temp_dir().join(format!("zarf_repl_offer_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir, zarf_store::StoreConfig::default()).unwrap();
+        let meta = zarf_store::SessionMeta {
+            id: 1,
+            commit_seq: 4,
+            ops_done: 4,
+            heap_words: 4096,
+            op_budget: 100,
+            fuel_slice: 1000,
+            verified: false,
+        };
+        store.put_session(&meta, &[7u8; 300]).unwrap();
+        let held = store.session(1).unwrap();
+        let mut pending = HashMap::new();
+        let mut stats = ReplReceiverStats::default();
+        let mut offer = |rec| answer(ReplMsg::Offer { rec }, &store, &mut pending, &mut stats);
+        let need = |already| {
+            Ok(Some(ReplMsg::Need {
+                already,
+                chunks: vec![],
+            }))
+        };
+
+        assert_eq!(offer(held.clone()), need(true));
+        // The same seq with other bytes, or an older seq, is another
+        // session under the same id.
+        for foreign in [
+            SessionRecord {
+                snap_hash: ChunkId([9; 16]),
+                ..held.clone()
+            },
+            SessionRecord {
+                commit_seq: 3,
+                ..held.clone()
+            },
+        ] {
+            assert!(matches!(offer(foreign), Err((REPL_ERR_PROTOCOL, _))));
+        }
+        // A successor ships as a delta against the held chunks.
+        let next = SessionRecord {
+            commit_seq: 5,
+            ..held.clone()
+        };
+        assert_eq!(offer(next), need(false));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -502,6 +502,42 @@ pub fn serve_with(
     Ok(())
 }
 
+/// Open a blocking TCP connection under `policy`: up to
+/// `policy.max_attempts` connection attempts, sleeping
+/// `policy.backoff(n)` between them, then `policy.op_deadline` as the
+/// socket read/write timeout (a zero deadline means no deadline) and
+/// `TCP_NODELAY`, since every caller speaks request/response frames.
+/// Both the `ZFLT` [`Client`] and the `ZREP` sender connect here.
+pub(crate) fn connect<A: ToSocketAddrs>(
+    addr: A,
+    policy: &RetryPolicy,
+) -> Result<TcpStream, WireError> {
+    let attempts = policy.max_attempts.max(1);
+    let mut last = String::from("no connection attempt made");
+    for attempt in 1..=attempts {
+        match TcpStream::connect(&addr) {
+            Ok(stream) => {
+                let deadline = (policy.op_deadline > Duration::ZERO).then_some(policy.op_deadline);
+                stream
+                    .set_read_timeout(deadline)
+                    .and_then(|()| stream.set_write_timeout(deadline))
+                    .and_then(|()| stream.set_nodelay(true))
+                    .map_err(|e| WireError::Io(e.to_string()))?;
+                return Ok(stream);
+            }
+            Err(e) => {
+                last = e.to_string();
+                if attempt < attempts {
+                    std::thread::sleep(policy.backoff(attempt));
+                }
+            }
+        }
+    }
+    Err(WireError::Io(format!(
+        "connect failed after {attempts} attempts: {last}"
+    )))
+}
+
 /// A minimal blocking `ZFLT` client with a per-operation deadline: every
 /// blocking send/receive is bounded by the connect policy's
 /// `op_deadline`, so a stalled server fails the call with a typed
@@ -518,39 +554,14 @@ impl Client {
         Client::connect_with(addr, RetryPolicy::default())
     }
 
-    /// [`Client::connect`] with an explicit policy. Makes up to
-    /// `policy.max_attempts` connection attempts, sleeping
-    /// `policy.backoff(n)` between them, and installs
-    /// `policy.op_deadline` as the socket read/write timeout (a zero
-    /// deadline means block forever).
+    /// [`Client::connect`] with an explicit policy; see [`connect`].
     pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         policy: RetryPolicy,
     ) -> Result<Client, WireError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = String::from("no connection attempt made");
-        for attempt in 1..=attempts {
-            match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    let deadline =
-                        (policy.op_deadline > Duration::ZERO).then_some(policy.op_deadline);
-                    stream
-                        .set_read_timeout(deadline)
-                        .and_then(|()| stream.set_write_timeout(deadline))
-                        .map_err(|e| WireError::Io(e.to_string()))?;
-                    return Ok(Client { stream });
-                }
-                Err(e) => {
-                    last = e.to_string();
-                    if attempt < attempts {
-                        std::thread::sleep(policy.backoff(attempt));
-                    }
-                }
-            }
-        }
-        Err(WireError::Io(format!(
-            "connect failed after {attempts} attempts: {last}"
-        )))
+        Ok(Client {
+            stream: connect(addr, &policy)?,
+        })
     }
 
     /// Send one request frame without waiting for the response. Pairs

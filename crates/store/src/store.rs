@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite, InjectedFault};
+use zarf_trace::ndjson::push_json_str;
 
 use crate::chunk;
 use crate::hash::{content_hash, ChunkId};
@@ -1032,15 +1033,15 @@ impl FsckReport {
             .iter()
             .map(|(seg, off, why)| {
                 format!(
-                    "{{\"segment\":{seg},\"offset\":{off},\"reason\":\"{}\"}}",
-                    escape(why)
+                    "{{\"segment\":{seg},\"offset\":{off},\"reason\":{}}}",
+                    json_str(why)
                 )
             })
             .collect();
         let bad: Vec<String> = self
             .bad_sessions
             .iter()
-            .map(|(id, why)| format!("{{\"session\":{id},\"reason\":\"{}\"}}", escape(why)))
+            .map(|(id, why)| format!("{{\"session\":{id},\"reason\":{}}}", json_str(why)))
             .collect();
         format!(
             concat!(
@@ -1067,15 +1068,14 @@ impl FsckReport {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
 }
 
 fn json_opt(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".to_string(),
-    }
+    v.as_deref().map_or_else(|| "null".to_string(), json_str)
 }
 
 /// Offline integrity sweep: walk every record of every segment, decode

@@ -9,7 +9,11 @@ use std::io::{self, Write};
 
 use crate::{Event, TraceSink};
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` escaped,
+/// the common control characters as `\n` `\r` `\t`, and every other
+/// byte below 0x20 as `\u00XX`. The one JSON string escaper in the
+/// workspace; every hand-rolled JSON writer goes through it.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -25,6 +25,7 @@ use std::fmt;
 
 use zarf_core::Int;
 use zarf_imperative::cpu::{CpuCost, Instr, Reg};
+use zarf_trace::ndjson::push_json_str;
 
 use super::cfg::{BlockId, Cfg};
 use super::domain::{analyze, exec_block, AbsState, AbsVal};
@@ -232,7 +233,6 @@ impl RiscReport {
     /// Machine-readable rendering, matching the vet CLI's hand-rolled
     /// JSON style.
     pub fn to_json(&self, path: &str) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
         let loops = self
             .wcet
@@ -249,12 +249,15 @@ impl RiscReport {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", esc(&v.to_string())))
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut violations = String::new();
+        for (i, v) in self.violations.iter().enumerate() {
+            if i > 0 {
+                violations.push(',');
+            }
+            push_json_str(&mut violations, &v.to_string());
+        }
+        let mut file = String::new();
+        push_json_str(&mut file, path);
         let dead = self
             .dead_blocks
             .iter()
@@ -262,11 +265,10 @@ impl RiscReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"file\":\"{}\",\"risc\":true,\"instructions\":{},\"blocks\":{},\
+            "{{\"file\":{file},\"risc\":true,\"instructions\":{},\"blocks\":{},\
              \"functions\":{},\"loops\":[{loops}],\"violations\":[{violations}],\
              \"dead_blocks\":[{dead}],\"wcet_program\":{},\"wcet_steady\":{},\
              \"wcet_ok\":{},\"certified\":{},\"iterations\":{},\"iteration_bound\":{}}}",
-            esc(path),
             self.program_len,
             self.blocks,
             self.functions,

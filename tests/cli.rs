@@ -198,6 +198,21 @@ fn vet_json_reports_bounds_and_certificates() {
     assert!(report.contains("\"functions\":["), "{report}");
 }
 
+/// A file name with a tab and a quote must come out of `--json` as a
+/// valid JSON string: escaped, with no raw control byte on the line.
+#[test]
+fn vet_json_escapes_control_characters_in_the_path() {
+    let src = write_temp("a\tb\"q.zf", PROG);
+    let (ok, out, err) = zarf(&["vet", &src, "--json"]);
+    assert!(ok, "{err}");
+    let report = out.lines().next().unwrap();
+    assert!(report.contains("a\\tb\\\"q.zf"), "{report}");
+    assert!(
+        report.bytes().all(|b| b >= 0x20),
+        "raw control byte in {report:?}"
+    );
+}
+
 #[test]
 fn vet_symex_json_reports_verdicts_and_exploration_counts() {
     let (ok, out, err) = zarf(&["vet", "@icd", "--model", "service", "--symex", "--json"]);

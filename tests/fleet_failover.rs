@@ -20,12 +20,14 @@
 //!   present on the standby, and the promoted standby must resume each
 //!   such session byte-identical to the oracle. The 50-round seeded
 //!   matrix runs under `--ignored` in the CI failover-soak job.
-//! * **Migration** — `migrate_session` moves a live session between
-//!   fleets with exactly-once cutover: the destination holds the
-//!   oracle bytes, the source forgets the session, a failed migration
-//!   leaves it serving on the source, and a warm destination (prior
-//!   commit already replicated) receives under 10% of the snapshot on
-//!   the wire.
+//! * **Migration** — `migrate_session` (and the `zarf migrate` binary)
+//!   moves a live session from a fleet onto a standby with exactly-once
+//!   cutover: the destination holds the oracle bytes, the source
+//!   forgets the session, a failed migration leaves it serving on the
+//!   source, a destination holding another fleet's session under the
+//!   same id refuses typed, and a warm destination (prior commit
+//!   already replicated) receives under 10% of the snapshot on the
+//!   wire.
 //! * **Freeze semantics** — a quiesced session sheds new injects with
 //!   a typed `SessionFrozen` until released.
 
@@ -39,6 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use zarf::chaos::FaultPlan;
+use zarf::fleet::repl::REPL_ERR_PROTOCOL;
 use zarf::fleet::{
     migrate_session, run_standalone, serve, serve_repl, spawn_replicator, Client, Fleet,
     FleetConfig, FleetError, Op, ReplReceiverStats, ReplSink, ReplicatorConfig, Request, Response,
@@ -728,6 +731,141 @@ fn failed_migration_resumes_on_the_source() {
         want,
         "session diverged after a failed migration"
     );
+    src.stop();
+}
+
+/// Suite 4d: session ids are per-fleet counters, so a destination can
+/// hold another fleet's session under the same id. Migrating onto it
+/// must fail typed and thaw the session on the source: never answer
+/// `already` and retire the session onto someone else's bytes.
+#[test]
+fn migration_onto_a_foreign_record_under_the_same_id_fails_typed() {
+    let tmp_a = TempDir::new("foreign_a");
+    let tmp_b = TempDir::new("foreign_b");
+    let words = zarf::asm::assemble(TALLY_SRC).unwrap();
+    let plain = SessionConfig::default();
+    let choppy = SessionConfig {
+        fuel_slice: 1,
+        ..SessionConfig::default()
+    };
+
+    // Another fleet leaves its first session, further along, in the
+    // store the destination then serves.
+    let foreign = {
+        let fleet = Fleet::start(FleetConfig {
+            workers: 2,
+            store: Some(open_store(tmp_b.path())),
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        let h = fleet.handle();
+        let id = h.open_program(&words, Some(choppy.clone())).unwrap();
+        h.inject_batch(id, tally_ops(0, 12)).unwrap();
+        h.wait_idle(id, WAIT).unwrap();
+        fleet.shutdown();
+        id
+    };
+    let dst = Standby::start(tmp_b.path());
+    let held = dst.store.session(foreign).unwrap();
+
+    let store_a = open_store(tmp_a.path());
+    let src = Served::start(FleetConfig {
+        workers: 2,
+        store: Some(store_a.clone()),
+        ..FleetConfig::default()
+    });
+    let h = src.fleet.handle();
+    let sid = h.open_program(&words, Some(plain.clone())).unwrap();
+    assert_eq!(sid, foreign, "both fleets number their first session alike");
+    h.inject_batch(sid, tally_ops(0, 3)).unwrap();
+    h.wait_idle(sid, WAIT).unwrap();
+    assert!(store_a.session(sid).unwrap().commit_seq < held.commit_seq);
+
+    let err = migrate_session(&src.addr, &dst.addr, sid, &fast_policy());
+    assert!(
+        matches!(err, Err(FleetError::Remote { code, .. }) if code == REPL_ERR_PROTOCOL),
+        "migration onto a foreign record: {err:?}"
+    );
+
+    // The session thawed and keeps serving on the source.
+    h.inject_batch(sid, tally_ops(3, 2)).unwrap();
+    h.wait_idle(sid, WAIT).unwrap();
+    let (_, want) = run_standalone(&words, &plain, &tally_ops(0, 5)).unwrap();
+    assert_eq!(h.snapshot(sid).unwrap(), want);
+
+    // The destination still holds the other fleet's record untouched.
+    let stats = dst.stop();
+    assert_eq!(stats.rejects, 1, "{stats:?}");
+    assert_eq!(open_store(tmp_b.path()).session(foreign), Some(held));
+    src.stop();
+}
+
+/// `zarf migrate` end to end: the binary moves a live session from a
+/// served fleet onto a standby and prints its report as JSON; pointed at
+/// a dead destination it exits nonzero and the session keeps serving on
+/// the source.
+#[test]
+fn zarf_migrate_moves_a_session_or_leaves_it_serving() {
+    let tmp_a = TempDir::new("cli_mig_a");
+    let tmp_b = TempDir::new("cli_mig_b");
+    let words = zarf::asm::assemble(TALLY_SRC).unwrap();
+    let plain = SessionConfig::default();
+
+    let src = Served::start(FleetConfig {
+        workers: 2,
+        store: Some(open_store(tmp_a.path())),
+        ..FleetConfig::default()
+    });
+    let dst = Standby::start(tmp_b.path());
+    let h = src.fleet.handle();
+    let kept = h.open_program(&words, Some(plain.clone())).unwrap();
+    let moved = h.open_program(&words, Some(plain.clone())).unwrap();
+    for sid in [kept, moved] {
+        h.inject_batch(sid, tally_ops(0, 4)).unwrap();
+        h.wait_idle(sid, WAIT).unwrap();
+    }
+    let migrate = |to: &str, sid: u64| {
+        Command::new(env!("CARGO_BIN_EXE_zarf"))
+            .args(["migrate", "--from", &src.addr, "--to", to])
+            .args(["--session", &sid.to_string()])
+            .output()
+            .unwrap()
+    };
+
+    // A destination that refuses connections: bind then drop.
+    let dead = {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let out = migrate(&dead, kept);
+    assert!(!out.status.success(), "migration to a dead --to succeeded");
+    h.inject_batch(kept, tally_ops(4, 2)).unwrap();
+    h.wait_idle(kept, WAIT).unwrap();
+    let (_, want) = run_standalone(&words, &plain, &tally_ops(0, 6)).unwrap();
+    assert_eq!(h.snapshot(kept).unwrap(), want, "kept session diverged");
+
+    let out = migrate(&dst.addr, moved);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "zarf migrate failed: {stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let report = stdout.lines().next().unwrap_or_default();
+    assert!(
+        report.contains(&format!("\"session\":{moved},")) && report.contains("\"already\":false"),
+        "{report}"
+    );
+    let chunks: u64 = report
+        .split("\"chunks_shipped\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no chunks_shipped in {report}"));
+    assert!(chunks > 0, "{report}");
+    assert!(matches!(h.poll(moved), Err(FleetError::UnknownSession(_))));
+
+    let (_, want) = run_standalone(&words, &plain, &tally_ops(0, 4)).unwrap();
+    let stats = dst.stop();
+    assert_eq!(stats.rejects, 0, "{stats:?}");
+    assert_eq!(open_store(tmp_b.path()).get_snapshot(moved).unwrap(), want);
     src.stop();
 }
 
