@@ -1341,3 +1341,17 @@ impl Drop for Fleet {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// `zarf-kernel` is only a dev-dependency of the fleet, which keeps
+    /// its own copy of the kernel's iteration bound; the copy must not
+    /// drift.
+    #[test]
+    fn fleet_wcet_copy_matches_the_kernel() {
+        assert_eq!(
+            super::WCET_ITERATION_CYCLES,
+            zarf_kernel::WCET_ITERATION_CYCLES
+        );
+    }
+}

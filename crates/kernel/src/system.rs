@@ -34,8 +34,11 @@ use crate::snapshot::SystemCheckpoint;
 /// watchdog derives per-coroutine fuel budgets from this bound.
 ///
 /// Kept as a literal here because `zarf-verify` (which recomputes the bound
-/// by abstract interpretation) depends on this crate; the WCET regression
-/// test cross-checks the two.
+/// by abstract interpretation) depends on this crate. The test
+/// `kernel_wcet_literal_covers_the_computed_bound` in `zarf-verify`'s
+/// `timing` module checks that this literal covers the computed bound, and
+/// `fleet_wcet_copy_matches_the_kernel` in `zarf-fleet` checks that the
+/// fleet's private copy equals it.
 pub const WCET_ITERATION_CYCLES: u64 = 9_065;
 
 /// Coroutine ids a traced system registers with the λ-layer tracer,

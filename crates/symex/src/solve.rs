@@ -612,20 +612,11 @@ pub fn solve(store: &TermStore, lits: &[Lit], effort: u32) -> Verdict {
             Verdict::Unknown
         };
     }
-    // Per-variable candidate lists need the variable's *term* id; it may
-    // not be interned if the variable only appears inside applications —
-    // the reachable set covered those, and Var terms are interned whenever
-    // fresh_var ran, so look them up through the propagation order.
-    let mut var_term: BTreeMap<u32, TermId> = BTreeMap::new();
-    for &t in &p.order {
-        if let Term::Var(v) = store.term(t) {
-            var_term.insert(*v, t);
-        }
-    }
+    // Per-variable candidate lists are keyed by the variable's term id.
     let cand: Vec<Vec<Int>> = vars
         .iter()
-        .map(|v| match var_term.get(v) {
-            Some(&t) => {
+        .map(|&v| match store.var_term(v) {
+            Some(t) => {
                 let c = candidates(&p, lits, t);
                 if c.is_empty() {
                     vec![0]
@@ -697,9 +688,9 @@ pub fn solve(store: &TermStore, lits: &[Lit], effort: u32) -> Verdict {
     while tried < effort {
         let mut m = Model::new();
         for v in &vars {
-            let iv = var_term
-                .get(v)
-                .map(|&t| p.interval(t))
+            let iv = store
+                .var_term(*v)
+                .map(|t| p.interval(t))
                 .unwrap_or_else(Interval::top);
             let width = (iv.hi - iv.lo + 1).max(1) as u64;
             let r = splitmix(&mut rng) % width;

@@ -21,6 +21,7 @@ use zarf_core::prim::PrimOp;
 use zarf_verify::callgraph::CallGraph;
 
 use crate::budget::Incompleteness;
+use crate::exec::ArmSet;
 use crate::solve::Lit;
 use crate::value::{ShapeKey, SV};
 
@@ -33,8 +34,9 @@ pub struct SummaryPath {
     /// Faults the callee (or its callees) constructed, with the function
     /// identifier whose body constructed each.
     pub faults: Vec<(RuntimeError, u32)>,
-    /// Case arms taken: `(function, case index, arm index)`.
-    pub arm_hits: Vec<(u32, usize, usize)>,
+    /// Case arms taken inside the callee, as bits of the program's arm
+    /// numbering.
+    pub arm_hits: ArmSet,
     /// Why this path fell short of completion, if it did.
     pub incomplete: BTreeSet<Incompleteness>,
     /// The returned value; `None` when the path was truncated.

@@ -10,6 +10,11 @@
 //! evaluator all lean on that to stay iterative (no recursion, no stack
 //! overflow on deep arithmetic chains).
 //!
+//! The store holds each term once. Its hash index keys on a small `Copy`
+//! key (a constant, or an operator and its argument ids) rather than on a
+//! second copy of the term, and variables bypass the index altogether:
+//! each is minted once, into a dense variable → id table.
+//!
 //! Applications of pure primitives over all-constant arguments fold at
 //! interning time via the *same* [`PrimOp::eval_pure`] the reference
 //! interpreter uses — the symbolic and concrete semantics cannot drift.
@@ -17,6 +22,7 @@
 //! fault, which the executor forks on before building the term).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use zarf_core::error::RuntimeError;
 use zarf_core::prim::PrimOp;
@@ -36,12 +42,77 @@ pub enum Term {
     App(PrimOp, Vec<TermId>),
 }
 
+/// A multiplicative hasher for small integer keys (term ids and
+/// hash-consing keys): one rotate, xor and multiply per word, and a final rotate
+/// that moves the well-mixed high bits into the bucket index. SipHash's
+/// flooding resistance buys nothing here — every key is minted by the
+/// analysis itself.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A hash map keyed by small integers, hashed with [`MulHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// The hash-consing key of a constant or an application: a copy of the
+/// term small enough to be `Copy`, so the index holds no second heap
+/// copy of an application's arguments. Every primitive takes at most two
+/// arguments; a unary application pads with [`NO_ARG`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Const(Int),
+    App(PrimOp, TermId, TermId),
+}
+
+/// The padding argument of a unary application's [`Key`].
+const NO_ARG: TermId = TermId::MAX;
+
+impl Key {
+    /// The key of an application, or `None` unless it has one or two
+    /// arguments (no primitive has another arity; such a term is stored
+    /// unshared).
+    fn app(op: PrimOp, args: &[TermId]) -> Option<Key> {
+        match *args {
+            [a] => Some(Key::App(op, a, NO_ARG)),
+            [a, b] => Some(Key::App(op, a, b)),
+            _ => None,
+        }
+    }
+}
+
 /// The hash-consed term arena.
 #[derive(Debug, Default)]
 pub struct TermStore {
     terms: Vec<Term>,
-    index: HashMap<Term, TermId>,
-    next_var: u32,
+    /// Constants and applications. Variables are never looked up: each
+    /// is minted once, by [`TermStore::fresh_var`].
+    index: IdMap<Key, TermId>,
+    /// The term id of each variable, by variable number; its length is
+    /// the next variable number.
+    var_ids: Vec<TermId>,
 }
 
 impl TermStore {
@@ -68,31 +139,37 @@ impl TermStore {
         self.terms.get(id as usize).unwrap_or(&DANGLING)
     }
 
-    fn intern(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.index.get(&t) {
-            return id;
+    /// Push `t` under `key` unless an equal term is already interned.
+    fn intern(&mut self, key: Option<Key>, t: impl FnOnce() -> Term) -> TermId {
+        let next = self.terms.len() as TermId;
+        let id = match key {
+            Some(k) => *self.index.entry(k).or_insert(next),
+            None => next,
+        };
+        if id == next {
+            self.terms.push(t());
         }
-        let id = self.terms.len() as TermId;
-        self.terms.push(t.clone());
-        self.index.insert(t, id);
         id
     }
 
     /// Intern a constant.
     pub fn constant(&mut self, n: Int) -> TermId {
-        self.intern(Term::Const(n))
+        self.intern(Some(Key::Const(n)), || Term::Const(n))
     }
 
-    /// Mint a fresh variable; returns `(var number, term id)`.
+    /// Mint a fresh variable; returns `(var number, term id)`. A fresh
+    /// variable cannot already be interned, so this never hashes.
     pub fn fresh_var(&mut self) -> (u32, TermId) {
-        let v = self.next_var;
-        self.next_var += 1;
-        (v, self.intern(Term::Var(v)))
+        let v = self.var_ids.len() as u32;
+        let id = self.terms.len() as TermId;
+        self.terms.push(Term::Var(v));
+        self.var_ids.push(id);
+        (v, id)
     }
 
-    /// Intern (a reference to) an existing variable.
-    pub fn var(&mut self, v: u32) -> TermId {
-        self.intern(Term::Var(v))
+    /// The term id of variable `v`, if this store minted it.
+    pub(crate) fn var_term(&self, v: u32) -> Option<TermId> {
+        self.var_ids.get(v as usize).copied()
     }
 
     /// The constant value of a term, if it is a `Const`.
@@ -108,15 +185,20 @@ impl TermStore {
     /// stay symbolic — the executor forks the fault off before calling
     /// this.
     pub fn app(&mut self, op: PrimOp, args: Vec<TermId>) -> TermId {
-        let consts: Option<Vec<Int>> = args.iter().map(|&a| self.const_of(a)).collect();
-        if let Some(cs) = consts {
-            if cs.len() == op.arity() {
-                if let Ok(n) = op.eval_pure(&cs) {
+        if args.len() == op.arity() {
+            let mut cs = [0; 2];
+            let folds = args.len() <= cs.len()
+                && args
+                    .iter()
+                    .zip(cs.iter_mut())
+                    .all(|(&a, c)| self.const_of(a).map(|n| *c = n).is_some());
+            if folds {
+                if let Ok(n) = op.eval_pure(&cs[..args.len()]) {
                     return self.constant(n);
                 }
             }
         }
-        self.intern(Term::App(op, args))
+        self.intern(Key::app(op, &args), || Term::App(op, args))
     }
 
     /// All variable numbers a term (transitively) mentions.
@@ -142,7 +224,7 @@ impl TermStore {
     /// interpreter exactly). Unassigned variables read as 0. Iterative:
     /// children have smaller ids, so one ascending pass suffices.
     pub fn eval(&self, id: TermId, model: &BTreeMap<u32, Int>) -> Result<Int, RuntimeError> {
-        let mut memo: HashMap<TermId, Result<Int, RuntimeError>> = HashMap::new();
+        let mut memo: IdMap<TermId, Result<Int, RuntimeError>> = IdMap::default();
         for i in self.reachable(id) {
             let v = match self.terms.get(i as usize) {
                 None => continue,
@@ -199,7 +281,7 @@ impl TermStore {
         &mut self,
         id: TermId,
         map: &BTreeMap<u32, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        memo: &mut IdMap<TermId, TermId>,
     ) -> TermId {
         if let Some(&r) = memo.get(&id) {
             return r;
@@ -218,10 +300,8 @@ impl TermStore {
         for t in needed {
             let rewritten = match *self.term(t) {
                 Term::Const(n) => self.constant(n),
-                Term::Var(v) => match map.get(&v) {
-                    Some(&r) => r,
-                    None => self.var(v),
-                },
+                // An unmapped variable is itself: `t`.
+                Term::Var(v) => map.get(&v).copied().unwrap_or(t),
                 Term::App(op, ref args) => {
                     let new_args: Vec<TermId> = args
                         .iter()
@@ -237,7 +317,7 @@ impl TermStore {
 
     /// Human-readable rendering (for reports and debugging).
     pub fn display(&self, id: TermId) -> String {
-        let mut memo: HashMap<TermId, String> = HashMap::new();
+        let mut memo: IdMap<TermId, String> = IdMap::default();
         for i in self.reachable(id) {
             let s = match self.terms.get(i as usize) {
                 None => "?".to_string(),
@@ -312,7 +392,7 @@ mod tests {
         let two = s.constant(2);
         let mut map = BTreeMap::new();
         map.insert(x, two);
-        let mut memo = HashMap::new();
+        let mut memo = IdMap::default();
         let r = s.subst(t, &map, &mut memo);
         assert_eq!(s.const_of(r), Some(12));
     }

@@ -13,14 +13,14 @@
 //! reuse one symbolic exploration, with the canonical leaf variables
 //! substituted per call site.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
 use zarf_core::error::RuntimeError;
 use zarf_core::prim::PrimOp;
 
-use crate::term::{TermId, TermStore};
+use crate::term::{IdMap, TermId, TermStore};
 
 /// Shared symbolic value.
 pub type SV = Rc<SymVal>;
@@ -233,7 +233,7 @@ pub fn subst_sv(
     store: &mut TermStore,
     v: &SV,
     map: &BTreeMap<u32, TermId>,
-    memo: &mut HashMap<TermId, TermId>,
+    memo: &mut IdMap<TermId, TermId>,
 ) -> SV {
     match &**v {
         SymVal::Int(t) => SymVal::int(store.subst(*t, map, memo)),
@@ -304,7 +304,7 @@ mod tests {
         assert_eq!(leaves, vec![n1, n2]);
 
         let map: BTreeMap<u32, TermId> = canon_vars.iter().copied().zip(leaves).collect();
-        let mut memo = HashMap::new();
+        let mut memo = IdMap::default();
         let re = subst_sv(&mut s, &cv, &map, &mut memo);
         assert_eq!(re, site);
     }

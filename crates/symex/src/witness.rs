@@ -267,16 +267,15 @@ pub fn build_pool(ex: &mut Exec) -> Pool {
 
 /// Whether an outcome exhibits the warned behavior of a query. Truncated
 /// paths count: the fault (or arm hit) happened *before* truncation.
-fn matches(o: &Outcome, q: &VetQuery) -> bool {
+fn matches(ex: &Exec, o: &Outcome, q: &VetQuery) -> bool {
     match &q.kind {
         QueryKind::ValueFault(f) => o.faulted(q.function, f.code()),
         QueryKind::UnreachableArm {
             case_index,
             arm_index,
-        } => {
-            o.st.arm_hits
-                .contains(&(q.function, *case_index, *arm_index))
-        }
+        } => ex
+            .arm_bit(q.function, *case_index, *arm_index)
+            .is_some_and(|bit| o.st.arm_hits.contains(bit)),
     }
 }
 
@@ -394,7 +393,7 @@ pub fn search_witness(
             let (args, recipes) = realize(ex, pool, &srcs);
             let outs = ex.explore(e, args);
             for o in &outs {
-                if !matches(o, q) {
+                if !matches(ex, o, q) {
                     continue;
                 }
                 if attempts == 0 {
@@ -447,7 +446,7 @@ pub fn envelope_check(ex: &mut Exec, report: &ShapeReport, q: &VetQuery) -> Stat
         let outs = ex.explore(q.function, combo);
         for o in &outs {
             inc.extend(o.st.incomplete.iter().copied());
-            if !matches(o, q) {
+            if !matches(ex, o, q) {
                 continue;
             }
             if solves_left == 0 {

@@ -132,6 +132,20 @@ mod tests {
         );
     }
 
+    /// The kernel's literal iteration bound, which sizes the watchdog's and
+    /// the fleet's fuel budgets, must cover the bound computed here.
+    #[test]
+    fn kernel_wcet_literal_covers_the_computed_bound() {
+        let t = kernel_timing(&CostModel::default()).unwrap();
+        assert!(
+            t.loop_wcet + t.gc_bound <= zarf_kernel::WCET_ITERATION_CYCLES,
+            "computed bound {} + {} exceeds the kernel's {} cycles",
+            t.loop_wcet,
+            t.gc_bound,
+            zarf_kernel::WCET_ITERATION_CYCLES
+        );
+    }
+
     /// E4 (dynamic half): the static bound dominates observed executions.
     #[test]
     fn static_bound_dominates_dynamic_average() {
