@@ -1,9 +1,9 @@
 //! The byte codec every framed and checksummed format in the workspace
 //! is built from. Each piece is defined once here:
 //!
-//! * [`crc32`] — CRC-32 (IEEE 802.3 polynomial, reflected), computed
-//!   bitwise over one or more slices. It detects every single-bit error
-//!   by construction.
+//! * [`crc32`] — CRC-32 (IEEE 802.3 polynomial, reflected) over one or
+//!   more slices, eight bytes per step from slicing-by-8 tables built at
+//!   compile time. It detects every single-bit error by construction.
 //! * [`Reader`] and the `put_*` writers — bounds-checked little-endian
 //!   primitives. Decoding is exact-consume: a decoder ends with
 //!   [`Reader::finish`], so trailing bytes are an error.
@@ -23,17 +23,62 @@ use std::marker::PhantomData;
 
 use crate::{Int, Word};
 
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes, so eight table lookups fold eight
+/// input bytes into the register at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// CRC-32 of the concatenation of `parts`, without building it:
 /// `crc32(&[bytes])` for one slice.
+#[inline]
 pub fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let (blocks, rest) = part.as_chunks::<8>();
+        for b in blocks {
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][b[4] as usize]
+                ^ t[2][b[5] as usize]
+                ^ t[1][b[6] as usize]
+                ^ t[0][b[7] as usize];
+        }
+        for &b in rest {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
     }
     !crc
@@ -193,9 +238,11 @@ impl<'a> Reader<'a> {
         self.list(4, Self::i32)
     }
 
-    /// A u32-counted list of words.
+    /// A u32-counted list of words, read as one block.
     pub fn words(&mut self) -> Result<Vec<Word>, CodecError> {
-        self.list(4, Self::u32)
+        let n = self.count(4)?;
+        let (words, _) = self.take(4 * n)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 
     /// End of input: every byte must have been consumed.
@@ -239,11 +286,14 @@ pub fn put_ints(out: &mut Vec<u8>, xs: &[Int]) {
     }
 }
 
-/// The inverse of [`Reader::words`].
+/// The inverse of [`Reader::words`], written as one block.
 pub fn put_words(out: &mut Vec<u8>, xs: &[Word]) {
     put_u32(out, xs.len() as u32);
-    for &x in xs {
-        put_u32(out, x);
+    let at = out.len();
+    out.resize(at + 4 * xs.len(), 0);
+    let (block, _) = out[at..].as_chunks_mut::<4>();
+    for (dst, x) in block.iter_mut().zip(xs) {
+        *dst = x.to_le_bytes();
     }
 }
 
@@ -448,6 +498,69 @@ mod tests {
         assert_eq!(crc32(&[b""]), 0);
         assert_eq!(crc32(&[]), 0);
         assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+    }
+
+    /// The textbook bitwise CRC-32: the definition the table-driven
+    /// kernel must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// A SplitMix64 byte stream: deterministic, and every byte value
+    /// occurs.
+    fn splitmix_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(n + 8);
+        while out.len() < n {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn sliced_checksum_agrees_with_the_bitwise_definition_at_every_length() {
+        let bytes = splitmix_bytes(0x5EED, 1100);
+        for len in 0..=bytes.len() {
+            let want = crc32_bitwise(&bytes[..len]);
+            assert_eq!(crc32(&[&bytes[..len]]), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn sliced_checksum_streams_across_parts_cut_at_every_residue() {
+        let bytes = splitmix_bytes(0xC0FFEE, 1100);
+        let want = crc32_bitwise(&bytes);
+        for parts in 2..=9usize {
+            for residue in 0..8usize {
+                // `parts - 1` cut points, each ≡ `residue + i` (mod 8),
+                // spread over the buffer so parts span 0 to many blocks.
+                let step = bytes.len() / parts;
+                let mut cuts: Vec<usize> = (1..parts)
+                    .map(|i| (i * step) / 8 * 8 + (residue + i) % 8)
+                    .collect();
+                cuts.sort_unstable();
+                let mut slices = Vec::with_capacity(parts);
+                let mut from = 0;
+                for &cut in &cuts {
+                    slices.push(&bytes[from..cut]);
+                    from = cut;
+                }
+                slices.push(&bytes[from..]);
+                assert_eq!(crc32(&slices), want, "{parts} parts, residue {residue}");
+            }
+        }
     }
 
     #[test]

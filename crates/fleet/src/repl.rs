@@ -68,6 +68,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::ops::Bound;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -115,8 +116,10 @@ pub enum ReplMsg {
     /// Link open; the receiver answers [`ReplMsg::HelloAck`].
     Hello,
     /// What the receiver already holds: `(session, commit_seq)` for
-    /// every committed record. Seeds the sender's acked map so a
-    /// reconnect never reships acknowledged state.
+    /// every committed record. Informational: a `(session, seq)` pair
+    /// cannot tell this primary's record from another fleet's under the
+    /// same id, so the pump counts nothing as acked from it; each
+    /// `Offer` learns what is held, hash-exact, through `Need`.
     HelloAck {
         /// Held sessions and their commit sequence numbers.
         acked: Vec<(u64, u64)>,
@@ -294,6 +297,13 @@ pub enum ReplWork {
 struct SinkState {
     /// Sessions with a committed record the standby has not acked.
     dirty: BTreeSet<u64>,
+    /// The session drained last; the drain resumes after it, so a
+    /// session that keeps failing cannot starve the ones behind it.
+    cursor: u64,
+    /// Sessions whose latest record the standby refused: the refused
+    /// commit sequence and the standby's reason. Each stays parked
+    /// until its next commit.
+    parked: BTreeMap<u64, (u64, String)>,
     /// Session closes not yet propagated.
     closed: VecDeque<u64>,
     /// Latest committed sequence per session.
@@ -346,11 +356,13 @@ impl ReplSink {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// A slice commit landed durably on the primary.
+    /// A slice commit landed durably on the primary (a parked session
+    /// is offered again).
     pub fn note_commit(&self, session: u64, commit_seq: u64) {
         let mut s = self.lock();
         let e = s.latest.entry(session).or_insert(commit_seq);
         *e = (*e).max(commit_seq);
+        s.parked.remove(&session);
         s.dirty.insert(session);
         drop(s);
         self.work.notify_all();
@@ -360,6 +372,7 @@ impl ReplSink {
     pub fn note_close(&self, session: u64) {
         let mut s = self.lock();
         s.dirty.remove(&session);
+        s.parked.remove(&session);
         s.latest.remove(&session);
         s.acked.remove(&session);
         s.closed.push_back(session);
@@ -385,6 +398,26 @@ impl ReplSink {
         self.work.notify_all();
     }
 
+    /// The standby refused `session`'s record at `commit_seq` with
+    /// `reason`. The session stays unacked, and so counts toward lag,
+    /// but is not offered again until its next commit.
+    pub fn park(&self, session: u64, commit_seq: u64, reason: String) {
+        let mut s = self.lock();
+        if s.latest.contains_key(&session) {
+            s.dirty.remove(&session);
+            s.parked.insert(session, (commit_seq, reason));
+        }
+    }
+
+    /// Parked sessions as `(session, commit_seq, reason)`.
+    pub fn parked(&self) -> Vec<(u64, u64, String)> {
+        self.lock()
+            .parked
+            .iter()
+            .map(|(&id, (seq, reason))| (id, *seq, reason.clone()))
+            .collect()
+    }
+
     /// Everything the standby has acknowledged, per session. A failover
     /// proof compares the promoted standby against exactly this map.
     pub fn acked(&self) -> BTreeMap<u64, u64> {
@@ -392,15 +425,22 @@ impl ReplSink {
     }
 
     /// `Some(detail)` when unacknowledged replication lag exceeds the
-    /// cap — the primary's inject paths shed with that detail.
+    /// cap — the primary's inject paths shed with that detail, which
+    /// names every parked session and the standby's reason.
     pub fn overloaded(&self) -> Option<String> {
         let s = self.lock();
         let lag = s.lag();
         (lag > self.lag_cap).then(|| {
-            format!(
+            let mut detail = format!(
                 "replication lag {lag} commit(s) exceeds cap {}",
                 self.lag_cap
-            )
+            );
+            for (id, (seq, reason)) in &s.parked {
+                detail.push_str(&format!(
+                    "; session {id} parked at seq {seq}: standby refused it ({reason})"
+                ));
+            }
+            detail
         })
     }
 
@@ -416,8 +456,9 @@ impl ReplSink {
     }
 
     /// Next unit of work, blocking up to `timeout`. Closes drain before
-    /// commits (a close supersedes any pending commit for the session);
-    /// `None` means no work arrived in time or the sink shut down.
+    /// commits (a close supersedes any pending commit for the session),
+    /// and commits drain round-robin by session id; `None` means no work
+    /// arrived in time or the sink shut down.
     pub fn next_work(&self, timeout: Duration) -> Option<ReplWork> {
         let mut s = self.lock();
         let mut timed_out = false;
@@ -425,7 +466,10 @@ impl ReplSink {
             if let Some(id) = s.closed.pop_front() {
                 return Some(ReplWork::Close(id));
             }
-            if let Some(id) = s.dirty.pop_first() {
+            let after = (Bound::Excluded(s.cursor), Bound::Unbounded);
+            if let Some(id) = s.dirty.range(after).next().or(s.dirty.first()).copied() {
+                s.dirty.remove(&id);
+                s.cursor = id;
                 return Some(ReplWork::Commit(id));
             }
             // A timeout still drains once more above, so a notify racing
@@ -473,14 +517,13 @@ struct ChaosLink<'a> {
 
 impl<'a> ChaosLink<'a> {
     /// Connect to the receiver at `target` under `policy` and open the
-    /// link with `Hello`. Returns the link and the `(session,
-    /// commit_seq)` pairs the receiver already holds.
+    /// link with `Hello`.
     fn open(
         target: &str,
         policy: &RetryPolicy,
         chaos: Option<&'a FaultPlan>,
         frames_sent: &'a mut u64,
-    ) -> Result<(ChaosLink<'a>, Vec<(u64, u64)>), FleetError> {
+    ) -> Result<ChaosLink<'a>, FleetError> {
         let mut link = ChaosLink {
             stream: crate::server::connect(target, policy)?,
             chaos,
@@ -488,7 +531,7 @@ impl<'a> ChaosLink<'a> {
             held: None,
         };
         match link.call(&ReplMsg::Hello)? {
-            ReplMsg::HelloAck { acked } => Ok((link, acked)),
+            ReplMsg::HelloAck { .. } => Ok(link),
             other => Err(refused(other)),
         }
     }
@@ -561,11 +604,18 @@ impl<'a> ChaosLink<'a> {
     /// the receiver acknowledges only after verifying the reassembled
     /// snapshot. The replication pump and migration differ only in
     /// where `fetch_chunk` reads from.
+    ///
+    /// A typed reject of the `Offer` is the receiver's verdict on the
+    /// record itself: it comes back as `Ok(Err((code, message)))`, and
+    /// the link stays usable. Every other failure, a typed reject later
+    /// in the exchange included, is the outer `Err`: the exchange broke
+    /// (a reordered chunk can make a healthy receiver refuse the
+    /// `Commit`), and a fresh link may succeed where this one failed.
     fn ship(
         &mut self,
         rec: SessionRecord,
         mut fetch_chunk: impl FnMut(ChunkId) -> Result<Vec<u8>, FleetError>,
-    ) -> Result<MigrateReport, FleetError> {
+    ) -> Result<Result<MigrateReport, (u32, String)>, FleetError> {
         let mut report = MigrateReport {
             session: rec.id,
             commit_seq: rec.commit_seq,
@@ -577,9 +627,10 @@ impl<'a> ChaosLink<'a> {
         let need = match self.call(&ReplMsg::Offer { rec })? {
             ReplMsg::Need { already: true, .. } => {
                 report.already = true;
-                return Ok(report);
+                return Ok(Ok(report));
             }
             ReplMsg::Need { chunks, .. } => chunks,
+            ReplMsg::Err { code, message } => return Ok(Err((code, message))),
             other => return Err(refused(other)),
         };
         for id in need {
@@ -595,7 +646,7 @@ impl<'a> ChaosLink<'a> {
             ReplMsg::CommitAck {
                 session,
                 commit_seq,
-            } if session == report.session && commit_seq == report.commit_seq => Ok(report),
+            } if session == report.session && commit_seq == report.commit_seq => Ok(Ok(report)),
             other => Err(refused(other)),
         }
     }
@@ -656,15 +707,7 @@ pub fn spawn_replicator(
                     cfg.chaos.as_ref(),
                     &mut frames_sent,
                 ) {
-                    Ok((mut link, acked)) => {
-                        // Seed the acked map from what the standby
-                        // already has, so a reconnect never reships
-                        // acknowledged state.
-                        for (id, seq) in acked {
-                            sink.note_acked(id, seq);
-                        }
-                        pump(&mut link, &store, &sink)
-                    }
+                    Ok(mut link) => pump(&mut link, &store, &sink),
                     Err(_) => false,
                 };
                 fruitless = if progressed {
@@ -678,8 +721,9 @@ pub fn spawn_replicator(
 }
 
 /// Drain `sink` over an open link until the sink shuts down or the link
-/// fails; a failed unit of work is requeued before returning. Returns
-/// whether any unit of work completed on this link.
+/// fails; a failed unit of work is requeued before returning, and a
+/// record the standby refuses is parked in the sink while the drain
+/// goes on. Returns whether any unit of work completed on this link.
 fn pump(link: &mut ChaosLink<'_>, store: &Store, sink: &ReplSink) -> bool {
     let mut progressed = false;
     loop {
@@ -698,9 +742,13 @@ fn pump(link: &mut ChaosLink<'_>, store: &Store, sink: &ReplSink) -> bool {
                 };
                 let seq = rec.commit_seq;
                 match link.ship(rec, |c| store.get_chunk_bytes(c).map_err(FleetError::Store)) {
-                    Ok(_) => {
+                    Ok(Ok(_)) => {
                         sink.note_acked(id, seq);
                         eprintln!("zarf-repl: repl-ack session={id} seq={seq}");
+                    }
+                    Ok(Err((_, reason))) => {
+                        eprintln!("zarf-repl: repl-refused session={id} seq={seq}: {reason}");
+                        sink.park(id, seq, reason);
                     }
                     Err(_) => {
                         sink.mark_dirty(id);
@@ -807,23 +855,26 @@ fn serve_repl_conn(
         let Ok(payload) = ZREP.read(&mut stream) else {
             return; // EOF or damaged stream: back to accept
         };
-        let verdict = ReplMsg::decode(&payload)
-            .map_err(|_| (REPL_ERR_PROTOCOL, "undecodable message".to_string()))
-            .and_then(|msg| answer(msg, store, &mut pending, stats));
-        match verdict {
-            Ok(None) => {}
-            Ok(Some(reply)) => {
-                if ZREP.write(&mut stream, &reply.encode()).is_err() {
-                    return;
-                }
-            }
+        // A whole frame arrived, so the stream is still in step: a typed
+        // reject answers like any reply and the link stays up. Only a
+        // frame whose message cannot be decoded drops it.
+        let (decoded, reply) = match ReplMsg::decode(&payload) {
+            Ok(msg) => (true, answer(msg, store, &mut pending, stats)),
+            Err(_) => (
+                false,
+                Err((REPL_ERR_PROTOCOL, "undecodable message".into())),
+            ),
+        };
+        let reply = match reply {
+            Ok(None) => continue,
+            Ok(Some(reply)) => reply,
             Err((code, message)) => {
-                // Tell the peer and drop the link: there is no resync
-                // point mid-stream, and the next `Hello` starts clean.
                 stats.rejects += 1;
-                let _ = ZREP.write(&mut stream, &ReplMsg::Err { code, message }.encode());
-                return;
+                ReplMsg::Err { code, message }
             }
+        };
+        if ZREP.write(&mut stream, &reply.encode()).is_err() || !decoded {
+            return;
         }
     }
 }
@@ -1027,13 +1078,14 @@ pub fn migrate_session(
             ))));
         }
         let mut frames_sent = 0;
-        let (mut dst, _) = ChaosLink::open(to, policy, None, &mut frames_sent)?;
+        let mut dst = ChaosLink::open(to, policy, None, &mut frames_sent)?;
         dst.ship(rec, |id| {
             match src.call(&Request::FetchChunk { id: id.0 })? {
                 Response::ChunkData { bytes } => Ok(bytes),
                 other => Err(unexpected("chunk", other)),
             }
-        })
+        })?
+        .map_err(|(code, message)| FleetError::Remote { code, message })
     })();
     // Cutover only once the destination verified and acked; otherwise
     // thaw the session on the source. The thaw is best-effort: a source
@@ -1262,6 +1314,33 @@ mod tests {
         assert_eq!(offer(next), need(false));
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_parked_session_waits_for_its_next_commit_and_commits_drain_round_robin() {
+        let sink = ReplSink::new(1);
+        let next = || sink.next_work(Duration::ZERO);
+        sink.note_commit(1, 1);
+        sink.note_commit(2, 1);
+        assert_eq!(next(), Some(ReplWork::Commit(1)));
+        // A requeued session goes behind the others.
+        sink.mark_dirty(1);
+        assert_eq!(next(), Some(ReplWork::Commit(2)));
+        assert_eq!(next(), Some(ReplWork::Commit(1)));
+        sink.park(1, 1, "held elsewhere".into());
+        assert_eq!(sink.parked(), vec![(1, 1, "held elsewhere".to_string())]);
+        sink.mark_dirty(2);
+        assert_eq!(next(), Some(ReplWork::Commit(2)));
+        assert_eq!(next(), None);
+        // Still unacked: lag 2 > cap 1, and the detail says why.
+        let detail = sink.overloaded().unwrap();
+        assert!(
+            detail.contains("session 1 parked at seq 1") && detail.contains("held elsewhere"),
+            "{detail}"
+        );
+        sink.note_commit(1, 2);
+        assert!(sink.parked().is_empty());
+        assert_eq!(next(), Some(ReplWork::Commit(1)));
     }
 
     #[test]

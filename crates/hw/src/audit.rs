@@ -170,17 +170,27 @@ pub fn audit_heap(
     item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
     strict: bool,
 ) -> Result<AuditReport, AuditError> {
-    let objs = heap.objects();
-    let n = objs.len();
-
     // Word accounting must agree with the contents.
-    let computed: usize = objs.iter().map(|o| o.words()).sum();
+    let computed: usize = heap.objects().iter().map(|o| o.words()).sum();
     if computed != heap.words_used() {
         return Err(AuditError::WordsMismatch {
             recorded: heap.words_used(),
             computed,
         });
     }
+    audit_objects(heap.objects(), roots, item_shape, strict)
+}
+
+/// [`audit_heap`] over bare objects, read in place: everything but the
+/// word accounting, which only a [`Heap`] records. A snapshot's
+/// compacted heap is audited this way, before any `Heap` is built.
+pub(crate) fn audit_objects(
+    objs: &[HeapObj],
+    roots: &[HValue],
+    item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
+    strict: bool,
+) -> Result<AuditReport, AuditError> {
+    let n = objs.len();
 
     // Roots in bounds.
     for (slot, r) in roots.iter().enumerate() {
@@ -193,7 +203,9 @@ pub fn audit_heap(
 
     // Per-object structure: tags, pointer bounds, constructor arity,
     // application targets.
+    let mut words = 0;
     for (object, obj) in objs.iter().enumerate() {
+        words += obj.words();
         for (slot, v) in obj.payload().iter().enumerate() {
             if let HValue::Ref(reference) = *v {
                 if reference >= n {
@@ -299,7 +311,7 @@ pub fn audit_heap(
 
     Ok(AuditReport {
         objects: n,
-        words: computed,
+        words,
         reachable,
     })
 }

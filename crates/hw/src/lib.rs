@@ -49,7 +49,7 @@ pub use machine::{Hw, HwConfig, HwError, DEFAULT_HEAP_WORDS};
 pub use obj::{AppTarget, HValue, HeapObj, HeapRef};
 pub use resources::LambdaLayerModel;
 pub use snapshot::{
-    read_sections, verify_container, MachineSnapshot, SectionWriter, SnapshotError,
-    FIRST_EMBEDDER_TAG,
+    read_sections, split_sections, verify_container, Image, MachineSnapshot, Section,
+    SectionWriter, SnapshotError, FIRST_EMBEDDER_TAG,
 };
 pub use stats::{Class, ClassStats, Stats};

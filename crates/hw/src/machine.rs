@@ -44,6 +44,7 @@ use zarf_trace::{Event, InstrClass, SinkHandle, TraceSink};
 use crate::cost::CostModel;
 use crate::heap::{DanglingRef, GcReport, Heap};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
+use crate::snapshot::Image;
 use crate::stats::{Class, Stats};
 
 /// Default semispace size: 64 Ki words (256 KiB), a plausible embedded SRAM.
@@ -244,7 +245,9 @@ impl Default for HwConfig {
 /// The λ-execution layer hardware simulator.
 #[derive(Debug)]
 pub struct Hw {
-    code: Vec<Word>,
+    /// The loaded image and its symbols, shared with every snapshot
+    /// captured from this machine.
+    image: Image,
     items: Vec<ItemMeta>,
     names: HashMap<String, u32>,
     heap: Heap,
@@ -289,9 +292,15 @@ impl Hw {
     /// consistency) before execution is permitted — rejecting malformed
     /// binaries is part of the architecture's contract.
     pub fn load_with(words: &[Word], config: HwConfig) -> Result<Self, HwError> {
-        // Validation: a full decode must succeed.
-        encode::decode(words).map_err(HwError::Load)?;
+        Self::load_image(Image::new(words.to_vec(), Vec::new()), config)
+    }
 
+    /// Load `image` with its symbols, validating the words as
+    /// [`Hw::load_with`] does.
+    pub(crate) fn load_image(image: Image, config: HwConfig) -> Result<Self, HwError> {
+        // Validation: a full decode must succeed.
+        let words = image.words();
+        encode::decode(words).map_err(HwError::Load)?;
         // Build the item offset table by scanning headers.
         let mut items = Vec::new();
         let count = words[1] as usize;
@@ -313,11 +322,20 @@ impl Hw {
             load_cycles: config.cost.load_per_word * words.len() as u64,
             ..Stats::default()
         };
+        let mut names = HashMap::new();
+        for (id, name) in image.names() {
+            names.insert(name.clone(), *id);
+            if let Some(i) = id.checked_sub(FIRST_USER_INDEX) {
+                if let Some(meta) = items.get_mut(i as usize) {
+                    meta.name = Some(name.clone());
+                }
+            }
+        }
 
         Ok(Hw {
-            code: words.to_vec(),
+            image,
             items,
-            names: HashMap::new(),
+            names,
             heap: Heap::new(config.heap_words),
             cost: config.cost,
             stats,
@@ -346,14 +364,15 @@ impl Hw {
     /// [`Hw::from_machine`] with an explicit configuration.
     pub fn from_machine_with(m: &MProgram, config: HwConfig) -> Result<Self, HwError> {
         let words = encode::encode(m).map_err(HwError::Encode)?;
-        let mut hw = Self::load_with(&words, config)?;
-        for (i, item) in m.items().iter().enumerate() {
-            if let Some(n) = &item.name {
-                hw.names.insert(n.clone(), m.id_of(i));
-                hw.items[i].name = Some(n.clone());
-            }
-        }
-        Ok(hw)
+        // One row per distinct name, the last item to carry it winning.
+        let names: HashMap<&String, u32> = m
+            .items()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| Some((item.name.as_ref()?, m.id_of(i))))
+            .collect();
+        let rows = names.into_iter().map(|(n, id)| (id, n.clone())).collect();
+        Self::load_image(Image::new(words, rows), config)
     }
 
     /// Execution statistics so far.
@@ -369,18 +388,10 @@ impl Hw {
         self.cursor = TraceCursor::default();
     }
 
-    /// The loaded binary image, exactly as validated by [`Hw::load_with`].
-    pub(crate) fn code_words(&self) -> &[Word] {
-        &self.code
-    }
-
-    /// Retained symbols as `(identifier, name)` pairs, identifier-sorted
-    /// so snapshot bytes are deterministic.
-    pub(crate) fn name_table(&self) -> Vec<(u32, String)> {
-        let mut rows: Vec<(u32, String)> =
-            self.names.iter().map(|(n, &id)| (id, n.clone())).collect();
-        rows.sort();
-        rows
+    /// The loaded binary image, exactly as validated at load, and its
+    /// retained symbols.
+    pub(crate) fn image(&self) -> &Image {
+        &self.image
     }
 
     /// True when no call is in flight: the frame and continuation stacks
@@ -420,17 +431,6 @@ impl Hw {
         self.frames.clear();
         self.conts.clear();
         self.cursor = TraceCursor::default();
-    }
-
-    /// Re-associate a symbol with an item identifier (snapshot restore
-    /// rebuilds the name table this way).
-    pub(crate) fn install_name(&mut self, name: &str, id: u32) {
-        self.names.insert(name.to_string(), id);
-        if let Some(i) = id.checked_sub(FIRST_USER_INDEX) {
-            if let Some(meta) = self.items.get_mut(i as usize) {
-                meta.name = Some(name.to_string());
-            }
-        }
     }
 
     /// `(arity, is_constructor)` for a program item, `None` if the
@@ -1089,7 +1089,8 @@ impl Hw {
     }
 
     fn code_word(&self, pc: usize) -> Result<Word, HwError> {
-        self.code
+        self.image
+            .words()
             .get(pc)
             .copied()
             .ok_or(HwError::BadState("program counter out of range"))

@@ -20,15 +20,15 @@
 //! strictly audited (see [`crate::audit`]) both when captured and before
 //! it is allowed to overwrite a live machine.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 use zarf_core::codec::{
-    crc32, put_bytes, put_i32, put_string, put_u32, put_u64, put_words, CodecError, Reader,
+    crc32, put_i32, put_string, put_u32, put_u64, put_words, CodecError, Reader,
 };
 use zarf_core::Word;
 
-use crate::audit::{audit_heap, AuditError};
+use crate::audit::{audit_objects, AuditError};
 use crate::heap::Heap;
 use crate::machine::{Hw, HwConfig, HwError};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
@@ -175,9 +175,26 @@ impl SectionWriter {
 
     /// Append one section: tag, length, payload, CRC-32 of the payload.
     pub fn section(&mut self, tag: u32, payload: &[u8]) {
+        self.section_with(tag, None, |buf| buf.extend_from_slice(payload));
+    }
+
+    /// Append one section whose payload `put` writes in place. `crc` is
+    /// the payload's CRC-32 when the caller already knows it (the image
+    /// sections, fixed at load); otherwise it is computed here.
+    fn section_with(&mut self, tag: u32, crc: Option<u32>, put: impl FnOnce(&mut Vec<u8>)) {
         put_u32(&mut self.buf, tag);
-        put_bytes(&mut self.buf, payload);
-        put_u32(&mut self.buf, crc32(&[payload]));
+        let at = self.buf.len();
+        put_u32(&mut self.buf, 0);
+        put(&mut self.buf);
+        let payload = &self.buf[at + 4..];
+        let len = payload.len() as u32;
+        debug_assert!(
+            crc.is_none_or(|c| c == crc32(&[payload])),
+            "stale CRC for section {tag}"
+        );
+        let crc = crc.unwrap_or_else(|| crc32(&[payload]));
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        put_u32(&mut self.buf, crc);
         self.count += 1;
     }
 
@@ -194,11 +211,22 @@ impl Default for SectionWriter {
     }
 }
 
-/// Split a container into `(tag, payload)` sections, verifying the magic,
-/// version, per-section checksums, and that no bytes trail the last
-/// section. Duplicate tags are rejected; unknown tags are the *caller's*
-/// concern (the kernel stores its sections next to the machine's).
-pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
+/// One section of a container, as [`split_sections`] verified it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section<'a> {
+    /// The section tag.
+    pub tag: u32,
+    /// The payload bytes.
+    pub payload: &'a [u8],
+    /// The payload's CRC-32, already checked against the payload.
+    pub crc: u32,
+}
+
+/// Split a container into its sections, verifying the magic, version,
+/// per-section checksums, and that no bytes trail the last section.
+/// Duplicate tags are rejected; unknown tags are the *caller's* concern
+/// (the kernel stores its sections next to the machine's).
+pub fn split_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, SnapshotError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -217,14 +245,22 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
         if crc32(&[payload]) != crc {
             return Err(SnapshotError::CrcMismatch { section: tag });
         }
-        if sections.iter().any(|&(t, _)| t == tag) {
+        if sections.iter().any(|s: &Section<'_>| s.tag == tag) {
             return Err(SnapshotError::DuplicateSection(tag));
         }
-        sections.push((tag, payload));
+        sections.push(Section { tag, payload, crc });
     }
     r.finish()
         .map_err(|_| SnapshotError::Malformed("trailing bytes"))?;
     Ok(sections)
+}
+
+/// [`split_sections`] as `(tag, payload)` pairs.
+pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
+    Ok(split_sections(bytes)?
+        .into_iter()
+        .map(|s| (s.tag, s.payload))
+        .collect())
 }
 
 /// Cheap structural check of a `ZSNP` container: magic, version, section
@@ -232,7 +268,7 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
 /// snapshot movers (durable stores, fleet-to-fleet sync): verify bytes on
 /// arrival without paying for a full decode.
 pub fn verify_container(bytes: &[u8]) -> Result<(), SnapshotError> {
-    read_sections(bytes).map(|_| ())
+    split_sections(bytes).map(|_| ())
 }
 
 fn put_hvalue(buf: &mut Vec<u8>, v: HValue) -> Result<(), SnapshotError> {
@@ -352,41 +388,102 @@ fn class_from(code: u8) -> Result<Class, SnapshotError> {
 /// Copy a value into the snapshot heap, replicating the traversal order
 /// of [`Heap::collect`] exactly — indirections are short-circuited, so a
 /// capture taken right after a collection reproduces the live heap's
-/// layout index for index.
+/// layout index for index. `fwd` has one slot per source object.
 fn evacuate(
     v: HValue,
     src: &[HeapObj],
-    fwd: &mut HashMap<HeapRef, HValue>,
+    fwd: &mut [Option<HValue>],
     out: &mut Vec<HeapObj>,
 ) -> Result<HValue, SnapshotError> {
     let HValue::Ref(r) = v else { return Ok(v) };
-    if let Some(&dest) = fwd.get(&r) {
+    let obj = src.get(r).ok_or(SnapshotError::Dangling(r))?;
+    if let Some(dest) = fwd[r] {
         return Ok(dest);
     }
-    let obj = src.get(r).ok_or(SnapshotError::Dangling(r))?;
-    match obj {
-        HeapObj::Forwarded(_) => Err(SnapshotError::ForwardedLive(r)),
-        HeapObj::Ind(inner) => {
-            let dest = evacuate(*inner, src, fwd, out)?;
-            fwd.insert(r, dest);
-            Ok(dest)
-        }
+    let dest = match obj {
+        HeapObj::Forwarded(_) => return Err(SnapshotError::ForwardedLive(r)),
+        HeapObj::Ind(inner) => evacuate(*inner, src, fwd, out)?,
         _ => {
-            let dest = HValue::Ref(out.len());
-            fwd.insert(r, dest);
             out.push(obj.clone());
-            Ok(dest)
+            HValue::Ref(out.len() - 1)
         }
+    };
+    fwd[r] = Some(dest);
+    Ok(dest)
+}
+
+/// The program half of a snapshot: the validated binary image and its
+/// retained symbols, with both sections' checksums. It is fixed from
+/// load on, so a machine computes it once and every capture shares it
+/// instead of copying and re-checksumming the image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Image {
+    words: Rc<[Word]>,
+    /// CRC-32 of the code section's payload.
+    code_crc: u32,
+    names: Rc<NameTable>,
+}
+
+/// Retained symbols, identifier-sorted so snapshot bytes are
+/// deterministic, with their section payload and its CRC-32.
+#[derive(Debug, PartialEq, Eq)]
+struct NameTable {
+    rows: Vec<(u32, String)>,
+    payload: Vec<u8>,
+    crc: u32,
+}
+
+impl Image {
+    /// The image `words` with the symbols `rows`, checksummed once here.
+    pub(crate) fn new(words: Vec<Word>, mut rows: Vec<(u32, String)>) -> Image {
+        rows.sort();
+        let mut code = Vec::new();
+        put_words(&mut code, &words);
+        let mut payload = Vec::new();
+        put_u32(&mut payload, rows.len() as u32);
+        for (id, name) in &rows {
+            put_u32(&mut payload, *id);
+            put_string(&mut payload, name);
+        }
+        Image {
+            code_crc: crc32(&[&code]),
+            words: words.into(),
+            names: Rc::new(NameTable {
+                rows,
+                crc: crc32(&[&payload]),
+                payload,
+            }),
+        }
+    }
+
+    /// The binary image.
+    pub fn words(&self) -> &[Word] {
+        &self.words
+    }
+
+    /// Retained symbols as `(identifier, name)`, identifier-sorted.
+    pub fn names(&self) -> &[(u32, String)] {
+        &self.names.rows
+    }
+
+    /// Both image sections, written with the checksums computed at load.
+    fn write_sections(&self, w: &mut SectionWriter) {
+        w.section_with(TAG_CODE, Some(self.code_crc), |buf| {
+            put_words(buf, &self.words)
+        });
+        let names = &self.names;
+        w.section_with(TAG_NAMES, Some(names.crc), |buf| {
+            buf.extend_from_slice(&names.payload)
+        });
     }
 }
 
 /// A self-contained, restorable copy of a quiescent λ-machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSnapshot {
-    /// The validated binary image.
-    pub code: Vec<Word>,
-    /// Retained symbols, identifier-sorted.
-    pub names: Vec<(u32, String)>,
+    /// The validated binary image and its symbols, shared with the
+    /// machine it was captured from.
+    pub image: Image,
     /// Semispace capacity of the captured machine, in words.
     pub heap_capacity: usize,
     /// The compacted live heap.
@@ -409,7 +506,7 @@ impl MachineSnapshot {
             return Err(SnapshotError::MachineBusy);
         }
         let src = hw.heap().objects();
-        let mut fwd: HashMap<HeapRef, HValue> = HashMap::new();
+        let mut fwd = vec![None; src.len()];
         let mut objects: Vec<HeapObj> = Vec::new();
         let mut roots = Vec::with_capacity(hw.host_roots().len());
         for &r in hw.host_roots() {
@@ -444,8 +541,7 @@ impl MachineSnapshot {
         }
 
         let snapshot = MachineSnapshot {
-            code: hw.code_words().to_vec(),
-            names: hw.name_table(),
+            image: hw.image().clone(),
             heap_capacity: hw.heap().capacity_words(),
             objects,
             roots,
@@ -462,15 +558,14 @@ impl MachineSnapshot {
         &self,
         item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
     ) -> Result<crate::audit::AuditReport, SnapshotError> {
-        let heap = Heap::from_parts(self.heap_capacity, self.objects.clone());
-        audit_heap(&heap, &self.roots, item_shape, true).map_err(SnapshotError::Audit)
+        audit_objects(&self.objects, &self.roots, item_shape, true).map_err(SnapshotError::Audit)
     }
 
     /// Audit against the snapshot's *own* embedded code image, rescanning
     /// its item headers for constructor/function shapes. This is how a
     /// snapshot decoded from untrusted bytes is vetted without a machine.
     pub fn audit_self_contained(&self) -> Result<crate::audit::AuditReport, SnapshotError> {
-        let shapes = scan_item_shapes(&self.code)?;
+        let shapes = scan_item_shapes(self.image.words())?;
         self.audit(&|id| {
             id.checked_sub(zarf_core::prim::FIRST_USER_INDEX)
                 .and_then(|i| shapes.get(i as usize).copied())
@@ -487,42 +582,32 @@ impl MachineSnapshot {
     /// Append this snapshot's sections to a container under construction
     /// (the kernel adds its own sections to the same writer).
     pub fn write_sections(&self, w: &mut SectionWriter) -> Result<(), SnapshotError> {
-        let mut buf = Vec::new();
-        put_words(&mut buf, &self.code);
-        w.section(TAG_CODE, &buf);
+        self.image.write_sections(w);
 
-        buf.clear();
-        put_u32(&mut buf, self.names.len() as u32);
-        for (id, name) in &self.names {
-            put_u32(&mut buf, *id);
-            put_string(&mut buf, name);
-        }
-        w.section(TAG_NAMES, &buf);
+        let mut heap = Ok(());
+        w.section_with(TAG_HEAP, None, |buf| {
+            put_u32(buf, self.objects.len() as u32);
+            heap = self.objects.iter().try_for_each(|obj| put_obj(buf, obj));
+        });
+        heap?;
 
-        buf.clear();
-        put_u32(&mut buf, self.objects.len() as u32);
-        for obj in &self.objects {
-            put_obj(&mut buf, obj)?;
-        }
-        w.section(TAG_HEAP, &buf);
+        let mut roots = Ok(());
+        w.section_with(TAG_ROOTS, None, |buf| {
+            put_u32(buf, self.roots.len() as u32);
+            roots = self.roots.iter().try_for_each(|&r| put_hvalue(buf, r));
+        });
+        roots?;
 
-        buf.clear();
-        put_u32(&mut buf, self.roots.len() as u32);
-        for &r in &self.roots {
-            put_hvalue(&mut buf, r)?;
-        }
-        w.section(TAG_ROOTS, &buf);
+        w.section_with(TAG_STATS, None, |buf| {
+            for n in stats_words(&self.stats) {
+                put_u64(buf, n);
+            }
+        });
 
-        buf.clear();
-        for n in stats_words(&self.stats) {
-            put_u64(&mut buf, n);
-        }
-        w.section(TAG_STATS, &buf);
-
-        buf.clear();
-        put_u64(&mut buf, self.heap_capacity as u64);
-        buf.push(class_code(self.class));
-        w.section(TAG_CONTROL, &buf);
+        w.section_with(TAG_CONTROL, None, |buf| {
+            put_u64(buf, self.heap_capacity as u64);
+            buf.push(class_code(self.class));
+        });
         Ok(())
     }
 
@@ -530,26 +615,34 @@ impl MachineSnapshot {
     /// [`MachineSnapshot::to_bytes`]. Unknown machine-layer tags are an
     /// error; embedder tags (≥ [`FIRST_EMBEDDER_TAG`]) are ignored.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Self::from_sections(&read_sections(bytes)?)
+        Self::from_sections(&split_sections(bytes)?)
     }
 
-    /// Decode from already-split container sections.
-    pub fn from_sections(sections: &[(u32, &[u8])]) -> Result<Self, SnapshotError> {
+    /// Decode from already-split container sections. The image keeps
+    /// the checksums [`split_sections`] verified, so re-encoding it
+    /// costs no CRC pass over the code.
+    pub fn from_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
         let mut code = None;
         let mut names = None;
         let mut objects = None;
         let mut roots = None;
         let mut stats = None;
         let mut control = None;
-        for &(tag, payload) in sections {
+        for &Section { tag, payload, crc } in sections {
             match tag {
                 TAG_CODE => {
-                    code = Some(section(payload, "code section length", |r| Ok(r.words()?))?);
+                    let words = section(payload, "code section length", |r| Ok(r.words()?))?;
+                    code = Some((words, crc));
                 }
                 TAG_NAMES => {
-                    names = Some(section(payload, "names section length", |r| {
+                    let rows = section(payload, "names section length", |r| {
                         r.list(1, |r| Ok((r.u32()?, r.string()?)))
-                    })?);
+                    })?;
+                    names = Some(NameTable {
+                        rows,
+                        payload: payload.to_vec(),
+                        crc,
+                    });
                 }
                 TAG_HEAP => {
                     objects = Some(section(payload, "heap section length", |r| {
@@ -580,9 +673,13 @@ impl MachineSnapshot {
             }
         }
         let (heap_capacity, class) = control.ok_or(SnapshotError::MissingSection(TAG_CONTROL))?;
+        let (words, code_crc) = code.ok_or(SnapshotError::MissingSection(TAG_CODE))?;
         Ok(MachineSnapshot {
-            code: code.ok_or(SnapshotError::MissingSection(TAG_CODE))?,
-            names: names.ok_or(SnapshotError::MissingSection(TAG_NAMES))?,
+            image: Image {
+                words: words.into(),
+                code_crc,
+                names: Rc::new(names.ok_or(SnapshotError::MissingSection(TAG_NAMES))?),
+            },
             heap_capacity,
             objects: objects.ok_or(SnapshotError::MissingSection(TAG_HEAP))?,
             roots: roots.ok_or(SnapshotError::MissingSection(TAG_ROOTS))?,
@@ -591,30 +688,27 @@ impl MachineSnapshot {
         })
     }
 
-    /// Overwrite a live machine's mutable state with this snapshot. The
-    /// machine must be running the same binary image; the snapshot heap
-    /// is strictly audited first, so a corrupt checkpoint can never
-    /// replace a healthy machine.
-    pub fn restore_into(&self, hw: &mut Hw) -> Result<(), SnapshotError> {
-        if hw.code_words() != self.code.as_slice() {
+    /// Overwrite a live machine's mutable state with this snapshot, which
+    /// is moved in. The machine must be running the same binary image;
+    /// the snapshot heap is strictly audited first, so a corrupt
+    /// checkpoint can never replace a healthy machine.
+    pub fn restore_into(self, hw: &mut Hw) -> Result<(), SnapshotError> {
+        if hw.image().words() != self.image.words() {
             return Err(SnapshotError::CodeMismatch);
         }
         self.audit(&|id| hw.item_shape(id))?;
-        let heap = Heap::from_parts(self.heap_capacity, self.objects.clone());
-        hw.restore_parts(heap, self.roots.clone(), self.stats.clone(), self.class);
+        let heap = Heap::from_parts(self.heap_capacity, self.objects);
+        hw.restore_parts(heap, self.roots, self.stats, self.class);
         Ok(())
     }
 
-    /// Build a fresh machine from the snapshot alone: reload and
-    /// re-validate the embedded image, reinstall symbols, then restore.
+    /// Build a fresh machine from the snapshot alone: re-validate the
+    /// embedded image and load it with its symbols, then restore.
     /// `config`'s heap size is overridden by the snapshot's capacity.
-    pub fn to_hw(&self, mut config: HwConfig) -> Result<Hw, SnapshotError> {
+    pub fn to_hw(self, mut config: HwConfig) -> Result<Hw, SnapshotError> {
         config.heap_words = self.heap_capacity;
-        let mut hw = Hw::load_with(&self.code, config)
+        let mut hw = Hw::load_image(self.image.clone(), config)
             .map_err(|e: HwError| SnapshotError::Load(e.to_string()))?;
-        for (id, name) in &self.names {
-            hw.install_name(name, *id);
-        }
         self.restore_into(&mut hw)?;
         Ok(hw)
     }

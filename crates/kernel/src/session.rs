@@ -177,4 +177,56 @@ mod tests {
         assert_eq!(ports.output(PORT_PACE), &reference[..]);
         assert_eq!(ports.output(PORT_CHANNEL), &reference_chan[..]);
     }
+
+    /// Hibernate reuses the image's code CRC and name table from load (or
+    /// from the container it was rehydrated from). Those cached sections
+    /// must never drift from a fresh encoding: the capture, the bytes
+    /// decoded and re-encoded, and the machine rehydrated and hibernated
+    /// again all agree byte for byte, after boot and every 50th of 500
+    /// ECG steps — with and without retained symbols.
+    #[test]
+    fn hibernate_matches_a_fresh_encoding_across_500_ecg_steps() {
+        use zarf_hw::MachineSnapshot;
+        use zarf_icd::signal::{vt_episode, EcgConfig};
+
+        let img = session_image();
+        let (mut ecg, _) = vt_episode(EcgConfig::default());
+        let samples = ecg.take(500);
+        let machines = [
+            Hw::load_with(&img.words, HwConfig::default()).unwrap(),
+            Hw::from_machine(&session_machine()).unwrap(),
+        ];
+        for mut hw in machines {
+            let mut ports = VecPorts::new();
+            let v = hw
+                .call(img.boot, vec![zarf_hw::HValue::Int(0)], &mut ports)
+                .unwrap();
+            let state = hw.push_root(v);
+            hw.collect_garbage().unwrap();
+            let check = |hw: &Hw, step: usize| {
+                let bytes = hw.hibernate().unwrap();
+                let decoded = MachineSnapshot::from_bytes(&bytes).unwrap();
+                assert_eq!(
+                    decoded.to_bytes().unwrap(),
+                    bytes,
+                    "re-encoded, step {step}"
+                );
+                let again = Hw::rehydrate(&bytes, HwConfig::default()).unwrap();
+                assert_eq!(again.hibernate().unwrap(), bytes, "rehydrated, step {step}");
+            };
+            check(&hw, 0);
+            for (i, &sample) in samples.iter().enumerate() {
+                ports.push_input(PORT_TIMER, [i as i32]);
+                ports.push_input(PORT_ECG, [sample]);
+                ports.push_input(PORT_CHANNEL_STATUS, [0]);
+                let s = hw.root(state);
+                let v = hw.call(img.step, vec![s], &mut ports).unwrap();
+                hw.set_root(state, v);
+                hw.collect_garbage().unwrap();
+                if (i + 1) % 50 == 0 {
+                    check(&hw, i + 1);
+                }
+            }
+        }
+    }
 }

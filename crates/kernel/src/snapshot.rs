@@ -20,7 +20,9 @@
 
 use zarf_core::codec::{put_i32, put_ints, put_u64, Reader};
 use zarf_core::Int;
-use zarf_hw::{read_sections, MachineSnapshot, SectionWriter, SnapshotError, FIRST_EMBEDDER_TAG};
+use zarf_hw::{
+    split_sections, MachineSnapshot, Section, SectionWriter, SnapshotError, FIRST_EMBEDDER_TAG,
+};
 
 use crate::devices::HeartState;
 
@@ -96,16 +98,16 @@ impl SystemCheckpoint {
     /// Decode a container produced by [`SystemCheckpoint::to_bytes`].
     ///
     /// Container framing and per-section CRCs are verified by the
-    /// machine layer's [`read_sections`]; this does *not* audit the
+    /// machine layer's [`split_sections`]; this does *not* audit the
     /// heap — callers decide when to run the (strict) audit.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let sections = read_sections(bytes)?;
+        let sections = split_sections(bytes)?;
         let machine = MachineSnapshot::from_sections(&sections)?;
 
         let mut lp = None;
         let mut ht = None;
         let mut ch = None;
-        for &(tag, payload) in &sections {
+        for &Section { tag, payload, .. } in &sections {
             match tag {
                 TAG_LOOP => lp = Some(payload),
                 TAG_HEART => ht = Some(payload),

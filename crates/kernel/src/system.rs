@@ -683,7 +683,8 @@ impl System {
         let (Some(ckpt), Some(&last)) = (&run.checkpoint, run.detections.last()) else {
             return false;
         };
-        if ckpt.machine.restore_into(&mut self.hw).is_err() {
+        // The checkpoint stays for a later rollback, so restore a copy.
+        if ckpt.machine.clone().restore_into(&mut self.hw).is_err() {
             return false;
         }
         self.hw_ports.external.restore_state(&ckpt.heart);

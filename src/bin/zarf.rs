@@ -731,10 +731,11 @@ fn run_snapshot(rest: &[String]) -> ExitCode {
             "restore" => {
                 let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
                 let snap = MachineSnapshot::from_bytes(&bytes).map_err(|e| e.to_string())?;
+                let objects = snap.objects.len();
                 let mut hw = snap.to_hw(HwConfig::default()).map_err(|e| e.to_string())?;
                 let mut ports = parse_inputs(opts)?;
-                if snap.roots.is_empty() {
-                    println!("restored: {} object(s), no roots", snap.objects.len());
+                if hw.root_count() == 0 {
+                    println!("restored: {objects} object(s), no roots");
                 } else {
                     let root = hw.root(0);
                     let dv = hw.deep_value(root, &mut ports).map_err(|e| e.to_string())?;

@@ -734,6 +734,157 @@ fn failed_migration_resumes_on_the_source() {
     src.stop();
 }
 
+/// Another fleet runs its first session to commit 12 (one op per slice)
+/// in the store at `dir` and shuts down, leaving that record for a
+/// standby to serve. Returns the session's id.
+fn leave_a_foreign_session(dir: &Path, words: &[u32]) -> u64 {
+    let choppy = SessionConfig {
+        fuel_slice: 1,
+        ..SessionConfig::default()
+    };
+    let fleet = Fleet::start(FleetConfig {
+        workers: 2,
+        store: Some(open_store(dir)),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let h = fleet.handle();
+    let id = h.open_program(words, Some(choppy)).unwrap();
+    h.inject_batch(id, tally_ops(0, 12)).unwrap();
+    h.wait_idle(id, WAIT).unwrap();
+    fleet.shutdown();
+    id
+}
+
+/// A primary fleet replicating to the standby at `target`, with the
+/// given lag cap: the fleet, its store and sink, and the pump thread.
+fn replicating_primary(
+    dir: &Path,
+    target: &str,
+    lag_cap: u64,
+) -> (
+    Fleet,
+    Arc<Store>,
+    Arc<ReplSink>,
+    std::thread::JoinHandle<()>,
+) {
+    let store = open_store(dir);
+    let sink = ReplSink::new(lag_cap);
+    let fleet = Fleet::start(FleetConfig {
+        workers: 2,
+        store: Some(store.clone()),
+        repl: Some(sink.clone()),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let pump = spawn_replicator(
+        store.clone(),
+        sink.clone(),
+        ReplicatorConfig {
+            target: target.to_string(),
+            policy: fast_policy(),
+            chaos: None,
+        },
+    )
+    .unwrap();
+    (fleet, store, sink, pump)
+}
+
+/// Suite 2b: a standby holding another fleet's session 1 at seq 12 does
+/// not hold this primary's session 1, so its lag is never released: the
+/// pump counts nothing as acked until an `Offer` of the very record is
+/// answered `already`, and once the standby refuses the record, lag
+/// past the cap sheds injects with a detail naming the refusal.
+#[test]
+fn a_foreign_record_under_the_same_id_is_never_counted_as_acked() {
+    let tmp_a = TempDir::new("foreign_ack_a");
+    let tmp_b = TempDir::new("foreign_ack_b");
+    let words = zarf::asm::assemble(TALLY_SRC).unwrap();
+    let foreign = leave_a_foreign_session(tmp_b.path(), &words);
+    let standby = Standby::start(tmp_b.path());
+    assert_eq!(standby.store.session(foreign).unwrap().commit_seq, 12);
+
+    let (fleet, store, sink, pump) = replicating_primary(tmp_a.path(), &standby.addr, 1);
+    let h = fleet.handle();
+    let sid = h.open_program(&words, None).unwrap();
+    assert_eq!(sid, foreign, "both fleets number their first session alike");
+    for i in 0..2 {
+        h.inject(sid, tally_ops(i, 1).remove(0)).unwrap();
+        h.wait_idle(sid, WAIT).unwrap();
+    }
+    assert_eq!(store.session(sid).unwrap().commit_seq, 2);
+
+    // Wait until the pump has settled the session either way: acked, or
+    // refused and reported in the overload detail.
+    let mut detail = None;
+    wait_for("the pump to settle session 1", WAIT, || {
+        detail = sink.overloaded().filter(|d| d.contains("parked"));
+        detail.is_some() || sink.acked().contains_key(&sid)
+    });
+    assert_eq!(
+        sink.acked().get(&sid),
+        None,
+        "a foreign record read as acked"
+    );
+    let detail = detail.unwrap();
+    assert!(
+        detail.contains("replication lag 2") && detail.contains("held at seq 12"),
+        "{detail}"
+    );
+    let shed = h.inject(sid, tally_ops(2, 1).remove(0));
+    assert!(
+        matches!(&shed, Err(FleetError::Overloaded(d)) if d.contains("parked")),
+        "{shed:?}"
+    );
+
+    fleet.shutdown();
+    sink.shutdown();
+    pump.join().unwrap();
+    // The standby still holds the other fleet's record untouched.
+    assert_eq!(standby.store.session(foreign).unwrap().commit_seq, 12);
+}
+
+/// Suite 2c: a refused session is parked with the standby's reason and
+/// the pump ships the others over the same link, instead of retrying
+/// the refused one first forever.
+#[test]
+fn a_refused_session_is_parked_and_the_others_still_ship() {
+    let tmp_a = TempDir::new("parked_a");
+    let tmp_b = TempDir::new("parked_b");
+    let words = zarf::asm::assemble(TALLY_SRC).unwrap();
+    let foreign = leave_a_foreign_session(tmp_b.path(), &words);
+    let standby = Standby::start(tmp_b.path());
+
+    let (fleet, store, sink, pump) = replicating_primary(tmp_a.path(), &standby.addr, 1 << 20);
+    let h = fleet.handle();
+    let one = h.open_program(&words, None).unwrap();
+    let two = h.open_program(&words, None).unwrap();
+    assert_eq!(one, foreign, "both fleets number their first session alike");
+    for sid in [one, two] {
+        h.inject_batch(sid, tally_ops(0, 3)).unwrap();
+        h.wait_idle(sid, WAIT).unwrap();
+    }
+    let latest = |sid| store.session(sid).unwrap().commit_seq;
+    let (seq_one, seq_two) = (latest(one), latest(two));
+
+    wait_for("session 2's commit to be acked", WAIT, || {
+        sink.acked().get(&two) == Some(&seq_two)
+    });
+    wait_for("session 1 to be parked", WAIT, || !sink.parked().is_empty());
+    let parked = sink.parked();
+    assert_eq!(parked.len(), 1, "{parked:?}");
+    let (id, seq, reason) = &parked[0];
+    assert_eq!((*id, *seq), (one, seq_one));
+    assert!(reason.contains("held at seq 12"), "{reason}");
+    assert_eq!(sink.acked().get(&one), None);
+
+    fleet.shutdown();
+    sink.shutdown();
+    pump.join().unwrap();
+    let stats = standby.stop();
+    assert!(stats.rejects >= 1, "{stats:?}");
+}
+
 /// Suite 4d: session ids are per-fleet counters, so a destination can
 /// hold another fleet's session under the same id. Migrating onto it
 /// must fail typed and thaw the session on the source: never answer
@@ -744,27 +895,8 @@ fn migration_onto_a_foreign_record_under_the_same_id_fails_typed() {
     let tmp_b = TempDir::new("foreign_b");
     let words = zarf::asm::assemble(TALLY_SRC).unwrap();
     let plain = SessionConfig::default();
-    let choppy = SessionConfig {
-        fuel_slice: 1,
-        ..SessionConfig::default()
-    };
 
-    // Another fleet leaves its first session, further along, in the
-    // store the destination then serves.
-    let foreign = {
-        let fleet = Fleet::start(FleetConfig {
-            workers: 2,
-            store: Some(open_store(tmp_b.path())),
-            ..FleetConfig::default()
-        })
-        .unwrap();
-        let h = fleet.handle();
-        let id = h.open_program(&words, Some(choppy.clone())).unwrap();
-        h.inject_batch(id, tally_ops(0, 12)).unwrap();
-        h.wait_idle(id, WAIT).unwrap();
-        fleet.shutdown();
-        id
-    };
+    let foreign = leave_a_foreign_session(tmp_b.path(), &words);
     let dst = Standby::start(tmp_b.path());
     let held = dst.store.session(foreign).unwrap();
 
