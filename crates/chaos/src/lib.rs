@@ -15,7 +15,7 @@
 //!   fault that actually fires is recorded in an injection log for
 //!   post-mortem inspection and determinism checks.
 //!
-//! Plans can be built explicitly (e.g. [`FaultPlan::alloc_fail_at`]) for
+//! Plans can be built explicitly with [`FaultPlan::schedule`] for
 //! targeted tests, or derived from a seed with [`FaultPlan::seeded`] for
 //! soak suites. The seeded generator uses the same SplitMix64 construction
 //! as `zarf-testkit`, inlined here so the crate depends only on
@@ -391,140 +391,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fail the `op`-th heap allocation.
-    pub fn alloc_fail_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::AllocFail)
-    }
-
-    /// Flip `bit` of the cell created by the `op`-th heap allocation.
-    pub fn bit_flip_at(self, op: u64, bit: u8) -> Self {
-        self.schedule(op, FaultKind::BitFlip { bit })
-    }
-
-    /// Force a collection immediately before the `op`-th heap allocation.
-    pub fn force_gc_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ForceGc)
-    }
-
-    /// Drop the `op`-th word pushed onto the channel.
-    pub fn chan_drop_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ChanDrop)
-    }
-
-    /// Duplicate the `op`-th word pushed onto the channel.
-    pub fn chan_dup_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ChanDup)
-    }
-
-    /// XOR-corrupt the `op`-th word pushed onto the channel.
-    pub fn chan_corrupt_at(self, op: u64, xor: Int) -> Self {
-        self.schedule(op, FaultKind::ChanCorrupt { xor })
-    }
-
-    /// Drop out the `op`-th ECG sample (repeat the previous one).
-    pub fn ecg_dropout_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::EcgDropout)
-    }
-
-    /// Saturate the `op`-th ECG sample to full scale.
-    pub fn ecg_saturate_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::EcgSaturate)
-    }
-
-    /// Add `delta` to the `op`-th ECG sample.
-    pub fn ecg_noise_at(self, op: u64, delta: Int) -> Self {
-        self.schedule(op, FaultKind::EcgNoise { delta })
-    }
-
-    /// Cut the fuel budget of the `op`-th coroutine invocation to `cycles`.
-    pub fn fuel_cut_at(self, op: u64, cycles: u64) -> Self {
-        self.schedule(op, FaultKind::FuelCut { cycles })
-    }
-
-    /// Flip `bit` of byte `byte` in the `op`-th captured checkpoint.
-    pub fn snapshot_corrupt_at(self, op: u64, byte: u64, bit: u8) -> Self {
-        self.schedule(op, FaultKind::SnapshotCorrupt { byte, bit })
-    }
-
-    /// Kill the worker mid-slice on the session's `op`-th scheduling slice
-    /// (`zarf-fleet`): the slice's work is discarded and replayed from the
-    /// last committed snapshot.
-    pub fn session_kill_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::SessionKill)
-    }
-
-    /// Evict the session's resident machine after its `op`-th scheduling
-    /// slice commits, forcing rehydration from the snapshot next slice.
-    pub fn force_evict_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ForceEvict)
-    }
-
-    /// Drop the connection instead of writing the frontier's `op`-th
-    /// response (`zarf-fleet` serve loop; frontier coordinate space).
-    pub fn conn_kill_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ConnKill)
-    }
-
-    /// Write half of the frontier's `op`-th response frame, then drop the
-    /// connection (`zarf-fleet` serve loop; frontier coordinate space).
-    pub fn partial_write_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::PartialWrite)
-    }
-
-    /// Land only the first half of the store's `op`-th I/O write and
-    /// stall the store (`zarf-store`; store I/O event coordinate space).
-    pub fn torn_write_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::TornWrite)
-    }
-
-    /// Flip `bit` of one byte of the store's `op`-th I/O write on its
-    /// way to disk (`zarf-store`; store I/O event coordinate space).
-    pub fn bit_rot_at(self, op: u64, bit: u8) -> Self {
-        self.schedule(op, FaultKind::BitRot { bit })
-    }
-
-    /// Silently drop the store's `op`-th I/O write (`zarf-store`; store
-    /// I/O event coordinate space).
-    pub fn missing_chunk_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::MissingChunk)
-    }
-
-    /// Fail the store's `op`-th I/O event as a broken `fsync`
-    /// (`zarf-store`; store I/O event coordinate space).
-    pub fn fsync_fail_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::FsyncFail)
-    }
-
-    /// Drop the replication link instead of sending its `op`-th frame
-    /// (`zarf-fleet` replicator; repl frame coordinate space).
-    pub fn link_drop_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::LinkDrop)
-    }
-
-    /// Stall the sender before its `op`-th replication frame
-    /// (`zarf-fleet` replicator; repl frame coordinate space).
-    pub fn repl_stall_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::ReplStall)
-    }
-
-    /// Deliver the `op`-th replication frame after its successor
-    /// (`zarf-fleet` replicator; repl frame coordinate space).
-    pub fn reorder_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::Reorder)
-    }
-
-    /// Write half of the `op`-th replication frame, then drop the link
-    /// (`zarf-fleet` replicator; repl frame coordinate space).
-    pub fn truncated_stream_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::TruncatedStream)
-    }
-
-    /// Deliver the `op`-th replication frame twice
-    /// (`zarf-fleet` replicator; repl frame coordinate space).
-    pub fn dup_deliver_at(self, op: u64) -> Self {
-        self.schedule(op, FaultKind::DupDeliver)
-    }
-
     /// Look up the fault scheduled at an exact `(site, op)` coordinate
     /// without any counter state. The fleet consults plans this way — its
     /// coordinate (the session's own slice index) is tracked by the
@@ -541,19 +407,13 @@ impl FaultPlan {
     ///
     /// Fully deterministic, same contract as [`FaultPlan::seeded`].
     pub fn seeded_fleet(seed: u64, slices: u64, n: usize) -> Self {
-        let mut rng = SplitMix64(seed ^ 0x5851_F42D_4C95_7F2D);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n {
-            let op = rng.below(slices.max(1));
-            let kind = if rng.below(3) < 2 {
+        FaultPlan::seeded_site(seed, slices, n, |rng| {
+            if rng.below(3) < 2 {
                 FaultKind::SessionKill
             } else {
                 FaultKind::ForceEvict
-            };
-            plan = plan.schedule(op, kind);
-        }
-        plan.seed = Some(seed);
-        plan
+            }
+        })
     }
 
     /// Derive a frontier plan of (up to) `n` connection-kill/partial-write
@@ -568,19 +428,13 @@ impl FaultPlan {
     ///
     /// Fully deterministic, same contract as [`FaultPlan::seeded`].
     pub fn seeded_frontier(seed: u64, events: u64, n: usize) -> Self {
-        let mut rng = SplitMix64(seed ^ 0x5851_F42D_4C95_7F2D);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n {
-            let op = rng.below(events.max(1));
-            let kind = if rng.below(2) == 0 {
+        FaultPlan::seeded_site(seed, events, n, |rng| {
+            if rng.below(2) == 0 {
                 FaultKind::ConnKill
             } else {
                 FaultKind::PartialWrite
-            };
-            plan = plan.schedule(op, kind);
-        }
-        plan.seed = Some(seed);
-        plan
+            }
+        })
     }
 
     /// Derive a store plan of (up to) `n` disk faults from `seed`, placed
@@ -594,22 +448,14 @@ impl FaultPlan {
     ///
     /// Fully deterministic, same contract as [`FaultPlan::seeded`].
     pub fn seeded_store(seed: u64, events: u64, n: usize) -> Self {
-        let mut rng = SplitMix64(seed ^ 0x5851_F42D_4C95_7F2D);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n {
-            let op = rng.below(events.max(1));
-            let kind = match rng.below(4) {
-                0 => FaultKind::TornWrite,
-                1 => FaultKind::MissingChunk,
-                2 => FaultKind::FsyncFail,
-                _ => FaultKind::BitRot {
-                    bit: rng.below(8) as u8,
-                },
-            };
-            plan = plan.schedule(op, kind);
-        }
-        plan.seed = Some(seed);
-        plan
+        FaultPlan::seeded_site(seed, events, n, |rng| match rng.below(4) {
+            0 => FaultKind::TornWrite,
+            1 => FaultKind::MissingChunk,
+            2 => FaultKind::FsyncFail,
+            _ => FaultKind::BitRot {
+                bit: rng.below(8) as u8,
+            },
+        })
     }
 
     /// Derive a replication-link plan of (up to) `n` faults from `seed`,
@@ -623,18 +469,29 @@ impl FaultPlan {
     ///
     /// Fully deterministic, same contract as [`FaultPlan::seeded`].
     pub fn seeded_repl(seed: u64, events: u64, n: usize) -> Self {
+        FaultPlan::seeded_site(seed, events, n, |rng| match rng.below(5) {
+            0 => FaultKind::LinkDrop,
+            1 => FaultKind::ReplStall,
+            2 => FaultKind::Reorder,
+            3 => FaultKind::TruncatedStream,
+            _ => FaultKind::DupDeliver,
+        })
+    }
+
+    /// The one loop behind the single-site generators: for each of `n`
+    /// faults, draw its op uniformly over `horizon`, then let `kind` draw
+    /// the fault. The draw order is part of the frozen stream.
+    fn seeded_site(
+        seed: u64,
+        horizon: u64,
+        n: usize,
+        mut kind: impl FnMut(&mut SplitMix64) -> FaultKind,
+    ) -> Self {
         let mut rng = SplitMix64(seed ^ 0x5851_F42D_4C95_7F2D);
         let mut plan = FaultPlan::new();
         for _ in 0..n {
-            let op = rng.below(events.max(1));
-            let kind = match rng.below(5) {
-                0 => FaultKind::LinkDrop,
-                1 => FaultKind::ReplStall,
-                2 => FaultKind::Reorder,
-                3 => FaultKind::TruncatedStream,
-                _ => FaultKind::DupDeliver,
-            };
-            plan = plan.schedule(op, kind);
+            let op = rng.below(horizon.max(1));
+            plan = plan.schedule(op, kind(&mut rng));
         }
         plan.seed = Some(seed);
         plan
@@ -822,9 +679,9 @@ mod tests {
     #[test]
     fn explicit_plan_fires_at_exact_coordinates() {
         let plan = FaultPlan::new()
-            .alloc_fail_at(2)
-            .chan_corrupt_at(0, 0x10)
-            .ecg_dropout_at(1);
+            .schedule(2, FaultKind::AllocFail)
+            .schedule(0, FaultKind::ChanCorrupt { xor: 0x10 })
+            .schedule(1, FaultKind::EcgDropout);
         let h = ChaosHandle::new(plan);
         assert_eq!(h.next(FaultSite::Alloc), None);
         assert_eq!(h.next(FaultSite::Alloc), None);
@@ -842,7 +699,9 @@ mod tests {
 
     #[test]
     fn sites_count_independently() {
-        let plan = FaultPlan::new().alloc_fail_at(0).chan_drop_at(0);
+        let plan = FaultPlan::new()
+            .schedule(0, FaultKind::AllocFail)
+            .schedule(0, FaultKind::ChanDrop);
         let h = ChaosHandle::new(plan);
         // Interleaved operations at different sites do not disturb each
         // other's counters.
@@ -853,7 +712,7 @@ mod tests {
 
     #[test]
     fn clones_share_counters_and_log() {
-        let h = ChaosHandle::new(FaultPlan::new().alloc_fail_at(1));
+        let h = ChaosHandle::new(FaultPlan::new().schedule(1, FaultKind::AllocFail));
         let h2 = h.clone();
         assert_eq!(h.next(FaultSite::Alloc), None);
         assert_eq!(h2.next(FaultSite::Alloc), Some(FaultKind::AllocFail));
@@ -923,7 +782,9 @@ mod tests {
 
     #[test]
     fn fleet_builders_and_point_query() {
-        let plan = FaultPlan::new().session_kill_at(3).force_evict_at(5);
+        let plan = FaultPlan::new()
+            .schedule(3, FaultKind::SessionKill)
+            .schedule(5, FaultKind::ForceEvict);
         assert_eq!(plan.at(FaultSite::Fleet, 3), Some(FaultKind::SessionKill));
         assert_eq!(plan.at(FaultSite::Fleet, 5), Some(FaultKind::ForceEvict));
         assert_eq!(plan.at(FaultSite::Fleet, 4), None);
@@ -976,11 +837,15 @@ mod tests {
         assert!(kinds.contains("conn_kill"));
         assert!(kinds.contains("partial_write"));
         assert_eq!(
-            FaultPlan::new().conn_kill_at(2).at(FaultSite::Fleet, 2),
+            FaultPlan::new()
+                .schedule(2, FaultKind::ConnKill)
+                .at(FaultSite::Fleet, 2),
             Some(FaultKind::ConnKill)
         );
         assert_eq!(
-            FaultPlan::new().partial_write_at(9).at(FaultSite::Fleet, 9),
+            FaultPlan::new()
+                .schedule(9, FaultKind::PartialWrite)
+                .at(FaultSite::Fleet, 9),
             Some(FaultKind::PartialWrite)
         );
         assert_eq!(FaultKind::ConnKill.detail(), 0);
@@ -1011,12 +876,12 @@ mod tests {
     }
 
     #[test]
-    fn store_builders_and_point_query() {
+    fn store_faults_schedule_and_point_query() {
         let plan = FaultPlan::new()
-            .torn_write_at(1)
-            .bit_rot_at(3, 5)
-            .missing_chunk_at(4)
-            .fsync_fail_at(9);
+            .schedule(1, FaultKind::TornWrite)
+            .schedule(3, FaultKind::BitRot { bit: 5 })
+            .schedule(4, FaultKind::MissingChunk)
+            .schedule(9, FaultKind::FsyncFail);
         assert_eq!(plan.at(FaultSite::Store, 1), Some(FaultKind::TornWrite));
         assert_eq!(
             plan.at(FaultSite::Store, 3),
@@ -1063,13 +928,13 @@ mod tests {
     }
 
     #[test]
-    fn repl_builders_and_point_query() {
+    fn repl_faults_schedule_and_point_query() {
         let plan = FaultPlan::new()
-            .link_drop_at(0)
-            .repl_stall_at(2)
-            .reorder_at(3)
-            .truncated_stream_at(5)
-            .dup_deliver_at(8);
+            .schedule(0, FaultKind::LinkDrop)
+            .schedule(2, FaultKind::ReplStall)
+            .schedule(3, FaultKind::Reorder)
+            .schedule(5, FaultKind::TruncatedStream)
+            .schedule(8, FaultKind::DupDeliver);
         assert_eq!(plan.at(FaultSite::Repl, 0), Some(FaultKind::LinkDrop));
         assert_eq!(plan.at(FaultSite::Repl, 2), Some(FaultKind::ReplStall));
         assert_eq!(plan.at(FaultSite::Repl, 3), Some(FaultKind::Reorder));
@@ -1084,6 +949,136 @@ mod tests {
         assert_eq!(FaultKind::DupDeliver.detail(), 0);
         assert_eq!(FaultKind::TruncatedStream.to_string(), "truncated_stream");
         assert_eq!(FaultSite::Repl.name(), "repl");
+    }
+
+    /// The single-site generators' streams are frozen: these plans were
+    /// read off the generators before they shared one loop, and any
+    /// change to a draw (its order, its range or its count) moves them.
+    #[test]
+    fn single_site_generators_keep_their_frozen_plans() {
+        use FaultKind::*;
+        let plans = |generate: fn(u64) -> FaultPlan| {
+            (1..=3)
+                .map(|seed| {
+                    let plan = generate(seed);
+                    assert_eq!(plan.seed(), Some(seed));
+                    plan.iter().map(|(_, op, kind)| (op, kind)).collect()
+                })
+                .collect::<Vec<Vec<(u64, FaultKind)>>>()
+        };
+        assert_eq!(
+            plans(|seed| FaultPlan::seeded_fleet(seed, 32, 6)),
+            [
+                vec![
+                    (3, SessionKill),
+                    (17, SessionKill),
+                    (20, SessionKill),
+                    (24, ForceEvict),
+                    (27, SessionKill),
+                    (28, ForceEvict),
+                ],
+                vec![
+                    (5, SessionKill),
+                    (7, SessionKill),
+                    (9, SessionKill),
+                    (14, SessionKill),
+                    (21, SessionKill),
+                    (29, ForceEvict),
+                ],
+                vec![
+                    (5, SessionKill),
+                    (6, SessionKill),
+                    (17, ForceEvict),
+                    (18, ForceEvict),
+                    (29, ForceEvict),
+                ],
+            ]
+        );
+        assert_eq!(
+            plans(|seed| FaultPlan::seeded_frontier(seed, 64, 6)),
+            [
+                vec![
+                    (7, ConnKill),
+                    (35, PartialWrite),
+                    (40, PartialWrite),
+                    (48, PartialWrite),
+                    (55, ConnKill),
+                    (56, PartialWrite),
+                ],
+                vec![
+                    (10, ConnKill),
+                    (14, PartialWrite),
+                    (18, PartialWrite),
+                    (28, ConnKill),
+                    (42, PartialWrite),
+                    (58, PartialWrite),
+                ],
+                vec![
+                    (10, ConnKill),
+                    (13, ConnKill),
+                    (35, PartialWrite),
+                    (37, PartialWrite),
+                    (58, PartialWrite),
+                ],
+            ]
+        );
+        assert_eq!(
+            plans(|seed| FaultPlan::seeded_store(seed, 96, 6)),
+            [
+                vec![
+                    (11, MissingChunk),
+                    (53, FsyncFail),
+                    (61, FsyncFail),
+                    (72, BitRot { bit: 7 }),
+                    (82, BitRot { bit: 0 }),
+                    (86, BitRot { bit: 2 }),
+                ],
+                vec![
+                    (15, MissingChunk),
+                    (21, FsyncFail),
+                    (42, MissingChunk),
+                    (49, FsyncFail),
+                    (50, TornWrite),
+                    (87, BitRot { bit: 2 }),
+                ],
+                vec![
+                    (5, FsyncFail),
+                    (15, MissingChunk),
+                    (65, FsyncFail),
+                    (87, BitRot { bit: 4 }),
+                    (90, TornWrite),
+                    (93, MissingChunk),
+                ],
+            ]
+        );
+        assert_eq!(
+            plans(|seed| FaultPlan::seeded_repl(seed, 128, 6)),
+            [
+                vec![
+                    (15, ReplStall),
+                    (71, Reorder),
+                    (81, TruncatedStream),
+                    (96, DupDeliver),
+                    (111, ReplStall),
+                    (113, DupDeliver),
+                ],
+                vec![
+                    (20, ReplStall),
+                    (28, Reorder),
+                    (37, Reorder),
+                    (56, ReplStall),
+                    (84, Reorder),
+                    (116, DupDeliver),
+                ],
+                vec![
+                    (20, Reorder),
+                    (26, LinkDrop),
+                    (70, TruncatedStream),
+                    (74, DupDeliver),
+                    (116, DupDeliver),
+                ],
+            ]
+        );
     }
 
     #[test]

@@ -85,21 +85,10 @@ impl<'p> Evaluator<'p> {
         self
     }
 
-    /// Fuel remaining after the last run.
-    pub fn fuel_left(&self) -> u64 {
-        self.fuel
-    }
-
     /// Install a trace sink; the evaluator emits [`Event::Bind`],
     /// [`Event::Dispatch`], and [`Event::Yield`] with [`Engine::Big`].
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink.set(sink);
-    }
-
-    /// Builder-style [`Evaluator::set_sink`].
-    pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.sink.set(sink);
-        self
     }
 
     /// Remove and return the installed sink, if any.

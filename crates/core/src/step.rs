@@ -109,12 +109,6 @@ impl<'p> Machine<'p> {
         self.sink.set(sink);
     }
 
-    /// Builder-style [`Machine::set_sink`].
-    pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.sink.set(sink);
-        self
-    }
-
     /// Remove and return the installed sink, if any.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.sink.take()

@@ -44,7 +44,7 @@
 //! | opcode | message     | body                                        |
 //! |--------|-------------|---------------------------------------------|
 //! | 1      | `Hello`     | —                                           |
-//! | 2      | `HelloAck`  | count, then (session u64, commit_seq u64)…  |
+//! | 2      | `HelloAck`  | —                                           |
 //! | 3      | `Offer`     | session record (the store's codec)          |
 //! | 4      | `Need`      | already u8, count, then chunk ids ×16 bytes |
 //! | 5      | `Chunk`     | id 16 bytes, length-prefixed payload        |
@@ -115,15 +115,9 @@ const OP_ERR: u8 = 10;
 pub enum ReplMsg {
     /// Link open; the receiver answers [`ReplMsg::HelloAck`].
     Hello,
-    /// What the receiver already holds: `(session, commit_seq)` for
-    /// every committed record. Informational: a `(session, seq)` pair
-    /// cannot tell this primary's record from another fleet's under the
-    /// same id, so the pump counts nothing as acked from it; each
-    /// `Offer` learns what is held, hash-exact, through `Need`.
-    HelloAck {
-        /// Held sessions and their commit sequence numbers.
-        acked: Vec<(u64, u64)>,
-    },
+    /// The receiver is ready. It carries nothing: each `Offer` learns
+    /// what is held, hash-exact, through `Need`.
+    HelloAck,
     /// A session record the sender wants durable on the receiver.
     Offer {
         /// The record (complete ordered chunk list).
@@ -183,14 +177,7 @@ impl ReplMsg {
         let mut out = Vec::new();
         match self {
             ReplMsg::Hello => out.push(OP_HELLO),
-            ReplMsg::HelloAck { acked } => {
-                out.push(OP_HELLO_ACK);
-                put_u32(&mut out, acked.len() as u32);
-                for &(session, seq) in acked {
-                    put_u64(&mut out, session);
-                    put_u64(&mut out, seq);
-                }
-            }
+            ReplMsg::HelloAck => out.push(OP_HELLO_ACK),
             ReplMsg::Offer { rec } => {
                 out.push(OP_OFFER);
                 rec.put(&mut out);
@@ -246,9 +233,7 @@ impl ReplMsg {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             OP_HELLO => ReplMsg::Hello,
-            OP_HELLO_ACK => ReplMsg::HelloAck {
-                acked: r.list(16, |r| Ok::<_, WireError>((r.u64()?, r.u64()?)))?,
-            },
+            OP_HELLO_ACK => ReplMsg::HelloAck,
             OP_OFFER => ReplMsg::Offer {
                 rec: SessionRecord::read(&mut r)?,
             },
@@ -531,7 +516,7 @@ impl<'a> ChaosLink<'a> {
             held: None,
         };
         match link.call(&ReplMsg::Hello)? {
-            ReplMsg::HelloAck { .. } => Ok(link),
+            ReplMsg::HelloAck => Ok(link),
             other => Err(refused(other)),
         }
     }
@@ -664,7 +649,7 @@ fn refused(reply: ReplMsg) -> FleetError {
 fn msg_name(m: &ReplMsg) -> &'static str {
     match m {
         ReplMsg::Hello => "unexpected Hello",
-        ReplMsg::HelloAck { .. } => "unexpected HelloAck",
+        ReplMsg::HelloAck => "unexpected HelloAck",
         ReplMsg::Offer { .. } => "unexpected Offer",
         ReplMsg::Need { .. } => "unexpected Need",
         ReplMsg::Chunk { .. } => "unexpected Chunk",
@@ -888,13 +873,7 @@ fn answer(
     stats: &mut ReplReceiverStats,
 ) -> Result<Option<ReplMsg>, (u32, String)> {
     let reply = match msg {
-        ReplMsg::Hello => ReplMsg::HelloAck {
-            acked: store
-                .sessions()
-                .into_iter()
-                .map(|r| (r.id, r.commit_seq))
-                .collect(),
-        },
+        ReplMsg::Hello => ReplMsg::HelloAck,
         ReplMsg::Offer { rec } => {
             if let Some(held) = store.session(rec.id) {
                 // `already` only for the very record offered. Ids are
@@ -1123,9 +1102,7 @@ mod tests {
     fn sample_msgs() -> Vec<ReplMsg> {
         vec![
             ReplMsg::Hello,
-            ReplMsg::HelloAck {
-                acked: vec![(1, 5), (9, 0)],
-            },
+            ReplMsg::HelloAck,
             ReplMsg::Offer {
                 rec: sample_record(),
             },

@@ -51,8 +51,7 @@ fn arb_record() -> impl Strategy<Value = SessionRecord> {
 fn arb_msg() -> BoxedStrategy<ReplMsg> {
     BoxedStrategy::new(prop_oneof![
         (0u8..1).prop_map(|_| ReplMsg::Hello),
-        prop::collection::vec((any::<u64>(), any::<u64>()), 0..6)
-            .prop_map(|acked| ReplMsg::HelloAck { acked }),
+        (0u8..1).prop_map(|_| ReplMsg::HelloAck),
         arb_record().prop_map(|rec| ReplMsg::Offer { rec }),
         (any::<bool>(), prop::collection::vec(arb_chunk_id(), 0..6))
             .prop_map(|(already, chunks)| ReplMsg::Need { already, chunks }),

@@ -114,12 +114,6 @@ impl Heap {
         }
     }
 
-    /// Decompose into `(capacity_words, objects)` — the inverse of
-    /// [`Heap::from_parts`].
-    pub fn into_parts(self) -> (usize, Vec<HeapObj>) {
-        (self.capacity_words, self.objs)
-    }
-
     /// Allocate an object, returning its reference, or `None` if the
     /// semispace cannot hold it (caller should collect and retry).
     pub fn alloc(&mut self, obj: HeapObj) -> Option<HeapRef> {

@@ -380,14 +380,6 @@ impl Hw {
         &self.stats
     }
 
-    /// Reset statistics (keeping load cycles at zero). Pending, not-yet-
-    /// emitted trace cycles are discarded so the trace restarts with the
-    /// counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = Stats::default();
-        self.cursor = TraceCursor::default();
-    }
-
     /// The loaded binary image, exactly as validated at load, and its
     /// retained symbols.
     pub(crate) fn image(&self) -> &Image {
@@ -557,19 +549,6 @@ impl Hw {
         self.cycle_limit = Some(saved.map_or(deadline, |l| l.min(deadline)));
         let result = self.call(id, args, ports);
         self.cycle_limit = saved;
-        result
-    }
-
-    /// Reduce `v` to weak head-normal form from the host — the demand a
-    /// `case` would make — cleaning up machine state on error like
-    /// [`Hw::call`]. Hosts use this to force constructor fields they are
-    /// about to consume (e.g. the output word of a `Pair state out`).
-    pub fn force_value(&mut self, v: HValue, ports: &mut dyn IoPorts) -> Result<HValue, HwError> {
-        let result = self.run_machine(State::Force(v), ports);
-        if result.is_err() {
-            self.frames.clear();
-            self.conts.clear();
-        }
         result
     }
 

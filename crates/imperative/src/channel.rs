@@ -191,11 +191,6 @@ impl<E> Endpoint<E> {
         self.fifos.borrow_mut().config = config;
     }
 
-    /// The currently configured capacity/overflow policy.
-    pub fn channel_config(&self) -> ChannelConfig {
-        self.fifos.borrow().config
-    }
-
     /// Overflow incidents (evictions and refusals under
     /// [`OverflowPolicy::Error`]) since the channel was created.
     pub fn overflows(&self) -> u64 {
@@ -510,9 +505,9 @@ mod tests {
     fn chaos_faults_drop_dup_and_corrupt_pushes() {
         use zarf_chaos::FaultPlan;
         let plan = FaultPlan::new()
-            .chan_drop_at(0)
-            .chan_dup_at(1)
-            .chan_corrupt_at(2, 0b100);
+            .schedule(0, FaultKind::ChanDrop)
+            .schedule(1, FaultKind::ChanDup)
+            .schedule(2, FaultKind::ChanCorrupt { xor: 0b100 });
         let chaos = ChaosHandle::new(plan);
         let (mut a, mut b) = channel();
         a.set_chaos(Some(chaos.clone()));

@@ -390,12 +390,6 @@ impl Cpu {
         }
     }
 
-    /// Replace the cycle-cost model.
-    pub fn with_cost(mut self, cost: CpuCost) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Read a register (`r0` always reads zero).
     pub fn reg(&self, r: Reg) -> Int {
         if r.0 == 0 {
@@ -416,11 +410,6 @@ impl Cpu {
         self.mem[addr]
     }
 
-    /// Write a data-memory word (for test setup).
-    pub fn set_mem(&mut self, addr: usize, v: Int) {
-        self.mem[addr] = v;
-    }
-
     /// Cycles consumed so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -439,13 +428,6 @@ impl Cpu {
     /// Current program counter.
     pub fn pc(&self) -> usize {
         self.pc
-    }
-
-    /// Reset control state (registers, pc, counters) but keep memory.
-    pub fn reset_control(&mut self) {
-        self.regs = [0; 16];
-        self.pc = 0;
-        self.halted = false;
     }
 
     /// Execute one instruction.

@@ -1126,7 +1126,8 @@ mod tests {
         // Starve the ICD coroutine's 6th call slot (iteration 1, slot
         // layout: init, then 4 per iteration); restart re-runs it with a
         // full budget.
-        let chaos = sys.enable_chaos(FaultPlan::new().fuel_cut_at(6, 1));
+        let chaos =
+            sys.enable_chaos(FaultPlan::new().schedule(6, FaultKind::FuelCut { cycles: 1 }));
         let outcome = sys.run_supervised(WatchdogConfig::default());
         let SupervisedOutcome::Completed(report) = outcome else {
             panic!(
@@ -1161,7 +1162,8 @@ mod tests {
         let mut sys = System::new(samples).unwrap();
         // Starve iteration 1's ICD call; the watchdog rolls the whole
         // system back to the iteration-0 checkpoint and re-runs.
-        let chaos = sys.enable_chaos(FaultPlan::new().fuel_cut_at(6, 1));
+        let chaos =
+            sys.enable_chaos(FaultPlan::new().schedule(6, FaultKind::FuelCut { cycles: 1 }));
         let outcome = sys.run_supervised(rollback_config(4, 4));
         let SupervisedOutcome::Completed(report) = outcome else {
             panic!(
@@ -1186,7 +1188,7 @@ mod tests {
         let base = plain.run().unwrap();
 
         let mut sys = System::new(samples).unwrap();
-        sys.enable_chaos(FaultPlan::new().fuel_cut_at(6, 1));
+        sys.enable_chaos(FaultPlan::new().schedule(6, FaultKind::FuelCut { cycles: 1 }));
         let outcome = sys.run_supervised(rollback_config(4, 0));
         let SupervisedOutcome::Completed(report) = outcome else {
             panic!(
@@ -1209,7 +1211,13 @@ mod tests {
         let mut sys = System::with_metrics(samples).unwrap();
         // Rot a bit in the second checkpoint's stored bytes; verification
         // must reject it and the system must keep pacing regardless.
-        sys.enable_chaos(FaultPlan::new().snapshot_corrupt_at(1, 12_345, 3));
+        sys.enable_chaos(FaultPlan::new().schedule(
+            1,
+            FaultKind::SnapshotCorrupt {
+                byte: 12_345,
+                bit: 3,
+            },
+        ));
         let outcome = sys.run_supervised(rollback_config(8, 4));
         let SupervisedOutcome::Completed(report) = outcome else {
             panic!(
@@ -1238,8 +1246,8 @@ mod tests {
         // back to the iteration-0 checkpoint and still converge.
         sys.enable_chaos(
             FaultPlan::new()
-                .snapshot_corrupt_at(1, 777, 0)
-                .fuel_cut_at(22, 1),
+                .schedule(1, FaultKind::SnapshotCorrupt { byte: 777, bit: 0 })
+                .schedule(22, FaultKind::FuelCut { cycles: 1 }),
         );
         let outcome = sys.run_supervised(rollback_config(4, 4));
         let SupervisedOutcome::Completed(report) = outcome else {
@@ -1260,7 +1268,7 @@ mod tests {
     fn halt_policy_fail_stops_on_first_detection() {
         let samples = fast_rhythm_samples(2.0);
         let mut sys = System::new(samples).unwrap();
-        sys.enable_chaos(FaultPlan::new().fuel_cut_at(6, 1));
+        sys.enable_chaos(FaultPlan::new().schedule(6, FaultKind::FuelCut { cycles: 1 }));
         let outcome = sys.run_supervised(WatchdogConfig {
             policy: RecoveryPolicy::Halt,
             ..WatchdogConfig::default()
@@ -1277,7 +1285,7 @@ mod tests {
         let samples = fast_rhythm_samples(2.0);
         let n = samples.len();
         let mut sys = System::new(samples).unwrap();
-        sys.enable_chaos(FaultPlan::new().fuel_cut_at(6, 1));
+        sys.enable_chaos(FaultPlan::new().schedule(6, FaultKind::FuelCut { cycles: 1 }));
         let outcome = sys.run_supervised(WatchdogConfig {
             policy: RecoveryPolicy::DegradeToMonitorOnly,
             ..WatchdogConfig::default()
@@ -1296,7 +1304,7 @@ mod tests {
     fn alloc_failure_lands_in_typed_outcome() {
         let samples = fast_rhythm_samples(1.0);
         let mut sys = System::new(samples).unwrap();
-        sys.enable_chaos(FaultPlan::new().alloc_fail_at(500));
+        sys.enable_chaos(FaultPlan::new().schedule(500, FaultKind::AllocFail));
         let outcome = sys.run_supervised(WatchdogConfig::default());
         // Whatever the terminal state, it is typed and carries the
         // detection trail.
@@ -1311,7 +1319,7 @@ mod tests {
     fn ecg_faults_flow_through_served_log() {
         let samples = fast_rhythm_samples(1.0);
         let mut sys = System::new(samples).unwrap();
-        sys.enable_chaos(FaultPlan::new().ecg_saturate_at(3));
+        sys.enable_chaos(FaultPlan::new().schedule(3, FaultKind::EcgSaturate));
         let outcome = sys.run_supervised(WatchdogConfig::default());
         assert_eq!(outcome.name(), "completed");
         let served = sys.hw_ports.external.served_log();

@@ -1428,7 +1428,7 @@ pub(crate) mod tests {
         let dir = TempDir::new("torn");
         // Let a few commits through, then tear a write mid-stream.
         let cfg = StoreConfig {
-            chaos: Some(FaultPlan::new().torn_write_at(9)),
+            chaos: Some(FaultPlan::new().schedule(9, FaultKind::TornWrite)),
             ..small_cfg()
         };
         let store = Store::open(dir.path(), cfg).expect("open");
@@ -1467,7 +1467,7 @@ pub(crate) mod tests {
         let dir = TempDir::new("bit_rot");
         // Event 0 is the segment header; event 1 is the first chunk.
         let cfg = StoreConfig {
-            chaos: Some(FaultPlan::new().bit_rot_at(1, 3)),
+            chaos: Some(FaultPlan::new().schedule(1, FaultKind::BitRot { bit: 3 })),
             ..small_cfg()
         };
         let snap = snapshot(42, 3 << 10); // single chunk
@@ -1498,7 +1498,7 @@ pub(crate) mod tests {
     fn lost_chunk_write_is_detected_after_restart() {
         let dir = TempDir::new("missing");
         let cfg = StoreConfig {
-            chaos: Some(FaultPlan::new().missing_chunk_at(1)),
+            chaos: Some(FaultPlan::new().schedule(1, FaultKind::MissingChunk)),
             ..small_cfg()
         };
         let snap = snapshot(43, 3 << 10);
@@ -1524,7 +1524,7 @@ pub(crate) mod tests {
             // Put #1 is events 0–4 (header, chunk, segment fsync,
             // journal append, journal fsync); put #2's segment fsync
             // is event 6.
-            chaos: Some(FaultPlan::new().fsync_fail_at(6)),
+            chaos: Some(FaultPlan::new().schedule(6, FaultKind::FsyncFail)),
             ..small_cfg()
         };
         let store = Store::open(dir.path(), cfg).expect("open");

@@ -285,17 +285,6 @@ pub enum Event {
         /// Short error kind (`crc-mismatch`, `dangling-field`, …).
         error: &'static str,
     },
-    /// A fleet slice commit's write-through to the snapshot store
-    /// failed; the session degraded to resident-only backing (it will
-    /// not survive a process kill until a later commit lands).
-    StoreWriteFail {
-        /// Session whose commit could not be persisted.
-        session: u64,
-        /// The session's commit sequence number for the failed write.
-        commit_seq: u64,
-        /// Short store error kind (`io`, `stalled`, …).
-        error: &'static str,
-    },
 }
 
 /// Consumer of trace events.
@@ -339,11 +328,6 @@ impl LastN {
     /// Total events observed (≥ retained).
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Drain the retained events, oldest first.
-    pub fn into_events(self) -> Vec<Event> {
-        self.buf.into()
     }
 }
 

@@ -221,9 +221,6 @@ pub struct MetricsSink {
     pub rollbacks: u64,
     /// Checkpoints rejected by verification (CRC or audit).
     pub audit_failures: u64,
-    /// Fleet slice commits whose store write-through failed (the
-    /// session degraded to resident-only backing).
-    pub store_write_fails: u64,
     /// Currently active registered coroutines (innermost last).
     stack: Vec<u32>,
 }
@@ -260,45 +257,6 @@ impl MetricsSink {
             self.instr_counts[class.index()],
             self.class_cycles[class.index()],
         )
-    }
-
-    /// Fold another sink's aggregates into this one, as if both had
-    /// observed one combined trace. Attribution maps add per key,
-    /// histograms merge, peak depths take the max. The coroutine stack is
-    /// transient per-run state and is not merged.
-    pub fn merge(&mut self, other: &MetricsSink) {
-        for (a, b) in self.instr_counts.iter_mut().zip(other.instr_counts.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.class_cycles.iter_mut().zip(other.class_cycles.iter()) {
-            *a += b;
-        }
-        for (k, v) in &other.item_cycles {
-            *self.item_cycles.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.coroutine_cycles {
-            *self.coroutine_cycles.entry(*k).or_insert(0) += v;
-        }
-        self.gc_pauses.merge(&other.gc_pauses);
-        self.heap_occupancy.merge(&other.heap_occupancy);
-        self.gc_objects_copied += other.gc_objects_copied;
-        self.gc_words_copied += other.gc_words_copied;
-        self.gc_words_reclaimed += other.gc_words_reclaimed;
-        self.allocations += other.allocations;
-        self.words_allocated += other.words_allocated;
-        self.channel_pushes += other.channel_pushes;
-        self.channel_pops += other.channel_pops;
-        self.channel_peak_depth = self.channel_peak_depth.max(other.channel_peak_depth);
-        self.io_reads += other.io_reads;
-        self.io_writes += other.io_writes;
-        self.faults_injected += other.faults_injected;
-        self.watchdog_detections += other.watchdog_detections;
-        self.watchdog_recoveries += other.watchdog_recoveries;
-        self.channel_overflows += other.channel_overflows;
-        self.checkpoints_captured += other.checkpoints_captured;
-        self.rollbacks += other.rollbacks;
-        self.audit_failures += other.audit_failures;
-        self.store_write_fails += other.store_write_fails;
     }
 }
 
@@ -355,7 +313,6 @@ impl TraceSink for MetricsSink {
             Event::CheckpointCapture { .. } => self.checkpoints_captured += 1,
             Event::CheckpointRollback { .. } => self.rollbacks += 1,
             Event::AuditFail { .. } => self.audit_failures += 1,
-            Event::StoreWriteFail { .. } => self.store_write_fails += 1,
             Event::Bind { .. } | Event::Dispatch { .. } | Event::Yield { .. } => {}
         }
     }
@@ -449,43 +406,6 @@ mod tests {
         single.record(42);
         // Single sample: every quantile is exactly it.
         assert_eq!(single.quantile(0.5), 42);
-    }
-
-    #[test]
-    fn metrics_merge_adds_counters_and_maps() {
-        let mut a = MetricsSink::new();
-        let mut b = MetricsSink::new();
-        a.event(&Event::Cycles {
-            class: InstrClass::Let,
-            item: Some(1),
-            cycles: 10,
-        });
-        a.event(&Event::Alloc {
-            words: 4,
-            heap_words: 100,
-        });
-        b.event(&Event::Cycles {
-            class: InstrClass::Let,
-            item: Some(1),
-            cycles: 5,
-        });
-        b.event(&Event::Cycles {
-            class: InstrClass::Case,
-            item: Some(2),
-            cycles: 3,
-        });
-        b.event(&Event::ChannelPush {
-            port: 0,
-            word: 9,
-            depth: 4,
-        });
-        a.merge(&b);
-        assert_eq!(a.mutator_cycles(), 18);
-        assert_eq!(a.item_cycles[&Some(1)], 15);
-        assert_eq!(a.item_cycles[&Some(2)], 3);
-        assert_eq!(a.allocations, 1);
-        assert_eq!(a.channel_pushes, 1);
-        assert_eq!(a.channel_peak_depth, 4);
     }
 
     #[test]

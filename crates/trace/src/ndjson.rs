@@ -186,16 +186,6 @@ pub fn to_json(e: &Event) -> String {
                 r#"{{"ev":"audit_fail","iteration":{iteration},"error":"{error}"}}"#
             );
         }
-        Event::StoreWriteFail {
-            session,
-            commit_seq,
-            error,
-        } => {
-            let _ = write!(
-                s,
-                r#"{{"ev":"store_write_fail","session":{session},"commit_seq":{commit_seq},"error":"{error}"}}"#
-            );
-        }
     }
     s
 }
@@ -351,14 +341,6 @@ mod tests {
                 error: "crc-mismatch"
             }),
             r#"{"ev":"audit_fail","iteration":24,"error":"crc-mismatch"}"#
-        );
-        assert_eq!(
-            to_json(&Event::StoreWriteFail {
-                session: 3,
-                commit_seq: 17,
-                error: "stalled"
-            }),
-            r#"{"ev":"store_write_fail","session":3,"commit_seq":17,"error":"stalled"}"#
         );
     }
 

@@ -183,11 +183,6 @@ impl AbsVal {
         self.clos != Clos::Bot
     }
 
-    /// Whether a non-integer (constructor, closure, or error) may be here.
-    pub fn may_be_non_int(&self) -> bool {
-        self.may_be_con() || self.may_be_closure() || self.error
-    }
-
     /// Whether the integer `n` is covered.
     pub fn covers_int(&self, n: Int) -> bool {
         match &self.ints {

@@ -260,6 +260,7 @@ fn load_risc(
 /// findings that void a machine-fault-freedom certificate; everything
 /// else is a warning. Exit code is nonzero on any violation.
 fn run_vet(rest: &[String]) -> ExitCode {
+    use zarf::verify::queries::item_label;
     use zarf::verify::{analyze_alloc, analyze_shapes, Bound, EntryModel};
 
     if rest.iter().any(|a| a == "--help" || a == "-h") {
@@ -297,12 +298,6 @@ fn run_vet(rest: &[String]) -> ExitCode {
             eprintln!("zarf: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let label = |id: u32| -> String {
-        machine
-            .lookup(id)
-            .and_then(|it| it.name.clone())
-            .unwrap_or_else(|| format!("g_{id:x}"))
     };
 
     // Binary integrity: the image must survive an encode/decode round trip
@@ -355,7 +350,7 @@ fn run_vet(rest: &[String]) -> ExitCode {
     };
 
     for (id, f) in shapes.faults() {
-        let line = format!("{}: may fault: {f}", label(id));
+        let line = format!("{}: may fault: {f}", item_label(&machine, id));
         if f.is_case_fault() || f.is_arity_fault() {
             violations.push(line);
         } else {
@@ -372,7 +367,7 @@ fn run_vet(rest: &[String]) -> ExitCode {
         };
         let line = format!(
             "{}: case {} arm {} (`{pat}`) is unreachable",
-            label(arm.function),
+            item_label(&machine, arm.function),
             arm.case_index,
             arm.arm_index,
         );
@@ -438,7 +433,7 @@ fn run_vet(rest: &[String]) -> ExitCode {
             };
             (
                 id,
-                label(id),
+                item_label(&machine, id),
                 faults,
                 alloc.per_call_bound(id, nargs).to_string(),
             )

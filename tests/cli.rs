@@ -187,6 +187,27 @@ fn vet_rejects_a_faulty_binary_with_nonzero_exit() {
     assert!(last.starts_with("{\"verdict\":\"fail\""), "{last}");
 }
 
+/// A `.zbin` keeps no symbol for `main`, so vet must name it as the
+/// witness and `wcet(main)` do, not by its raw index.
+#[test]
+fn vet_names_main_in_a_binary_as_its_witness_does() {
+    let src = write_temp(
+        "div.zf",
+        "fun main =\n  let a = getint 0 in\n  let b = div 10 a in\n  result b\n",
+    );
+    let (ok, _, err) = zarf(&["asm", &src]);
+    assert!(ok, "{err}");
+    let bin = src.replace(".zf", ".zbin");
+    let (ok, out, err) = zarf(&["vet", &bin, "--symex"]);
+    assert!(ok, "{err}");
+    assert!(
+        out.contains("warning: main: may fault: divide-by-zero [witness=main() "),
+        "{out}"
+    );
+    assert!(out.contains("fn 0x100 main "), "{out}");
+    assert!(!out.contains("g_100"), "{out}");
+}
+
 #[test]
 fn vet_json_reports_bounds_and_certificates() {
     let src = write_temp("m.zf", PROG);

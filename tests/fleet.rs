@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use zarf::chaos::FaultPlan;
+use zarf::chaos::{FaultKind, FaultPlan};
 use zarf::fleet::{
     run_standalone, Client, Fleet, FleetConfig, Op, PortFeed, Request, Response, SessionConfig,
 };
@@ -242,9 +242,9 @@ fn chaos_killed_sessions_recover_byte_identically() {
 
     // An explicit plan first (kills at known slices), then seeded plans.
     let mut plans = vec![FaultPlan::new()
-        .session_kill_at(0)
-        .session_kill_at(2)
-        .force_evict_at(4)];
+        .schedule(0, FaultKind::SessionKill)
+        .schedule(2, FaultKind::SessionKill)
+        .schedule(4, FaultKind::ForceEvict)];
     plans.extend((1..=3u64).map(|seed| FaultPlan::seeded_fleet(seed, 10, 4)));
 
     for (i, plan) in plans.into_iter().enumerate() {

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use zarf::chaos::FaultPlan;
+use zarf::chaos::{FaultKind, FaultPlan};
 use zarf::fleet::{
     run_standalone, serve_with, Client, Fleet, FleetConfig, Op, Request, Response, ServeOptions,
     SessionConfig,
@@ -317,10 +317,10 @@ fn run_chaotic_frontier(frontier: FaultPlan, scheduler: Option<FaultPlan>) -> u6
 #[test]
 fn conn_kills_and_partial_writes_leave_sessions_byte_identical() {
     let plan = FaultPlan::new()
-        .conn_kill_at(1)
-        .partial_write_at(4)
-        .conn_kill_at(9)
-        .partial_write_at(14);
+        .schedule(1, FaultKind::ConnKill)
+        .schedule(4, FaultKind::PartialWrite)
+        .schedule(9, FaultKind::ConnKill)
+        .schedule(14, FaultKind::PartialWrite);
     let reconnects = run_chaotic_frontier(plan, None);
     assert!(
         reconnects >= 4,

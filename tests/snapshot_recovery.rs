@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use zarf::chaos::{FaultPlan, PlanShape};
+use zarf::chaos::{FaultKind, FaultPlan, PlanShape};
 use zarf::icd::consts::SAMPLE_HZ;
 use zarf::icd::signal::{EcgConfig, EcgGen, Rhythm};
 use zarf::kernel::{RecoveryPolicy, SupervisedOutcome, System, WatchdogConfig};
@@ -111,8 +111,10 @@ fn resume_from_rollback_is_byte_identical_to_uninterrupted_run() {
         let k = 1 + (seed * 5) % (iterations.saturating_sub(2) / 2);
         let c = 1 + (seed % 3);
         let op = c + 4 * k;
-        let (text, outcome, rollbacks) =
-            traced_rollback_run(&samples, Some(FaultPlan::new().fuel_cut_at(op, 1)));
+        let (text, outcome, rollbacks) = traced_rollback_run(
+            &samples,
+            Some(FaultPlan::new().schedule(op, FaultKind::FuelCut { cycles: 1 })),
+        );
         assert_eq!(
             outcome, "completed",
             "seed {seed}: fuel cut at op {op} did not recover"
@@ -177,8 +179,14 @@ fn corrupted_checkpoint_window_still_recovers_exactly() {
     let clean_lines: Vec<&str> = clean_text.lines().collect();
 
     let plan = FaultPlan::new()
-        .snapshot_corrupt_at(1, 4_242, 5)
-        .fuel_cut_at(2 + 4 * 10, 1);
+        .schedule(
+            1,
+            FaultKind::SnapshotCorrupt {
+                byte: 4_242,
+                bit: 5,
+            },
+        )
+        .schedule(2 + 4 * 10, FaultKind::FuelCut { cycles: 1 });
     let (text, outcome, rollbacks) = traced_rollback_run(&samples, Some(plan));
     assert_eq!(outcome, "completed");
     assert_eq!(rollbacks, 1);

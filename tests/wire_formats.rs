@@ -86,6 +86,21 @@ fn zflt_frame_bytes_are_pinned() {
     assert_eq!(Request::decode(payload).unwrap(), req);
 }
 
+/// The link-opening `Hello`, and the receiver's bodiless `HelloAck`.
+const ZREP_HELLO: &str = concat!(
+    "5a524550", // magic "ZREP"
+    "01",       // version
+    "01000000", // payload length 1
+    "01",       // opcode Hello
+    "1bdf05a5", // CRC-32 of the payload
+);
+const ZREP_HELLO_ACK: &str = concat!(
+    "5a524550", // magic "ZREP"
+    "01",       // version
+    "01000000", // payload length 1
+    "02",       // opcode HelloAck
+    "a18e0c3c", // CRC-32 of the payload
+);
 /// An `Offer` of session 9 at commit 4 naming chunks `11…`, `22…`,
 /// `11…` (none held by the receiver).
 const ZREP_OFFER: &str = concat!(
@@ -121,6 +136,16 @@ const ZREP_NEED: &str = concat!(
     "b03e7dc0", // CRC-32 of the payload
 );
 
+/// Read one whole `ZREP` frame: the 9-byte header, payload and CRC.
+fn read_zrep_frame(link: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 9];
+    link.read_exact(&mut frame).unwrap();
+    let len = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]) as usize;
+    frame.resize(9 + len + 4, 0);
+    link.read_exact(&mut frame[9..]).unwrap();
+    frame
+}
+
 #[test]
 fn zrep_frame_bytes_are_pinned() {
     let dir = TempDir::new("zrep");
@@ -135,13 +160,10 @@ fn zrep_frame_bytes_are_pinned() {
     let mut link = TcpStream::connect(addr).unwrap();
     link.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    link.write_all(&unhex(ZREP_HELLO)).unwrap();
+    assert_eq!(hex(&read_zrep_frame(&mut link)), ZREP_HELLO_ACK);
     link.write_all(&unhex(ZREP_OFFER)).unwrap();
-    let mut reply = vec![0u8; 9];
-    link.read_exact(&mut reply).unwrap();
-    let len = u32::from_le_bytes([reply[5], reply[6], reply[7], reply[8]]) as usize;
-    reply.resize(9 + len + 4, 0);
-    link.read_exact(&mut reply[9..]).unwrap();
-    assert_eq!(hex(&reply), ZREP_NEED);
+    assert_eq!(hex(&read_zrep_frame(&mut link)), ZREP_NEED);
     drop(link);
     stop.store(true, Ordering::SeqCst);
     receiver.join().unwrap().unwrap();
