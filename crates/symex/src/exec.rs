@@ -32,11 +32,13 @@ use zarf_core::machine::{MExpr, MPattern, MProgram, Operand, Source};
 use zarf_core::prim::PrimOp;
 
 use crate::budget::{Incompleteness, SymexBudget};
-use crate::seed::{cross, materialize_tag, EnvCtx, FieldAlt};
+use crate::seed::{materialize_tag, EnvCtx, FieldAlt};
 use crate::solve::Lit;
 use crate::summary::{Summaries, Summary, SummaryPath};
 use crate::term::{IdMap, TermId, TermStore};
-use crate::value::{canonical, leaf_terms, shape_key, subst_sv, CTarget, ShapeKey, SymVal, SV};
+use crate::value::{
+    canonical, leaf_terms, shape_key, subst_sv, CTarget, Payload, ShapeKey, SymVal,
+};
 
 /// The case arms a path has taken, one bit per arm in the program's
 /// dense arm numbering ([`Exec::arm_bit`]). A set, not a sequence: the
@@ -176,7 +178,7 @@ pub struct Outcome {
     /// Accumulated path state.
     pub st: PathState,
     /// Final value, if the path completed.
-    pub val: Option<SV>,
+    pub val: Option<SymVal>,
 }
 
 impl Outcome {
@@ -189,12 +191,19 @@ impl Outcome {
     }
 }
 
-type AppRes = Vec<(PathState, Option<SV>)>;
+/// The paths one application produced, in exploration order. Every
+/// executor step pushes its results into a buffer its caller owns.
+type AppRes = Vec<(PathState, Option<SymVal>)>;
+
+/// The largest buffer kept for reuse. One that grew past it (a wide
+/// fork, a long summary) is freed instead, so it does not stay allocated
+/// for the rest of the run.
+const SPARE_CAP: usize = 16;
 
 #[derive(Debug, Clone, Default)]
 struct Env {
-    args: Rc<Vec<SV>>,
-    locals: Vec<SV>,
+    args: Payload,
+    locals: Vec<SymVal>,
 }
 
 /// The executor: program, term store, summary cache, budgets.
@@ -222,6 +231,12 @@ pub struct Exec<'p> {
     stack: Vec<u32>,
     /// How many recursion loop-summaries have fired (taint tracking).
     loop_fires: u64,
+    /// Emptied result buffers, reused by `let` and over-application so a
+    /// step does not allocate one per application.
+    spare_res: Vec<AppRes>,
+    /// Emptied value buffers, reused for `let` arguments and saturated
+    /// argument lists.
+    spare_vals: Vec<Vec<SymVal>>,
 }
 
 impl<'p> Exec<'p> {
@@ -240,6 +255,8 @@ impl<'p> Exec<'p> {
             env_ctx: None,
             stack: Vec::new(),
             loop_fires: 0,
+            spare_res: Vec::new(),
+            spare_vals: Vec::new(),
         }
     }
 
@@ -256,12 +273,19 @@ impl<'p> Exec<'p> {
 
     /// Explore one entry application of `f` to `args`. Step and path
     /// budgets reset per call; the term store and summary cache persist.
-    pub fn explore(&mut self, f: u32, args: Vec<SV>) -> Vec<Outcome> {
+    pub fn explore(&mut self, f: u32, args: &[SymVal]) -> Vec<Outcome> {
         self.steps_left = self.budget.max_steps;
         self.paths_done = 0;
         self.stack.clear();
-        let clo = SymVal::closure(CTarget::Item(f), vec![]);
-        let res = self.apply(f, clo, args, PathState::default(), 0);
+        let mut res = AppRes::new();
+        self.apply_target(
+            f,
+            CTarget::Item(f),
+            &[],
+            args,
+            PathState::default(),
+            &mut res,
+        );
         self.total_steps += self.budget.max_steps - self.steps_left;
         let out: Vec<Outcome> = res
             .into_iter()
@@ -286,13 +310,43 @@ impl<'p> Exec<'p> {
         true
     }
 
-    fn truncated(st: PathState, why: Incompleteness) -> (PathState, Option<SV>) {
+    fn truncated(st: PathState, why: Incompleteness) -> (PathState, Option<SymVal>) {
         let mut st = st;
         st.incomplete.insert(why);
         (st, None)
     }
 
-    fn resolve(&mut self, env: &Env, op: Operand) -> Result<SV, Incompleteness> {
+    /// A faulting step: record `e` as constructed in `f`'s body and
+    /// return the error value.
+    fn fault(f: u32, e: RuntimeError, st: PathState) -> (PathState, Option<SymVal>) {
+        let mut st = st;
+        st.faults.push((e, f));
+        (st, Some(SymVal::Error(e)))
+    }
+
+    fn take_res(&mut self) -> AppRes {
+        self.spare_res.pop().unwrap_or_default()
+    }
+
+    fn give_res(&mut self, mut buf: AppRes) {
+        if buf.capacity() <= SPARE_CAP {
+            buf.clear();
+            self.spare_res.push(buf);
+        }
+    }
+
+    fn take_vals(&mut self) -> Vec<SymVal> {
+        self.spare_vals.pop().unwrap_or_default()
+    }
+
+    fn give_vals(&mut self, mut buf: Vec<SymVal>) {
+        if buf.capacity() <= SPARE_CAP {
+            buf.clear();
+            self.spare_vals.push(buf);
+        }
+    }
+
+    fn resolve(&mut self, env: &Env, op: Operand) -> Result<SymVal, Incompleteness> {
         match op.source {
             Source::Local => env
                 .locals
@@ -304,17 +358,17 @@ impl<'p> Exec<'p> {
                 .get(op.index as usize)
                 .cloned()
                 .ok_or(Incompleteness::InvalidOperand),
-            Source::Imm => Ok(SymVal::int(self.store.constant(op.index))),
+            Source::Imm => Ok(SymVal::Int(self.store.constant(op.index))),
             Source::Global => {
                 let id = op.index as u32;
                 if let Some(p) = op.as_prim() {
-                    return Ok(SymVal::closure(CTarget::Prim(p), vec![]));
+                    return Ok(SymVal::closure(CTarget::Prim(p), &[]));
                 }
                 match self.program.lookup(id) {
                     Some(item) if item.is_con() && item.arity == 0 => {
                         // A nullary constructor forces straight to its
                         // saturated value (the hardware's WHNF rule).
-                        Ok(SymVal::con(id, vec![]))
+                        Ok(SymVal::con(id, &[]))
                     }
                     Some(item) if !item.is_con() && item.arity == 0 => {
                         // A nullary *function* as a data operand is a lazy
@@ -322,7 +376,7 @@ impl<'p> Exec<'p> {
                         // semantics (and the lifter) reject it.
                         Err(Incompleteness::GlobalThunk)
                     }
-                    Some(_) => Ok(SymVal::closure(CTarget::Item(id), vec![])),
+                    Some(_) => Ok(SymVal::closure(CTarget::Item(id), &[])),
                     None => Err(Incompleteness::InvalidOperand),
                 }
             }
@@ -330,15 +384,7 @@ impl<'p> Exec<'p> {
     }
 
     /// Evaluate a `let`/`case`/`result` spine inside function `f`.
-    fn eval_expr(
-        &mut self,
-        f: u32,
-        expr: &'p MExpr,
-        env: Env,
-        st: PathState,
-        depth: usize,
-        out: &mut AppRes,
-    ) {
+    fn eval_expr(&mut self, f: u32, expr: &'p MExpr, env: Env, st: PathState, out: &mut AppRes) {
         if !self.burn() {
             out.push(Self::truncated(st, Incompleteness::StepBudget));
             return;
@@ -359,64 +405,43 @@ impl<'p> Exec<'p> {
             MExpr::Let { callee, args, body } => {
                 // Eager: arguments resolve first, in order (matching the
                 // evaluator), then the callee dispatches.
-                let mut argv = Vec::with_capacity(args.len());
+                let mut argv = self.take_vals();
                 for a in args {
                     match self.resolve(&env, *a) {
                         Ok(v) => argv.push(v),
                         Err(why) => {
+                            self.give_vals(argv);
                             out.push(Self::truncated(st, why));
                             return;
                         }
                     }
                 }
-                let applied: AppRes = match callee.source {
-                    Source::Global => {
-                        let id = callee.index as u32;
-                        if let Some(p) = callee.as_prim() {
-                            let clo = SymVal::closure(CTarget::Prim(p), vec![]);
-                            self.apply(f, clo, argv, st, depth)
-                        } else {
-                            match self.program.lookup(id) {
-                                Some(item) if item.is_con() => {
-                                    // Direct constructor application
-                                    // (`applyCn`): saturate, wrap, or fault.
-                                    vec![self.apply_cn(f, id, item.arity, argv, st)]
-                                }
-                                Some(_) => {
-                                    let clo = SymVal::closure(CTarget::Item(id), vec![]);
-                                    self.apply(f, clo, argv, st, depth)
-                                }
-                                None => vec![Self::truncated(st, Incompleteness::InvalidOperand)],
-                            }
-                        }
-                    }
-                    Source::Imm => {
-                        // An immediate callee is an integer target.
-                        let v = SymVal::int(self.store.constant(callee.index));
-                        self.apply(f, v, argv, st, depth)
-                    }
-                    Source::Local | Source::Arg => match self.resolve(&env, *callee) {
-                        Ok(target) => self.apply(f, target, argv, st, depth),
-                        Err(why) => vec![Self::truncated(st, why)],
-                    },
-                };
-                // The last continuation takes `env` itself: a single result
-                // (the common case) copies nothing.
-                let mut env = env;
-                let mut applied = applied.into_iter().peekable();
-                while let Some((st2, val)) = applied.next() {
+                let mut applied = self.take_res();
+                self.apply_callee(f, *callee, &env, &argv, st, &mut applied);
+                self.give_vals(argv);
+                // Every result but the last continues on a copy of `env`;
+                // the last takes `env` itself, so a single result (the
+                // common case) copies nothing.
+                let last = applied.pop();
+                for (st2, val) in applied.drain(..) {
                     match val {
                         Some(v) => {
-                            let mut env2 = if applied.peek().is_some() {
-                                env.clone()
-                            } else {
-                                std::mem::take(&mut env)
-                            };
+                            let mut env2 = env.clone();
                             env2.locals.push(v);
-                            self.eval_expr(f, body, env2, st2, depth, out);
+                            self.eval_expr(f, body, env2, st2, out);
                         }
                         None => out.push((st2, None)),
                     }
+                }
+                self.give_res(applied);
+                match last {
+                    Some((st2, Some(v))) => {
+                        let mut env = env;
+                        env.locals.push(v);
+                        self.eval_expr(f, body, env, st2, out);
+                    }
+                    Some((st2, None)) => out.push((st2, None)),
+                    None => {}
                 }
             }
 
@@ -434,15 +459,13 @@ impl<'p> Exec<'p> {
                 };
                 // Every case node of every body is numbered.
                 let first = self.arms.first_bit(expr).unwrap_or(0);
-                match &*v {
+                match v {
                     SymVal::Error(_) => {
                         // (case-else2): an error scrutinee is the result.
-                        out.push((st, Some(v.clone())));
+                        out.push((st, Some(v)));
                     }
                     SymVal::Closure { .. } => {
-                        let mut st = st;
-                        st.faults.push((RuntimeError::CaseOnClosure, f));
-                        out.push((st, Some(SymVal::error(RuntimeError::CaseOnClosure))));
+                        out.push(Self::fault(f, RuntimeError::CaseOnClosure, st));
                     }
                     SymVal::Con { tag, fields } => {
                         // Tags are concrete: exactly one branch (or the
@@ -451,7 +474,7 @@ impl<'p> Exec<'p> {
                             .iter()
                             .enumerate()
                             .find_map(|(i, b)| match b.pattern {
-                                MPattern::Con(id) if id == *tag => Some((i, &b.body)),
+                                MPattern::Con(id) if id == tag => Some((i, &b.body)),
                                 _ => None,
                             });
                         match hit {
@@ -459,10 +482,10 @@ impl<'p> Exec<'p> {
                                 let mut st = st;
                                 st.arm_hits.insert(first + i as u32);
                                 let mut env2 = env;
-                                env2.locals.extend(fields.iter().cloned());
-                                self.eval_expr(f, body, env2, st, depth, out);
+                                env2.locals.extend_from_slice(&fields);
+                                self.eval_expr(f, body, env2, st, out);
                             }
-                            None => self.eval_expr(f, default, env, st, depth, out),
+                            None => self.eval_expr(f, default, env, st, out),
                         }
                     }
                     SymVal::Opaque { tag } => {
@@ -477,7 +500,6 @@ impl<'p> Exec<'p> {
                         // proofs. Aliases of the scrutinee elsewhere on the
                         // path stay opaque and would re-expand independently
                         // — again a widening, never a narrowing.
-                        let tag = *tag;
                         let hit = branches
                             .iter()
                             .enumerate()
@@ -486,23 +508,30 @@ impl<'p> Exec<'p> {
                                 _ => None,
                             });
                         match hit {
-                            Some((i, body)) => match self.expand_opaque(tag) {
-                                Ok(expansions) => {
-                                    for fields in expansions {
-                                        let mut st2 = st.clone();
-                                        st2.arm_hits.insert(first + i as u32);
-                                        let mut env2 = env.clone();
-                                        env2.locals.extend(fields);
-                                        self.eval_expr(f, body, env2, st2, depth, out);
+                            Some((i, body)) => {
+                                let mut combos = self.take_vals();
+                                match self.expand_opaque(tag, &mut combos) {
+                                    Ok(count) => {
+                                        let arity = combos.len() / count.max(1);
+                                        for c in 0..count {
+                                            let fields = combos
+                                                .get(c * arity..(c + 1) * arity)
+                                                .unwrap_or_default();
+                                            let mut st2 = st.clone();
+                                            st2.arm_hits.insert(first + i as u32);
+                                            let mut env2 = env.clone();
+                                            env2.locals.extend_from_slice(fields);
+                                            self.eval_expr(f, body, env2, st2, out);
+                                        }
                                     }
+                                    Err(why) => out.push(Self::truncated(st, why)),
                                 }
-                                Err(why) => out.push(Self::truncated(st, why)),
-                            },
-                            None => self.eval_expr(f, default, env, st, depth, out),
+                                self.give_vals(combos);
+                            }
+                            None => self.eval_expr(f, default, env, st, out),
                         }
                     }
                     SymVal::Int(t) => {
-                        let t = *t;
                         if let Some(n) = self.store.const_of(t) {
                             // Concrete dispatch — no fork.
                             let hit =
@@ -517,9 +546,9 @@ impl<'p> Exec<'p> {
                                 Some((i, body)) => {
                                     let mut st = st;
                                     st.arm_hits.insert(first + i as u32);
-                                    self.eval_expr(f, body, env.clone(), st, depth, out);
+                                    self.eval_expr(f, body, env, st, out);
                                 }
-                                None => self.eval_expr(f, default, env, st, depth, out),
+                                None => self.eval_expr(f, default, env, st, out),
                             }
                             return;
                         }
@@ -538,16 +567,53 @@ impl<'p> Exec<'p> {
                             let mut st2 = st.clone();
                             st2.lits.push(Lit::eq(t, n));
                             st2.arm_hits.insert(first + i as u32);
-                            self.eval_expr(f, &b.body, env.clone(), st2, depth, out);
+                            self.eval_expr(f, &b.body, env.clone(), st2, out);
                         }
                         let mut st2 = st;
                         for &n in &seen {
                             st2.lits.push(Lit::ne(t, n));
                         }
-                        self.eval_expr(f, default, env, st2, depth, out);
+                        self.eval_expr(f, default, env, st2, out);
                     }
                 }
             }
+        }
+    }
+
+    /// Dispatch a `let` callee on its resolved arguments. A global callee
+    /// applies directly, with no closure built for it.
+    fn apply_callee(
+        &mut self,
+        f: u32,
+        callee: Operand,
+        env: &Env,
+        args: &[SymVal],
+        st: PathState,
+        out: &mut AppRes,
+    ) {
+        match callee.source {
+            Source::Global => {
+                let id = callee.index as u32;
+                if let Some(p) = callee.as_prim() {
+                    return self.apply_target(f, CTarget::Prim(p), &[], args, st, out);
+                }
+                match self.program.lookup(id) {
+                    // Direct constructor application (`applyCn`):
+                    // saturate, wrap, or fault.
+                    Some(item) if item.is_con() => self.apply_cn(f, id, item.arity, args, st, out),
+                    Some(_) => self.apply_target(f, CTarget::Item(id), &[], args, st, out),
+                    None => out.push(Self::truncated(st, Incompleteness::InvalidOperand)),
+                }
+            }
+            Source::Imm => {
+                // An immediate callee is an integer target.
+                let v = SymVal::Int(self.store.constant(callee.index));
+                self.apply(f, &v, args, st, out)
+            }
+            Source::Local | Source::Arg => match self.resolve(env, callee) {
+                Ok(target) => self.apply(f, &target, args, st, out),
+                Err(why) => out.push(Self::truncated(st, why)),
+            },
         }
     }
 
@@ -557,158 +623,181 @@ impl<'p> Exec<'p> {
         f: u32,
         con: u32,
         arity: usize,
-        args: Vec<SV>,
+        args: &[SymVal],
         st: PathState,
-    ) -> (PathState, Option<SV>) {
-        match args.len().cmp(&arity) {
+        out: &mut AppRes,
+    ) {
+        out.push(match args.len().cmp(&arity) {
             std::cmp::Ordering::Equal => (st, Some(SymVal::con(con, args))),
             std::cmp::Ordering::Less => (st, Some(SymVal::closure(CTarget::Item(con), args))),
-            std::cmp::Ordering::Greater => {
-                let mut st = st;
-                st.faults.push((RuntimeError::ConOverApplied, f));
-                (st, Some(SymVal::error(RuntimeError::ConOverApplied)))
-            }
-        }
+            std::cmp::Ordering::Greater => Self::fault(f, RuntimeError::ConOverApplied, st),
+        });
     }
 
     /// `applyFn`, generalized and forking: apply a value to arguments,
     /// looping through over-application. Faults are attributed to `f`, the
     /// function whose body performs the application.
-    fn apply(
+    fn apply(&mut self, f: u32, target: &SymVal, args: &[SymVal], st: PathState, out: &mut AppRes) {
+        if let SymVal::Closure { target, applied } = target {
+            return self.apply_target(f, *target, applied, args, st, out);
+        }
+        if !self.burn() {
+            return out.push(Self::truncated(st, Incompleteness::StepBudget));
+        }
+        out.push(match target {
+            SymVal::Int(_) if !args.is_empty() => Self::fault(f, RuntimeError::ApplyToInt, st),
+            SymVal::Con { .. } | SymVal::Opaque { .. } if !args.is_empty() => {
+                Self::fault(f, RuntimeError::ApplyToCon, st)
+            }
+            _ => (st, Some(target.clone())),
+        });
+    }
+
+    /// [`Self::apply`] on a closure's parts: `target` with `applied`
+    /// already applied, now applied to `args`.
+    fn apply_target(
         &mut self,
         f: u32,
-        target: SV,
-        mut args: Vec<SV>,
+        target: CTarget,
+        applied: &[SymVal],
+        args: &[SymVal],
         st: PathState,
-        depth: usize,
-    ) -> AppRes {
+        out: &mut AppRes,
+    ) {
         if !self.burn() {
-            return vec![Self::truncated(st, Incompleteness::StepBudget)];
+            return out.push(Self::truncated(st, Incompleteness::StepBudget));
         }
-        let (ctarget, applied) = match &*target {
-            SymVal::Error(_) => return vec![(st, Some(target))],
-            SymVal::Int(_) => {
-                return if args.is_empty() {
-                    vec![(st, Some(target))]
-                } else {
-                    let mut st = st;
-                    st.faults.push((RuntimeError::ApplyToInt, f));
-                    vec![(st, Some(SymVal::error(RuntimeError::ApplyToInt)))]
-                };
-            }
-            SymVal::Con { .. } | SymVal::Opaque { .. } => {
-                return if args.is_empty() {
-                    vec![(st, Some(target))]
-                } else {
-                    let mut st = st;
-                    st.faults.push((RuntimeError::ApplyToCon, f));
-                    vec![(st, Some(SymVal::error(RuntimeError::ApplyToCon)))]
-                };
-            }
-            SymVal::Closure { target, applied } => (*target, applied.clone()),
-        };
-        let arity = match ctarget {
+        let arity = match target {
             CTarget::Prim(op) => op.arity(),
             CTarget::Item(id) => match self.program.lookup(id) {
                 Some(item) => item.arity,
-                None => {
-                    return vec![Self::truncated(st, Incompleteness::InvalidOperand)];
-                }
+                None => return out.push(Self::truncated(st, Incompleteness::InvalidOperand)),
             },
         };
         if applied.len() + args.len() < arity {
-            let mut all = applied;
-            all.extend(args);
-            return vec![(st, Some(SymVal::closure(ctarget, all)))];
+            let all = applied.iter().chain(args).cloned().collect();
+            return out.push((
+                st,
+                Some(SymVal::Closure {
+                    target,
+                    applied: all,
+                }),
+            ));
         }
-        let need = arity - applied.len();
-        let rest = args.split_off(need);
-        let mut sat = applied;
-        sat.append(&mut args);
-
-        let invoked: AppRes = match ctarget {
-            CTarget::Prim(op) => self.invoke_prim(f, op, &sat, st),
-            CTarget::Item(id) => match self.program.lookup(id).map(|it| it.is_con()) {
-                Some(true) => vec![self.apply_cn(f, id, arity, sat, st)],
-                Some(false) => self.call_fun(id, sat, st, depth),
-                None => vec![Self::truncated(st, Incompleteness::InvalidOperand)],
-            },
+        let need = arity.saturating_sub(applied.len()).min(args.len());
+        let (now, rest) = args.split_at(need);
+        let mut joined = None;
+        let sat = if applied.is_empty() {
+            now
+        } else {
+            let buf = joined.insert(self.take_vals());
+            buf.extend_from_slice(applied);
+            buf.extend_from_slice(now);
+            &buf[..]
         };
         if rest.is_empty() {
-            return invoked;
-        }
-        // Over-application: keep applying each forked result.
-        let mut out = AppRes::new();
-        for (st2, val) in invoked {
-            match val {
-                Some(v) => out.extend(self.apply(f, v, rest.clone(), st2, depth)),
-                None => out.push((st2, None)),
+            self.invoke(f, target, sat, st, out);
+        } else {
+            // Over-application: keep applying each forked result.
+            let mut invoked = self.take_res();
+            self.invoke(f, target, sat, st, &mut invoked);
+            for (st2, val) in invoked.drain(..) {
+                match val {
+                    Some(v) => self.apply(f, &v, rest, st2, out),
+                    None => out.push((st2, None)),
+                }
             }
+            self.give_res(invoked);
         }
-        out
+        if let Some(buf) = joined {
+            self.give_vals(buf);
+        }
+    }
+
+    /// Run a saturated application of `target`.
+    fn invoke(&mut self, f: u32, target: CTarget, sat: &[SymVal], st: PathState, out: &mut AppRes) {
+        match target {
+            CTarget::Prim(op) => self.invoke_prim(f, op, sat, st, out),
+            CTarget::Item(id) => match self.program.lookup(id) {
+                Some(item) if item.is_con() => self.apply_cn(f, id, item.arity, sat, st, out),
+                Some(_) => self.call_fun(id, sat, st, out),
+                None => out.push(Self::truncated(st, Incompleteness::InvalidOperand)),
+            },
+        }
     }
 
     /// Saturated primitive invocation, mirroring the evaluator's
     /// order-sensitive argument scan and forking on a symbolic divisor.
-    fn invoke_prim(&mut self, f: u32, op: PrimOp, args: &[SV], st: PathState) -> AppRes {
-        let mut ts = Vec::with_capacity(args.len());
-        for a in args {
-            match &**a {
-                SymVal::Int(t) => ts.push(*t),
-                // Error values flow through unchanged — no new fault.
-                SymVal::Error(_) => return vec![(st, Some(a.clone()))],
-                _ => {
-                    let mut st = st;
-                    st.faults.push((RuntimeError::PrimOnNonInt, f));
-                    return vec![(st, Some(SymVal::error(RuntimeError::PrimOnNonInt)))];
+    fn invoke_prim(
+        &mut self,
+        f: u32,
+        op: PrimOp,
+        args: &[SymVal],
+        st: PathState,
+        out: &mut AppRes,
+    ) {
+        // No primitive takes more than two operands.
+        let mut ts: [TermId; 2] = [0; 2];
+        for (i, a) in args.iter().enumerate() {
+            match a {
+                SymVal::Int(t) => {
+                    if let Some(slot) = ts.get_mut(i) {
+                        *slot = *t;
+                    }
                 }
+                // Error values flow through unchanged — no new fault.
+                SymVal::Error(_) => return out.push((st, Some(a.clone()))),
+                _ => return out.push(Self::fault(f, RuntimeError::PrimOnNonInt, st)),
             }
         }
+        let operands = &ts[..args.len().min(ts.len())];
         match op {
             PrimOp::GetInt => {
                 let (_, vt) = self.store.fresh_var();
                 let mut st = st;
                 st.reads.push((ts[0], vt));
-                vec![(st, Some(SymVal::int(vt)))]
+                out.push((st, Some(SymVal::Int(vt))));
             }
-            PrimOp::PutInt => vec![(st, Some(SymVal::int(ts[1])))],
+            PrimOp::PutInt => out.push((st, Some(SymVal::Int(ts[1])))),
             PrimOp::Gc => {
                 let zero = self.store.constant(0);
-                vec![(st, Some(SymVal::int(zero)))]
+                out.push((st, Some(SymVal::Int(zero))));
             }
             PrimOp::Div | PrimOp::Mod => {
                 if let Some(d) = self.store.const_of(ts[1]) {
                     if d == 0 {
-                        let mut st = st;
-                        st.faults.push((RuntimeError::DivideByZero, f));
-                        return vec![(st, Some(SymVal::error(RuntimeError::DivideByZero)))];
+                        return out.push(Self::fault(f, RuntimeError::DivideByZero, st));
                     }
-                    let t = self.store.app(op, ts);
-                    return vec![(st, Some(SymVal::int(t)))];
+                    let t = self.store.app(op, operands);
+                    return out.push((st, Some(SymVal::Int(t))));
                 }
                 // Symbolic divisor: partition on d == 0 / d != 0.
                 let mut zst = st.clone();
                 zst.lits.push(Lit::eq(ts[1], 0));
-                zst.faults.push((RuntimeError::DivideByZero, f));
                 let mut nst = st;
                 nst.lits.push(Lit::ne(ts[1], 0));
-                let t = self.store.app(op, ts);
-                vec![
-                    (zst, Some(SymVal::error(RuntimeError::DivideByZero))),
-                    (nst, Some(SymVal::int(t))),
-                ]
+                let t = self.store.app(op, operands);
+                out.push(Self::fault(f, RuntimeError::DivideByZero, zst));
+                out.push((nst, Some(SymVal::Int(t))));
             }
             _ => {
-                let t = self.store.app(op, ts);
-                vec![(st, Some(SymVal::int(t)))]
+                let t = self.store.app(op, operands);
+                out.push((st, Some(SymVal::Int(t))));
             }
         }
     }
 
     /// Expand one opaque constructor from the envelope context's cells:
-    /// every combination of per-field alternatives, capped. `Err` when
-    /// full coverage is impossible — the caller truncates with the marker.
-    fn expand_opaque(&mut self, tag: u32) -> Result<Vec<Vec<SV>>, Incompleteness> {
+    /// every combination of per-field alternatives, capped, appended to
+    /// `combos` field by field in mixed-radix order (the last field
+    /// varies fastest). Returns how many combinations it appended. `Err`
+    /// when full coverage is impossible — the caller truncates with the
+    /// marker.
+    fn expand_opaque(
+        &mut self,
+        tag: u32,
+        combos: &mut Vec<SymVal>,
+    ) -> Result<usize, Incompleteness> {
         let ctx = match &self.env_ctx {
             Some(c) => c.clone(),
             None => return Err(Incompleteness::OpaqueFields),
@@ -717,33 +806,50 @@ impl<'p> Exec<'p> {
             Some(item) if item.is_con() => item.arity,
             _ => return Err(Incompleteness::EnvelopeGap),
         };
-        let mut per_field: Vec<Vec<SV>> = Vec::with_capacity(arity);
+        // Every field's alternatives, one after another, and per field
+        // `(first alternative, alternatives, the one taken now)`.
+        let mut alts: Vec<SymVal> = Vec::new();
+        let mut digits: Vec<(usize, usize, usize)> = Vec::with_capacity(arity);
         for i in 0..arity {
-            let alts = match ctx.cells.get(&(tag, i)) {
+            let cell = match ctx.cells.get(&(tag, i)) {
                 Some(a) if !a.is_empty() => a,
                 // A never-written (or unknown) field: nothing to cover
                 // the projection with.
                 _ => return Err(Incompleteness::EnvelopeGap),
             };
-            let mut vs: Vec<SV> = Vec::with_capacity(alts.len());
-            for a in alts {
-                vs.push(match a {
+            digits.push((alts.len(), cell.len(), 0));
+            for a in cell {
+                alts.push(match a {
                     FieldAlt::AnyInt => {
                         let (_, t) = self.store.fresh_var();
-                        SymVal::int(t)
+                        SymVal::Int(t)
                     }
-                    FieldAlt::Const(n) => SymVal::int(self.store.constant(*n)),
+                    FieldAlt::Const(n) => SymVal::Int(self.store.constant(*n)),
                     FieldAlt::Tag(t) => materialize_tag(self.program, *t),
                     FieldAlt::Unknown(why) => return Err(*why),
                 });
             }
-            per_field.push(vs);
         }
-        let (combos, over) = cross(&per_field, self.budget.max_expand_combos);
-        if over {
-            return Err(Incompleteness::OpaqueFields);
+        let count = digits
+            .iter()
+            .try_fold(1usize, |n, &(_, len, _)| n.checked_mul(len))
+            .filter(|&n| n <= self.budget.max_expand_combos)
+            .ok_or(Incompleteness::OpaqueFields)?;
+        for _ in 0..count {
+            combos.extend(
+                digits
+                    .iter()
+                    .filter_map(|&(first, _, d)| alts.get(first + d).cloned()),
+            );
+            for (_, len, d) in digits.iter_mut().rev() {
+                *d += 1;
+                if *d < *len {
+                    break;
+                }
+                *d = 0;
+            }
         }
-        Ok(combos)
+        Ok(count)
     }
 
     /// The loop-summary rule: a call to a function already on the symbolic
@@ -755,51 +861,47 @@ impl<'p> Exec<'p> {
     /// back — which the shape fixpoint's return summary is. Faults and arm
     /// hits inside the summarized frame belong to those separately-covered
     /// activations, not to this path.
-    fn summarize_recursive_call(&mut self, id: u32, st: PathState) -> AppRes {
+    fn summarize_recursive_call(&mut self, id: u32, st: PathState, out: &mut AppRes) {
         let ctx = match &self.env_ctx {
             Some(c) => c.clone(),
-            None => return vec![Self::truncated(st, Incompleteness::CallDepth)],
+            None => return out.push(Self::truncated(st, Incompleteness::CallDepth)),
         };
         let alts = match ctx.rets.get(&id) {
             Some(a) => a,
-            None => return vec![Self::truncated(st, Incompleteness::EnvelopeGap)],
+            None => return out.push(Self::truncated(st, Incompleteness::EnvelopeGap)),
         };
         self.loop_fires += 1;
-        let mut out = AppRes::new();
+        let start = out.len();
         for a in alts {
-            match a {
-                FieldAlt::AnyInt => {
-                    let (_, t) = self.store.fresh_var();
-                    out.push((st.clone(), Some(SymVal::int(t))));
+            let v = match a {
+                FieldAlt::AnyInt => SymVal::Int(self.store.fresh_var().1),
+                FieldAlt::Const(n) => SymVal::Int(self.store.constant(*n)),
+                FieldAlt::Tag(t) => materialize_tag(self.program, *t),
+                FieldAlt::Unknown(why) => {
+                    // One unknown alternative voids the whole fork.
+                    out.truncate(start);
+                    return out.push(Self::truncated(st, *why));
                 }
-                FieldAlt::Const(n) => {
-                    let t = self.store.constant(*n);
-                    out.push((st.clone(), Some(SymVal::int(t))));
-                }
-                FieldAlt::Tag(t) => {
-                    out.push((st.clone(), Some(materialize_tag(self.program, *t))));
-                }
-                FieldAlt::Unknown(why) => return vec![Self::truncated(st, *why)],
-            }
+            };
+            out.push((st.clone(), Some(v)));
         }
         // An empty alternative list is a ⊥ return: the fixpoint saw no
         // value come back, so the continuation is dead — zero paths.
-        out
     }
 
     /// Call a user function: through a memoized shape-keyed summary when
     /// possible, inline otherwise. Under the envelope context, recursive
     /// calls are answered by [`Self::summarize_recursive_call`].
-    fn call_fun(&mut self, id: u32, args: Vec<SV>, st: PathState, depth: usize) -> AppRes {
+    fn call_fun(&mut self, id: u32, args: &[SymVal], st: PathState, out: &mut AppRes) {
         if self.env_ctx.is_some() && self.stack.contains(&id) {
-            return self.summarize_recursive_call(id, st);
+            return self.summarize_recursive_call(id, st, out);
         }
-        if depth >= self.budget.max_depth {
-            return vec![Self::truncated(st, Incompleteness::CallDepth)];
+        if self.stack.len() >= self.budget.max_depth {
+            return out.push(Self::truncated(st, Incompleteness::CallDepth));
         }
         let body = match self.program.lookup(id).and_then(|it| it.body()) {
             Some(b) => b,
-            None => return vec![Self::truncated(st, Incompleteness::InvalidOperand)],
+            None => return out.push(Self::truncated(st, Incompleteness::InvalidOperand)),
         };
         if self.summaries.summarizable(id) {
             let keys: Option<Vec<ShapeKey>> = args.iter().map(shape_key).collect();
@@ -809,40 +911,32 @@ impl<'p> Exec<'p> {
                 let allow_tainted = self.env_ctx.is_some();
                 let summary = match self.summaries.lookup(id, &keys, allow_tainted) {
                     Some(s) => s,
-                    None => self.compute_summary(id, body, &keys, depth),
+                    None => self.compute_summary(id, body, keys),
                 };
-                return self.instantiate(summary, &args, st);
+                return self.instantiate(&summary, args, st, out);
             }
         }
         let env = Env {
-            args: Rc::new(args),
+            args: Payload::new(args),
             locals: Vec::new(),
         };
-        let mut out = AppRes::new();
         self.stack.push(id);
-        self.eval_expr(id, body, env, st, depth + 1, &mut out);
+        self.eval_expr(id, body, env, st, out);
         self.stack.pop();
-        out
     }
 
     /// Explore a summarizable function over canonical arguments and cache
     /// the result.
-    fn compute_summary(
-        &mut self,
-        id: u32,
-        body: &'p MExpr,
-        keys: &[ShapeKey],
-        depth: usize,
-    ) -> Rc<Summary> {
+    fn compute_summary(&mut self, id: u32, body: &'p MExpr, keys: Vec<ShapeKey>) -> Rc<Summary> {
         let mut canon_vars = Vec::new();
         let mut cargs = Vec::with_capacity(keys.len());
-        for k in keys {
+        for k in &keys {
             let (sv, vars) = canonical(&mut self.store, k);
             canon_vars.extend(vars);
             cargs.push(sv);
         }
         let env = Env {
-            args: Rc::new(cargs),
+            args: Payload::new(&cargs),
             locals: Vec::new(),
         };
         // Summaries are context-free: the exploration starts from an empty
@@ -851,7 +945,7 @@ impl<'p> Exec<'p> {
         let fires_before = self.loop_fires;
         let mut res = AppRes::new();
         self.stack.push(id);
-        self.eval_expr(id, body, env, PathState::default(), depth + 1, &mut res);
+        self.eval_expr(id, body, env, PathState::default(), &mut res);
         self.stack.pop();
         let mut paths: Vec<SummaryPath> = Vec::with_capacity(res.len());
         let over = res.len() > self.budget.max_summary_paths;
@@ -878,7 +972,7 @@ impl<'p> Exec<'p> {
         }
         self.summaries.insert(
             id,
-            keys.to_vec(),
+            keys,
             Summary {
                 canon_vars,
                 paths,
@@ -889,17 +983,16 @@ impl<'p> Exec<'p> {
 
     /// Replay a cached summary at a call site: substitute the site's leaf
     /// terms for the canonical variables in every path.
-    fn instantiate(&mut self, summary: Rc<Summary>, args: &[SV], st: PathState) -> AppRes {
+    fn instantiate(&mut self, summary: &Summary, args: &[SymVal], st: PathState, out: &mut AppRes) {
         let mut leaves = Vec::new();
         for a in args {
             if leaf_terms(a, &mut leaves).is_none() {
                 // Guarded by the shape-key check in call_fun.
-                return vec![Self::truncated(st, Incompleteness::InvalidOperand)];
+                return out.push(Self::truncated(st, Incompleteness::InvalidOperand));
             }
         }
         let map: BTreeMap<u32, TermId> = summary.canon_vars.iter().copied().zip(leaves).collect();
         let mut memo: IdMap<TermId, TermId> = IdMap::default();
-        let mut out = AppRes::new();
         'paths: for p in &summary.paths {
             if !self.burn() {
                 out.push(Self::truncated(st.clone(), Incompleteness::StepBudget));
@@ -930,7 +1023,6 @@ impl<'p> Exec<'p> {
                 .map(|v| subst_sv(&mut self.store, v, &map, &mut memo));
             out.push((st2, val));
         }
-        out
     }
 }
 
@@ -957,9 +1049,9 @@ mod tests {
             .unwrap()
     }
 
-    fn fresh_int(ex: &mut Exec<'_>) -> SV {
+    fn fresh_int(ex: &mut Exec<'_>) -> SymVal {
         let (_, t) = ex.store.fresh_var();
-        SymVal::int(t)
+        SymVal::Int(t)
     }
 
     #[test]
@@ -974,7 +1066,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let (a, b) = (fresh_int(&mut ex), fresh_int(&mut ex));
-        let out = ex.explore(f, vec![a, b]);
+        let out = ex.explore(f, &[a, b]);
         let (outer, inner) = (ex.arm_bit(f, 0, 0).unwrap(), ex.arm_bit(f, 1, 0).unwrap());
         let took: Vec<(bool, bool)> = out
             .iter()
@@ -1012,7 +1104,7 @@ mod tests {
         assert!(ex.summaries.summarizable(inner));
         let arm = ex.arm_bit(inner, 0, 0).unwrap();
         let b = fresh_int(&mut ex);
-        let out = ex.explore(outer, vec![b]);
+        let out = ex.explore(outer, &[b]);
         assert!(ex.summaries.misses > 0);
         assert_eq!(
             out.iter().filter(|o| o.st.arm_hits.contains(arm)).count(),
@@ -1076,7 +1168,7 @@ mod tests {
             };
             let bit = ex.arm_bit(fun, ci, ai).unwrap();
             let x = fresh_int(&mut ex);
-            let out = ex.explore(fun, vec![x]);
+            let out = ex.explore(fun, &[x]);
             // Every path through the executor's arm `bit` matched the
             // literal the shape analysis names for that arm.
             let through: Vec<_> = out.iter().filter(|o| o.st.arm_hits.contains(bit)).collect();
@@ -1099,7 +1191,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let a = fresh_int(&mut ex);
-        let out = ex.explore(f, vec![a]);
+        let out = ex.explore(f, &[a]);
         assert_eq!(out.len(), 1);
         assert!(out[0].val.is_some());
         assert!(out[0].st.lits.is_empty());
@@ -1115,7 +1207,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let a = fresh_int(&mut ex);
-        let out = ex.explore(f, vec![a]);
+        let out = ex.explore(f, &[a]);
         // Three partitions: a==0, a==1, a∉{0,1}.
         assert_eq!(out.len(), 3);
         assert!(out
@@ -1140,7 +1232,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let a = fresh_int(&mut ex);
-        let out = ex.explore(f, vec![a]);
+        let out = ex.explore(f, &[a]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|o| o.faulted(f, 1)));
         assert!(out.iter().any(|o| o.st.faults.is_empty()));
@@ -1157,7 +1249,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let a = fresh_int(&mut ex);
-        let out = ex.explore(f, vec![a]);
+        let out = ex.explore(f, &[a]);
         // a == 0, then a != 0 split on the divisor.
         assert_eq!(out.len(), 3, "{out:?}");
         assert!(out.iter().all(|o| o.st.incomplete.is_empty()));
@@ -1183,15 +1275,15 @@ mod tests {
         let boxid = by_name(&m, "Box");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let inner = fresh_int(&mut ex);
-        let b = SymVal::con(boxid, vec![inner]);
-        let out = ex.explore(f, vec![b.clone()]);
+        let b = SymVal::con(boxid, &[inner]);
+        let out = ex.explore(f, std::slice::from_ref(&b));
         assert_eq!(out.len(), 1);
         let arm = ex.arm_bit(f, 0, 0).unwrap();
         assert!(out[0].st.arm_hits.contains(arm));
         assert_eq!(out[0].st.arm_hits.len(), 1);
 
         // div on a constructor: prim-on-non-int (code 7), no fork.
-        let out = ex.explore(g, vec![b]);
+        let out = ex.explore(g, &[b]);
         assert_eq!(out.len(), 1);
         assert!(out[0].faulted(g, 7));
     }
@@ -1208,15 +1300,15 @@ mod tests {
         let mut ex = Exec::new(&m, SymexBudget::default());
         let callint = by_name(&m, "callint");
         let a = fresh_int(&mut ex);
-        let out = ex.explore(callint, vec![a]);
+        let out = ex.explore(callint, &[a]);
         assert!(out[0].faulted(callint, 2), "apply-to-int: {out:?}");
 
         let overcon = by_name(&m, "overcon");
-        let out = ex.explore(overcon, vec![]);
+        let out = ex.explore(overcon, &[]);
         assert!(out[0].faulted(overcon, 5), "con-over-applied: {out:?}");
 
         let casec = by_name(&m, "casec");
-        let out = ex.explore(casec, vec![]);
+        let out = ex.explore(casec, &[]);
         assert!(out[0].faulted(casec, 4), "case-on-closure: {out:?}");
     }
 
@@ -1231,11 +1323,11 @@ mod tests {
         );
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
-        let out = ex.explore(f, vec![]);
+        let out = ex.explore(f, &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].st.faults, [(RuntimeError::DivideByZero, f)]);
         assert!(matches!(
-            out[0].val.as_deref(),
+            out[0].val.as_ref(),
             Some(SymVal::Error(RuntimeError::DivideByZero))
         ));
     }
@@ -1248,7 +1340,7 @@ mod tests {
         );
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
-        let out = ex.explore(f, vec![]);
+        let out = ex.explore(f, &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].st.reads.len(), 2);
         let p0 = ex.store.const_of(out[0].st.reads[0].0);
@@ -1267,7 +1359,7 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let (a, b, c) = (fresh_int(&mut ex), fresh_int(&mut ex), fresh_int(&mut ex));
-        let out = ex.explore(f, vec![a, b, c]);
+        let out = ex.explore(f, &[a, b, c]);
         assert_eq!(out.len(), 1);
         // Two misses: `f` itself (the entry is summarizable) and `inc`.
         assert_eq!(ex.summaries.misses, 2, "inc summarized once, f once");
@@ -1287,10 +1379,10 @@ mod tests {
         );
         let half = by_name(&m, "half");
         let mut ex = Exec::new(&m, SymexBudget::default());
-        let out = ex.explore(by_name(&m, "callz"), vec![]);
+        let out = ex.explore(by_name(&m, "callz"), &[]);
         assert_eq!(out.len(), 1, "x==0 grounds: only the fault path: {out:?}");
         assert!(out[0].faulted(half, 1));
-        let out = ex.explore(by_name(&m, "callok"), vec![]);
+        let out = ex.explore(by_name(&m, "callok"), &[]);
         assert_eq!(out.len(), 1, "x==5 grounds: only the ok path: {out:?}");
         assert!(out[0].st.faults.is_empty());
         // Misses: callz, half, callok. Hit: half at the second site.
@@ -1307,7 +1399,7 @@ mod tests {
         let spin = by_name(&m, "spin");
         let mut ex = Exec::new(&m, SymexBudget::small());
         let a = fresh_int(&mut ex);
-        let out = ex.explore(spin, vec![a]);
+        let out = ex.explore(spin, &[a]);
         assert!(!out.is_empty());
         assert!(out.iter().all(|o| o.val.is_none()));
         assert!(out.iter().any(|o| {
@@ -1328,10 +1420,10 @@ mod tests {
         let f = by_name(&m, "f");
         let mut ex = Exec::new(&m, SymexBudget::default());
         let b = fresh_int(&mut ex);
-        let out = ex.explore(f, vec![b]);
+        let out = ex.explore(f, &[b]);
         assert_eq!(out.len(), 1);
         // add 1 b — an Int result, no fault.
         assert!(out[0].st.faults.is_empty());
-        assert!(matches!(out[0].val.as_deref(), Some(SymVal::Int(_))));
+        assert!(matches!(out[0].val.as_ref(), Some(SymVal::Int(_))));
     }
 }

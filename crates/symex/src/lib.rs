@@ -19,12 +19,12 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`term`] | hash-consed symbolic integer terms, each stored once: the index keys on a `Copy` key and variables bypass it |
-//! | [`value`] | symbolic values, shape keys, canonicalization |
+//! | [`term`] | hash-consed symbolic integer terms, each stored once with its operands inline: the index keys on a `Copy` key and variables bypass it |
+//! | [`value`] | symbolic values, cheap to clone (integers inline, constructor fields and applied prefixes in one shared slice), shape keys, canonicalization |
 //! | [`solve`] | in-repo solver and the crate's one feasibility oracle (interval propagation on the shared `zarf_verify::interval` lattice, congruence hints, model search) — no external SMT |
 //! | [`budget`] | typed exploration budgets and incompleteness markers |
 //! | [`summary`] | compositional per-function summaries, memoized by argument shape |
-//! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op; forks partition the inputs, none is dropped as infeasible, and forks share the copy-on-write set of case arms taken |
+//! | [`exec`] | the path-sensitive executor, mirroring the evaluator op-for-op; forks partition the inputs, none is dropped as infeasible, and forks share the copy-on-write set of case arms taken; every step pushes its results into its caller's buffer |
 //! | [`seed`] | entry envelopes instantiated from the shape analysis |
 //! | [`witness`] | producer pools, witness assembly, replay validation, spuriousness proofs |
 //! | [`report`] | per-query verdicts and run statistics |

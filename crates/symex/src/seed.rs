@@ -60,7 +60,7 @@ use zarf_verify::shape::{AbsVal, Clos, EntryModel, Ints, ShapeReport, Tags};
 
 use crate::budget::{Incompleteness, SymexBudget};
 use crate::term::TermStore;
-use crate::value::{SymVal, SV};
+use crate::value::SymVal;
 
 /// The instantiated envelope for one entry function.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ pub struct Envelope {
     /// Argument vectors to explore: the union over entry/call-site
     /// families of each family's per-argument cross product, capped by
     /// `max_combos`.
-    pub combos: Vec<Vec<SV>>,
+    pub combos: Vec<Vec<SymVal>>,
     /// Everything the envelope could not cover.
     pub incomplete: BTreeSet<Incompleteness>,
 }
@@ -196,9 +196,9 @@ pub fn envelope_args(
         families.extend(sites.iter().cloned());
     }
 
-    let mut combos: Vec<Vec<SV>> = Vec::new();
+    let mut combos: Vec<Vec<SymVal>> = Vec::new();
     for fam in &families {
-        let alts: Vec<Vec<SV>> = fam
+        let alts: Vec<Vec<SymVal>> = fam
             .iter()
             .map(|av| shallow_alts(store, program, av, &mut inc))
             .collect();
@@ -230,27 +230,27 @@ fn shallow_alts(
     program: &MProgram,
     av: &AbsVal,
     inc: &mut BTreeSet<Incompleteness>,
-) -> Vec<SV> {
-    let mut alts: Vec<SV> = Vec::new();
+) -> Vec<SymVal> {
+    let mut alts: Vec<SymVal> = Vec::new();
     let mut any_int = false;
     match &av.ints {
         Ints::Bot => {}
         Ints::Consts(s) => {
             for &n in s {
                 let t = store.constant(n);
-                alts.push(SymVal::int(t));
+                alts.push(SymVal::Int(t));
             }
         }
         Ints::Any => {
             any_int = true;
             let (_, t) = store.fresh_var();
-            alts.push(SymVal::int(t));
+            alts.push(SymVal::Int(t));
         }
     }
     if av.error && !any_int {
         // Error-absorption: a fresh integer covers every error behavior.
         let (_, t) = store.fresh_var();
-        alts.push(SymVal::int(t));
+        alts.push(SymVal::Int(t));
     }
     match &av.cons {
         Tags::Bot => {}
@@ -280,11 +280,11 @@ fn shallow_alts(
 }
 
 /// A constructor alternative: saturated when nullary, opaque otherwise.
-pub fn materialize_tag(program: &MProgram, tag: u32) -> SV {
+pub fn materialize_tag(program: &MProgram, tag: u32) -> SymVal {
     if program.lookup(tag).map(|it| it.arity).unwrap_or(0) == 0 {
-        SymVal::con(tag, Vec::new())
+        SymVal::con(tag, &[])
     } else {
-        SymVal::opaque(tag)
+        SymVal::Opaque { tag }
     }
 }
 
@@ -394,7 +394,7 @@ mod tests {
         assert!(
             env.combos
                 .iter()
-                .any(|c| matches!(&*c[0], SymVal::Opaque { tag } if *tag == boxid)),
+                .any(|c| matches!(&c[0], SymVal::Opaque { tag } if *tag == boxid)),
             "envelope should contain an opaque Box alternative: {env:?}"
         );
         // And the context carries Box.0's stored constant for expansion.
@@ -424,12 +424,12 @@ mod tests {
         assert!(env
             .combos
             .iter()
-            .any(|c| matches!(&*c[0], SymVal::Opaque { tag } if *tag == boxid)));
+            .any(|c| matches!(&c[0], SymVal::Opaque { tag } if *tag == boxid)));
         // No combo pairs the Box with the literal 1 (the relational point).
         for c in &env.combos {
-            if matches!(&*c[0], SymVal::Opaque { .. }) {
+            if matches!(&c[0], SymVal::Opaque { .. }) {
                 assert!(
-                    !matches!(&*c[1], SymVal::Int(t) if store.const_of(*t) == Some(1)),
+                    !matches!(&c[1], SymVal::Int(t) if store.const_of(*t) == Some(1)),
                     "crossed families: {env:?}"
                 );
             }
@@ -453,13 +453,13 @@ mod tests {
         assert!(
             env.combos
                 .iter()
-                .all(|c| !matches!(&*c[0], SymVal::Error(_))),
+                .all(|c| !matches!(&c[0], SymVal::Error(_))),
             "errors must be absorbed, not enumerated: {env:?}"
         );
         assert!(env
             .combos
             .iter()
-            .any(|c| matches!(&*c[0], SymVal::Int(t) if store.const_of(*t).is_none())));
+            .any(|c| matches!(&c[0], SymVal::Int(t) if store.const_of(*t).is_none())));
     }
 
     #[test]

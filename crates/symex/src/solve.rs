@@ -135,7 +135,7 @@ impl Propagator {
             }
             order.push(t);
             if let Term::App(_, args) = store.term(t) {
-                stack.extend(args);
+                stack.extend_from_slice(args);
             }
         }
         order.sort_unstable();
@@ -718,7 +718,7 @@ mod tests {
     fn pinned_equalities_solve() {
         let (mut s, v, t) = store_with_var();
         let c = s.constant(5);
-        let sum = s.app(PrimOp::Add, vec![t, c]);
+        let sum = s.app(PrimOp::Add, &[t, c]);
         // x + 5 == 12  =>  x == 7
         match solve(&s, &[Lit::eq(sum, 12)], 100) {
             Verdict::Sat(m) => assert_eq!(m.get(&v), Some(&7)),
@@ -730,7 +730,7 @@ mod tests {
     fn contradiction_is_unsat() {
         let (mut s, _v, t) = store_with_var();
         let c = s.constant(1);
-        let sum = s.app(PrimOp::Add, vec![t, c]);
+        let sum = s.app(PrimOp::Add, &[t, c]);
         // x == 3 && x + 1 == 7 is unsat.
         assert_eq!(
             solve(&s, &[Lit::eq(t, 3), Lit::eq(sum, 7)], 100),
@@ -751,9 +751,9 @@ mod tests {
     fn comparison_narrowing() {
         let (mut s, v, t) = store_with_var();
         let c = s.constant(10);
-        let lt = s.app(PrimOp::Lt, vec![t, c]);
+        let lt = s.app(PrimOp::Lt, &[t, c]);
         let zero = s.constant(0);
-        let ge0 = s.app(PrimOp::Ge, vec![t, zero]);
+        let ge0 = s.app(PrimOp::Ge, &[t, zero]);
         // x < 10 && x >= 0 && x != 0..8 => x == 9
         let mut lits = vec![Lit::eq(lt, 1), Lit::eq(ge0, 1)];
         for n in 0..9 {
@@ -771,7 +771,7 @@ mod tests {
         // the solver must not claim unsat, and a found model must verify.
         let (mut s, v, t) = store_with_var();
         let one = s.constant(1);
-        let sum = s.app(PrimOp::Add, vec![t, one]);
+        let sum = s.app(PrimOp::Add, &[t, one]);
         match solve(&s, &[Lit::eq(sum, i32::MIN)], 4000) {
             Verdict::Sat(m) => assert_eq!(m.get(&v), Some(&i32::MAX)),
             Verdict::Unsat => panic!("wrapping solution exists"),
@@ -783,9 +783,9 @@ mod tests {
     fn congruence_guides_mod_queries() {
         let (mut s, v, t) = store_with_var();
         let zero = s.constant(0);
-        let ge0 = s.app(PrimOp::Ge, vec![t, zero]);
+        let ge0 = s.app(PrimOp::Ge, &[t, zero]);
         let m7 = s.constant(7);
-        let md = s.app(PrimOp::Mod, vec![t, m7]);
+        let md = s.app(PrimOp::Mod, &[t, m7]);
         // x >= 0 && x % 7 == 3 && x != 3
         let lits = [Lit::eq(ge0, 1), Lit::eq(md, 3), Lit::ne(t, 3)];
         match solve(&s, &lits, 4000) {
@@ -802,7 +802,7 @@ mod tests {
         // x & 7 lies in [0, 7] whatever x is, so x & 7 == 9 is refuted.
         let (mut s, _v, t) = store_with_var();
         let seven = s.constant(7);
-        let masked = s.app(PrimOp::And, vec![t, seven]);
+        let masked = s.app(PrimOp::And, &[t, seven]);
         let lits = [Lit::eq(masked, 9)];
         assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
     }
@@ -813,8 +813,8 @@ mod tests {
         let (mut s, _v, t) = store_with_var();
         let zero = s.constant(0);
         let five = s.constant(5);
-        let ge0 = s.app(PrimOp::Ge, vec![t, zero]);
-        let md = s.app(PrimOp::Mod, vec![t, five]);
+        let ge0 = s.app(PrimOp::Ge, &[t, zero]);
+        let md = s.app(PrimOp::Mod, &[t, five]);
         let lits = [Lit::eq(ge0, 1), Lit::eq(md, -1)];
         assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
     }
@@ -825,10 +825,10 @@ mod tests {
         let (_, x) = s.fresh_var();
         let (_, y) = s.fresh_var();
         let one = s.constant(1);
-        let x1 = s.app(PrimOp::Add, vec![x, one]);
+        let x1 = s.app(PrimOp::Add, &[x, one]);
         // Interned after `x + 1`, so the first backward pass visits it
         // before `x` is pinned; only a second round pins `y` to 7.
-        let xy = s.app(PrimOp::Add, vec![x, y]);
+        let xy = s.app(PrimOp::Add, &[x, y]);
         let lits = [Lit::eq(xy, 10), Lit::eq(x1, 4), Lit::ne(y, 7)];
         assert_eq!(solve(&s, &lits, 100), Verdict::Unsat);
         assert!(matches!(solve(&s, &lits[..2], 100), Verdict::Sat(_)));
@@ -838,7 +838,7 @@ mod tests {
     fn equality_split_terms() {
         let (mut s, v, t) = store_with_var();
         let c = s.constant(4);
-        let eq4 = s.app(PrimOp::Eq, vec![t, c]);
+        let eq4 = s.app(PrimOp::Eq, &[t, c]);
         // (x == 4) == 1  =>  x pinned to 4.
         match solve(&s, &[Lit::eq(eq4, 1)], 50) {
             Verdict::Sat(m) => assert_eq!(m.get(&v), Some(&4)),

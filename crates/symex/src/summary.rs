@@ -13,6 +13,7 @@
 //! inline at each call site.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use zarf_core::error::RuntimeError;
@@ -23,7 +24,8 @@ use zarf_verify::callgraph::CallGraph;
 use crate::budget::Incompleteness;
 use crate::exec::ArmSet;
 use crate::solve::Lit;
-use crate::value::{ShapeKey, SV};
+use crate::term::{IdMap, MulHasher};
+use crate::value::{ShapeKey, SymVal};
 
 /// One cached path through a summarized function, over canonical leaf
 /// variables.
@@ -40,7 +42,7 @@ pub struct SummaryPath {
     /// Why this path fell short of completion, if it did.
     pub incomplete: BTreeSet<Incompleteness>,
     /// The returned value; `None` when the path was truncated.
-    pub val: Option<SV>,
+    pub val: Option<SymVal>,
 }
 
 /// The canonical exploration of one `(function, shape keys)` pair.
@@ -59,11 +61,15 @@ pub struct Summary {
     pub tainted: bool,
 }
 
+/// One function's summaries, by argument shape keys. Keyed by the owned
+/// vector so that a probe borrows the caller's `&[ShapeKey]`.
+type ByKeys = HashMap<Vec<ShapeKey>, Rc<Summary>, BuildHasherDefault<MulHasher>>;
+
 /// The summary cache, plus the precomputed set of summarizable functions.
 #[derive(Debug)]
 pub struct Summaries {
     summarizable: BTreeSet<u32>,
-    cache: HashMap<(u32, Vec<ShapeKey>), Rc<Summary>>,
+    cache: IdMap<u32, ByKeys>,
     /// Cache hits (a summary was reused at a call site).
     pub hits: u64,
     /// Cache misses (a summary had to be computed).
@@ -90,7 +96,7 @@ impl Summaries {
         }
         Summaries {
             summarizable,
-            cache: HashMap::new(),
+            cache: IdMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -113,7 +119,8 @@ impl Summaries {
     ) -> Option<Rc<Summary>> {
         let got = self
             .cache
-            .get(&(id, keys.to_vec()))
+            .get(&id)
+            .and_then(|by_keys| by_keys.get(keys))
             .filter(|s| allow_tainted || !s.tainted)
             .cloned();
         if got.is_some() {
@@ -126,13 +133,13 @@ impl Summaries {
     pub fn insert(&mut self, id: u32, keys: Vec<ShapeKey>, summary: Summary) -> Rc<Summary> {
         self.misses += 1;
         let rc = Rc::new(summary);
-        self.cache.insert((id, keys), rc.clone());
+        self.cache.entry(id).or_default().insert(keys, rc.clone());
         rc
     }
 
     /// Number of cached `(function, shape keys)` entries.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.cache.values().map(HashMap::len).sum()
     }
 
     /// Whether nothing has been summarized yet.

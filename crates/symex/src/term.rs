@@ -13,7 +13,9 @@
 //! The store holds each term once. Its hash index keys on a small `Copy`
 //! key (a constant, or an operator and its argument ids) rather than on a
 //! second copy of the term, and variables bypass the index altogether:
-//! each is minted once, into a dense variable → id table.
+//! each is minted once, into a dense variable → id table. A term is
+//! itself `Copy` (an application holds its one or two operands inline),
+//! so interning one allocates nothing beyond the store's own growth.
 //!
 //! Applications of pure primitives over all-constant arguments fold at
 //! interning time via the *same* [`PrimOp::eval_pure`] the reference
@@ -21,8 +23,10 @@
 //! Division/modulo by literal zero is deliberately *not* folded (it is a
 //! fault, which the executor forks on before building the term).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 
 use zarf_core::error::RuntimeError;
 use zarf_core::prim::PrimOp;
@@ -32,14 +36,43 @@ use zarf_core::Int;
 pub type TermId = u32;
 
 /// One interned term.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A literal integer.
     Const(Int),
     /// A symbolic variable, by its global variable number.
     Var(u32),
     /// A pure primitive applied to interned arguments.
-    App(PrimOp, Vec<TermId>),
+    App(PrimOp, Operands),
+}
+
+/// The arguments of an application, held inline: every primitive takes
+/// one or two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Operands {
+    ids: [TermId; 2],
+    len: u8,
+}
+
+impl Operands {
+    /// The first two of `args` (no primitive takes more).
+    fn new(args: &[TermId]) -> Self {
+        let mut ids = [NO_ARG; 2];
+        let mut len = 0;
+        for (slot, &a) in ids.iter_mut().zip(args) {
+            *slot = a;
+            len += 1;
+        }
+        Operands { ids, len }
+    }
+}
+
+impl Deref for Operands {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        self.ids.get(..usize::from(self.len)).unwrap_or(&[])
+    }
 }
 
 /// A multiplicative hasher for small integer keys (term ids and
@@ -87,13 +120,14 @@ enum Key {
     App(PrimOp, TermId, TermId),
 }
 
-/// The padding argument of a unary application's [`Key`].
+/// The padding argument of a unary application's [`Key`] and
+/// [`Operands`].
 const NO_ARG: TermId = TermId::MAX;
 
 impl Key {
     /// The key of an application, or `None` unless it has one or two
     /// arguments (no primitive has another arity; such a term is stored
-    /// unshared).
+    /// unshared, and evaluates to an error).
     fn app(op: PrimOp, args: &[TermId]) -> Option<Key> {
         match *args {
             [a] => Some(Key::App(op, a, NO_ARG)),
@@ -113,6 +147,9 @@ pub struct TermStore {
     /// The term id of each variable, by variable number; its length is
     /// the next variable number.
     var_ids: Vec<TermId>,
+    /// [`TermStore::subst`]'s work list, kept between calls so that a
+    /// substitution allocates only for the terms it interns.
+    subst_work: Vec<TermId>,
 }
 
 impl TermStore {
@@ -184,7 +221,7 @@ impl TermStore {
     /// [`PrimOp::eval_pure`]. Faulting folds (division by literal zero)
     /// stay symbolic — the executor forks the fault off before calling
     /// this.
-    pub fn app(&mut self, op: PrimOp, args: Vec<TermId>) -> TermId {
+    pub fn app(&mut self, op: PrimOp, args: &[TermId]) -> TermId {
         if args.len() == op.arity() {
             let mut cs = [0; 2];
             let folds = args.len() <= cs.len()
@@ -198,7 +235,13 @@ impl TermStore {
                 }
             }
         }
-        self.intern(Key::app(op, &args), || Term::App(op, args))
+        match Key::app(op, args) {
+            key @ Some(_) => self.intern(key, || Term::App(op, Operands::new(args))),
+            // An arity no primitive has: keep the arity mismatch visible,
+            // so the term evaluates to an error rather than to a
+            // truncated application.
+            None => self.intern(None, || Term::App(op, Operands::new(&[]))),
+        }
     }
 
     /// All variable numbers a term (transitively) mentions.
@@ -213,7 +256,7 @@ impl TermStore {
                 Some(Term::Var(v)) => {
                     out.insert(*v);
                 }
-                Some(Term::App(_, args)) => stack.extend(args.iter().copied()),
+                Some(Term::App(_, args)) => stack.extend_from_slice(args),
                 _ => {}
             }
         }
@@ -233,7 +276,7 @@ impl TermStore {
                 Some(Term::App(op, args)) => {
                     let mut cs = Vec::with_capacity(args.len());
                     let mut failed = None;
-                    for a in args {
+                    for a in args.iter() {
                         match memo.get(a) {
                             Some(Ok(c)) => cs.push(*c),
                             Some(Err(e)) => {
@@ -268,7 +311,7 @@ impl TermStore {
                 continue;
             }
             if let Some(Term::App(_, args)) = self.terms.get(t as usize) {
-                stack.extend(args.iter().copied());
+                stack.extend_from_slice(args);
             }
         }
         needed
@@ -286,32 +329,42 @@ impl TermStore {
         if let Some(&r) = memo.get(&id) {
             return r;
         }
-        // Collect the needed subgraph, then rewrite in ascending order.
-        let mut needed: BTreeSet<TermId> = BTreeSet::new();
-        let mut stack = vec![id];
-        while let Some(t) = stack.pop() {
-            if memo.contains_key(&t) || !needed.insert(t) {
-                continue;
-            }
+        // Collect the needed subgraph, then rewrite it in ascending order.
+        // A collected term is marked in `memo` with itself until its
+        // rewrite, which its parents (larger ids) only read after it.
+        let mut needed = std::mem::take(&mut self.subst_work);
+        needed.push(id);
+        memo.insert(id, id);
+        let mut next = 0;
+        while let Some(&t) = needed.get(next) {
+            next += 1;
             if let Some(Term::App(_, args)) = self.terms.get(t as usize) {
-                stack.extend(args.iter().copied());
+                for &a in args.iter() {
+                    if let Entry::Vacant(e) = memo.entry(a) {
+                        e.insert(a);
+                        needed.push(a);
+                    }
+                }
             }
         }
-        for t in needed {
+        needed.sort_unstable();
+        for &t in &needed {
             let rewritten = match *self.term(t) {
                 Term::Const(n) => self.constant(n),
                 // An unmapped variable is itself: `t`.
                 Term::Var(v) => map.get(&v).copied().unwrap_or(t),
-                Term::App(op, ref args) => {
-                    let new_args: Vec<TermId> = args
-                        .iter()
-                        .map(|a| memo.get(a).copied().unwrap_or(*a))
-                        .collect();
-                    self.app(op, new_args)
+                Term::App(op, args) => {
+                    let mut new_args = args;
+                    for a in new_args.ids.iter_mut().take(args.len()) {
+                        *a = memo.get(a).copied().unwrap_or(*a);
+                    }
+                    self.app(op, &new_args)
                 }
             };
             memo.insert(t, rewritten);
         }
+        needed.clear();
+        self.subst_work = needed;
         memo.get(&id).copied().unwrap_or(id)
     }
 
@@ -348,8 +401,8 @@ mod tests {
         let b = s.constant(1);
         assert_eq!(a, b);
         let (_, v) = s.fresh_var();
-        let t1 = s.app(PrimOp::Add, vec![a, v]);
-        let t2 = s.app(PrimOp::Add, vec![b, v]);
+        let t1 = s.app(PrimOp::Add, &[a, v]);
+        let t2 = s.app(PrimOp::Add, &[b, v]);
         assert_eq!(t1, t2);
     }
 
@@ -358,7 +411,7 @@ mod tests {
         let mut s = TermStore::new();
         let a = s.constant(i32::MAX);
         let b = s.constant(1);
-        let t = s.app(PrimOp::Add, vec![a, b]);
+        let t = s.app(PrimOp::Add, &[a, b]);
         assert_eq!(s.const_of(t), Some(i32::MIN)); // wrapping
     }
 
@@ -367,7 +420,7 @@ mod tests {
         let mut s = TermStore::new();
         let a = s.constant(7);
         let z = s.constant(0);
-        let t = s.app(PrimOp::Div, vec![a, z]);
+        let t = s.app(PrimOp::Div, &[a, z]);
         assert_eq!(s.const_of(t), None);
         assert_eq!(s.eval(t, &BTreeMap::new()), Err(RuntimeError::DivideByZero));
     }
@@ -377,7 +430,7 @@ mod tests {
         let mut s = TermStore::new();
         let (x, xt) = s.fresh_var();
         let c = s.constant(3);
-        let t = s.app(PrimOp::Mul, vec![xt, c]);
+        let t = s.app(PrimOp::Mul, &[xt, c]);
         let mut m = BTreeMap::new();
         m.insert(x, 5);
         assert_eq!(s.eval(t, &m), Ok(15));
@@ -388,7 +441,7 @@ mod tests {
         let mut s = TermStore::new();
         let (x, xt) = s.fresh_var();
         let c = s.constant(10);
-        let t = s.app(PrimOp::Add, vec![xt, c]);
+        let t = s.app(PrimOp::Add, &[xt, c]);
         let two = s.constant(2);
         let mut map = BTreeMap::new();
         map.insert(x, two);
@@ -402,7 +455,7 @@ mod tests {
         let mut s = TermStore::new();
         let (x, xt) = s.fresh_var();
         let c = s.constant(1);
-        let t = s.app(PrimOp::Sub, vec![xt, c]);
+        let t = s.app(PrimOp::Sub, &[xt, c]);
         let mut vars = BTreeSet::new();
         s.vars_of(t, &mut vars);
         assert!(vars.contains(&x));

@@ -15,15 +15,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use zarf_core::error::RuntimeError;
 use zarf_core::prim::PrimOp;
 
 use crate::term::{IdMap, TermId, TermStore};
-
-/// Shared symbolic value.
-pub type SV = Rc<SymVal>;
 
 /// What an unsaturated closure will invoke once saturated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +32,46 @@ pub enum CTarget {
     Prim(PrimOp),
 }
 
-/// One symbolic value.
+/// The values a constructor holds or a closure has been applied to: one
+/// shared, immutable slice, so cloning the owner copies a pointer. An
+/// empty payload (a nullary constructor, a closure with nothing applied)
+/// holds no allocation at all.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Payload(Option<Rc<[SymVal]>>);
+
+impl Payload {
+    /// A payload holding copies of `vals`: one allocation unless empty.
+    pub fn new(vals: &[SymVal]) -> Self {
+        if vals.is_empty() {
+            Payload(None)
+        } else {
+            Payload(Some(Rc::from(vals)))
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [SymVal];
+
+    fn deref(&self) -> &[SymVal] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl FromIterator<SymVal> for Payload {
+    /// Collect into one allocation when the iterator knows its length.
+    fn from_iter<I: IntoIterator<Item = SymVal>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        if iter.size_hint().1 == Some(0) {
+            return Payload(None);
+        }
+        let vals: Rc<[SymVal]> = iter.collect();
+        Payload(Some(vals).filter(|v| !v.is_empty()))
+    }
+}
+
+/// One symbolic value. Integers, errors, opaque constructors and empty
+/// payloads live inline; a clone never allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SymVal {
     /// An integer, as an interned term.
@@ -44,7 +81,7 @@ pub enum SymVal {
         /// Constructor identifier.
         tag: u32,
         /// Field values in declaration order.
-        fields: Vec<SV>,
+        fields: Payload,
     },
     /// An unsaturated closure: a concrete target plus the arguments
     /// applied so far.
@@ -52,7 +89,7 @@ pub enum SymVal {
         /// What will run at saturation.
         target: CTarget,
         /// Already-applied arguments.
-        applied: Vec<SV>,
+        applied: Payload,
     },
     /// The reserved runtime-error value.
     Error(RuntimeError),
@@ -70,29 +107,20 @@ pub enum SymVal {
 }
 
 impl SymVal {
-    /// Wrap an integer term.
-    pub fn int(t: TermId) -> SV {
-        Rc::new(SymVal::Int(t))
+    /// A saturated constructor over copies of `fields`.
+    pub fn con(tag: u32, fields: &[SymVal]) -> Self {
+        SymVal::Con {
+            tag,
+            fields: Payload::new(fields),
+        }
     }
 
-    /// Wrap a saturated constructor.
-    pub fn con(tag: u32, fields: Vec<SV>) -> SV {
-        Rc::new(SymVal::Con { tag, fields })
-    }
-
-    /// Wrap a closure.
-    pub fn closure(target: CTarget, applied: Vec<SV>) -> SV {
-        Rc::new(SymVal::Closure { target, applied })
-    }
-
-    /// Wrap an error.
-    pub fn error(e: RuntimeError) -> SV {
-        Rc::new(SymVal::Error(e))
-    }
-
-    /// Wrap an opaque (fields-not-materialized) constructor.
-    pub fn opaque(tag: u32) -> SV {
-        Rc::new(SymVal::Opaque { tag })
+    /// A closure over copies of the arguments `applied` so far.
+    pub fn closure(target: CTarget, applied: &[SymVal]) -> Self {
+        SymVal::Closure {
+            target,
+            applied: Payload::new(applied),
+        }
     }
 
     /// Render for reports: `(Con 5 (sub v0 1))`-style.
@@ -101,7 +129,7 @@ impl SymVal {
             SymVal::Int(t) => store.display(*t),
             SymVal::Con { tag, fields } => {
                 let mut s = format!("(con:{tag:#x}");
-                for f in fields {
+                for f in fields.iter() {
                     s.push(' ');
                     s.push_str(&f.display(store));
                 }
@@ -114,7 +142,7 @@ impl SymVal {
                     CTarget::Prim(op) => op.name().to_string(),
                 };
                 let mut s = format!("(clo:{t}");
-                for a in applied {
+                for a in applied.iter() {
                     s.push(' ');
                     s.push_str(&a.display(store));
                 }
@@ -153,16 +181,20 @@ impl fmt::Display for ShapeKey {
 
 /// The shape key of a value, if it has one (closures and errors do not).
 /// Iterative over an explicit spine to stay stack-safe on deep nests.
-pub fn shape_key(v: &SV) -> Option<ShapeKey> {
+pub fn shape_key(v: &SymVal) -> Option<ShapeKey> {
     enum Frame<'a> {
-        Visit(&'a SV),
+        Visit(&'a SymVal),
         Build(u32, usize),
+    }
+    if let SymVal::Int(_) = v {
+        // The common case needs no spine.
+        return Some(ShapeKey::Int);
     }
     let mut work = vec![Frame::Visit(v)];
     let mut done: Vec<ShapeKey> = Vec::new();
     while let Some(f) = work.pop() {
         match f {
-            Frame::Visit(sv) => match &**sv {
+            Frame::Visit(sv) => match sv {
                 SymVal::Int(_) => done.push(ShapeKey::Int),
                 SymVal::Con { tag, fields } => {
                     work.push(Frame::Build(*tag, fields.len()));
@@ -186,40 +218,40 @@ pub fn shape_key(v: &SV) -> Option<ShapeKey> {
 /// leaves, returning the value and the leaf variable numbers in
 /// left-to-right order. Summaries are explored over canonical values and
 /// re-targeted per call site through [`leaf_terms`] + [`subst_sv`].
-pub fn canonical(store: &mut TermStore, key: &ShapeKey) -> (SV, Vec<u32>) {
+pub fn canonical(store: &mut TermStore, key: &ShapeKey) -> (SymVal, Vec<u32>) {
     let mut leaves = Vec::new();
     let sv = canonical_rec(store, key, &mut leaves);
     (sv, leaves)
 }
 
-fn canonical_rec(store: &mut TermStore, key: &ShapeKey, leaves: &mut Vec<u32>) -> SV {
+fn canonical_rec(store: &mut TermStore, key: &ShapeKey, leaves: &mut Vec<u32>) -> SymVal {
     match key {
         ShapeKey::Int => {
             let (v, t) = store.fresh_var();
             leaves.push(v);
-            SymVal::int(t)
+            SymVal::Int(t)
         }
-        ShapeKey::Con(tag, fields) => {
-            let fs = fields
+        ShapeKey::Con(tag, fields) => SymVal::Con {
+            tag: *tag,
+            fields: fields
                 .iter()
                 .map(|k| canonical_rec(store, k, leaves))
-                .collect();
-            SymVal::con(*tag, fs)
-        }
+                .collect(),
+        },
     }
 }
 
 /// The integer terms at the leaves of a keyed value, left to right — the
 /// per-call-site counterpart of [`canonical`]'s leaf variables. `None` if
 /// a closure or error appears (no shape key exists then).
-pub fn leaf_terms(v: &SV, out: &mut Vec<TermId>) -> Option<()> {
-    match &**v {
+pub fn leaf_terms(v: &SymVal, out: &mut Vec<TermId>) -> Option<()> {
+    match v {
         SymVal::Int(t) => {
             out.push(*t);
             Some(())
         }
         SymVal::Con { fields, .. } => {
-            for f in fields {
+            for f in fields.iter() {
                 leaf_terms(f, out)?;
             }
             Some(())
@@ -231,28 +263,27 @@ pub fn leaf_terms(v: &SV, out: &mut Vec<TermId>) -> Option<()> {
 /// Rewrite every integer term in a value through a variable substitution.
 pub fn subst_sv(
     store: &mut TermStore,
-    v: &SV,
+    v: &SymVal,
     map: &BTreeMap<u32, TermId>,
     memo: &mut IdMap<TermId, TermId>,
-) -> SV {
-    match &**v {
-        SymVal::Int(t) => SymVal::int(store.subst(*t, map, memo)),
-        SymVal::Con { tag, fields } => SymVal::con(
-            *tag,
-            fields
+) -> SymVal {
+    match v {
+        SymVal::Int(t) => SymVal::Int(store.subst(*t, map, memo)),
+        SymVal::Con { tag, fields } => SymVal::Con {
+            tag: *tag,
+            fields: fields
                 .iter()
                 .map(|f| subst_sv(store, f, map, memo))
                 .collect(),
-        ),
-        SymVal::Closure { target, applied } => SymVal::closure(
-            *target,
-            applied
+        },
+        SymVal::Closure { target, applied } => SymVal::Closure {
+            target: *target,
+            applied: applied
                 .iter()
                 .map(|a| subst_sv(store, a, map, memo))
                 .collect(),
-        ),
-        SymVal::Error(e) => SymVal::error(*e),
-        SymVal::Opaque { tag } => SymVal::opaque(*tag),
+        },
+        SymVal::Error(_) | SymVal::Opaque { .. } => v.clone(),
     }
 }
 
@@ -265,18 +296,18 @@ mod tests {
         let mut s = TermStore::new();
         let a = s.constant(1);
         let (_, b) = s.fresh_var();
-        let v1 = SymVal::con(0x105, vec![SymVal::int(a), SymVal::int(b)]);
-        let v2 = SymVal::con(0x105, vec![SymVal::int(b), SymVal::int(a)]);
+        let v1 = SymVal::con(0x105, &[SymVal::Int(a), SymVal::Int(b)]);
+        let v2 = SymVal::con(0x105, &[SymVal::Int(b), SymVal::Int(a)]);
         assert_eq!(shape_key(&v1), shape_key(&v2));
-        let nested = SymVal::con(0x106, vec![v1]);
+        let nested = SymVal::con(0x106, &[v1]);
         assert_ne!(shape_key(&v2), shape_key(&nested));
     }
 
     #[test]
     fn closures_have_no_key() {
-        let v = SymVal::closure(CTarget::Prim(PrimOp::Add), vec![]);
+        let v = SymVal::closure(CTarget::Prim(PrimOp::Add), &[]);
         assert_eq!(shape_key(&v), None);
-        let wrapped = SymVal::con(0x105, vec![v]);
+        let wrapped = SymVal::con(0x105, &[v]);
         assert_eq!(shape_key(&wrapped), None);
     }
 
@@ -297,7 +328,7 @@ mod tests {
         let n2 = s.constant(9);
         let site = SymVal::con(
             0x105,
-            vec![SymVal::int(n1), SymVal::con(0x106, vec![SymVal::int(n2)])],
+            &[SymVal::Int(n1), SymVal::con(0x106, &[SymVal::Int(n2)])],
         );
         let mut leaves = Vec::new();
         assert!(leaf_terms(&site, &mut leaves).is_some());
@@ -315,10 +346,10 @@ mod tests {
         let c = s.constant(3);
         let v = SymVal::con(
             0x105,
-            vec![
-                SymVal::int(c),
-                SymVal::closure(CTarget::Item(0x102), vec![]),
-                SymVal::error(RuntimeError::DivideByZero),
+            &[
+                SymVal::Int(c),
+                SymVal::closure(CTarget::Item(0x102), &[]),
+                SymVal::Error(RuntimeError::DivideByZero),
             ],
         );
         let txt = v.display(&s);

@@ -36,7 +36,7 @@ use crate::report::Status;
 use crate::seed::{build_env_ctx, envelope_args};
 use crate::solve::{solve, Model, Verdict};
 use crate::term::{TermId, TermStore};
-use crate::value::{SymVal, SV};
+use crate::value::SymVal;
 
 /// Nesting bound when concretizing a pool value (defensive; explored
 /// values are bounded by the step budget anyway).
@@ -70,7 +70,7 @@ pub struct PoolEntry {
     /// Recipe to rebuild the value on the interpreter.
     pub recipe: WArg,
     /// The fully concrete value, for symbolic use as an entry argument.
-    pub value: SV,
+    pub value: SymVal,
 }
 
 /// The discovered producer pool.
@@ -99,7 +99,7 @@ enum RecipeSrc {
 }
 
 /// Instantiate one combo: symbolic argument values plus their recipes.
-fn realize(ex: &mut Exec, pool: &Pool, srcs: &[ArgSrc]) -> (Vec<SV>, Vec<RecipeSrc>) {
+fn realize(ex: &mut Exec, pool: &Pool, srcs: &[ArgSrc]) -> (Vec<SymVal>, Vec<RecipeSrc>) {
     let mut args = Vec::with_capacity(srcs.len());
     let mut recipes = Vec::with_capacity(srcs.len());
     for s in srcs {
@@ -114,7 +114,7 @@ fn realize(ex: &mut Exec, pool: &Pool, srcs: &[ArgSrc]) -> (Vec<SV>, Vec<RecipeS
             }
             None => {
                 let (_, t) = ex.store.fresh_var();
-                args.push(SymVal::int(t));
+                args.push(SymVal::Int(t));
                 recipes.push(RecipeSrc::Var(t));
             }
         }
@@ -135,30 +135,29 @@ fn recipe_args(store: &TermStore, model: &Model, recipes: &[RecipeSrc]) -> Optio
 
 /// Pin every integer leaf of a value to its model constant. `None` if the
 /// value contains an error, or a term that faults under the model.
-fn concretize(store: &mut TermStore, v: &SV, model: &Model, depth: usize) -> Option<SV> {
+fn concretize(store: &mut TermStore, v: &SymVal, model: &Model, depth: usize) -> Option<SymVal> {
     if depth == 0 {
         return None;
     }
-    match &**v {
+    match v {
         SymVal::Int(t) => {
             let n = store.eval(*t, model).ok()?;
-            let c = store.constant(n);
-            Some(SymVal::int(c))
+            Some(SymVal::Int(store.constant(n)))
         }
-        SymVal::Con { tag, fields } => {
-            let mut fs = Vec::with_capacity(fields.len());
-            for f in fields {
-                fs.push(concretize(store, f, model, depth - 1)?);
-            }
-            Some(SymVal::con(*tag, fs))
-        }
-        SymVal::Closure { target, applied } => {
-            let mut fs = Vec::with_capacity(applied.len());
-            for f in applied {
-                fs.push(concretize(store, f, model, depth - 1)?);
-            }
-            Some(SymVal::closure(*target, fs))
-        }
+        SymVal::Con { tag, fields } => Some(SymVal::Con {
+            tag: *tag,
+            fields: fields
+                .iter()
+                .map(|f| concretize(store, f, model, depth - 1))
+                .collect::<Option<_>>()?,
+        }),
+        SymVal::Closure { target, applied } => Some(SymVal::Closure {
+            target: *target,
+            applied: applied
+                .iter()
+                .map(|f| concretize(store, f, model, depth - 1))
+                .collect::<Option<_>>()?,
+        }),
         SymVal::Error(_) => None,
         // Opaque values only arise from envelope seeding, never from the
         // concrete-argument explorations that feed the pool.
@@ -217,13 +216,13 @@ pub fn build_pool(ex: &mut Exec) -> Pool {
                     }
                 }
                 let (args, recipes) = realize(ex, &pool, &srcs);
-                let outs = ex.explore(g, args);
+                let outs = ex.explore(g, &args);
                 for o in outs {
                     let val = match &o.val {
                         Some(v) => v.clone(),
                         None => continue,
                     };
-                    if !matches!(&*val, SymVal::Con { .. } | SymVal::Closure { .. }) {
+                    if !matches!(val, SymVal::Con { .. } | SymVal::Closure { .. }) {
                         continue;
                     }
                     if !o.st.reads.is_empty() || !o.st.incomplete.is_empty() {
@@ -285,7 +284,7 @@ struct SolvedPath<'a> {
     st: &'a PathState,
     model: &'a Model,
     recipes: &'a [RecipeSrc],
-    val: Option<&'a SV>,
+    val: Option<&'a SymVal>,
 }
 
 /// Build a spec from a solved path and validate it by replay. Returns the
@@ -336,12 +335,10 @@ fn assemble_and_validate(
             // and, when the symbolic path pinned an integer result, that
             // the concrete result agrees (an end-to-end fidelity check).
             let res = rep.result.as_ref().ok()?;
-            if let Some(sv) = val {
-                if let SymVal::Int(t) = &**sv {
-                    if let Ok(n) = ex.store.eval(*t, model) {
-                        if res != &n.to_string() {
-                            return None;
-                        }
+            if let Some(SymVal::Int(t)) = val {
+                if let Ok(n) = ex.store.eval(*t, model) {
+                    if res != &n.to_string() {
+                        return None;
                     }
                 }
             }
@@ -391,7 +388,7 @@ pub fn search_witness(
             }
             explorations -= 1;
             let (args, recipes) = realize(ex, pool, &srcs);
-            let outs = ex.explore(e, args);
+            let outs = ex.explore(e, &args);
             for o in &outs {
                 if !matches(ex, o, q) {
                     continue;
@@ -443,7 +440,7 @@ pub fn envelope_check(ex: &mut Exec, report: &ShapeReport, q: &VetQuery) -> Stat
     let mut sat_found = false;
     let mut solves_left = ex.budget.max_witness_attempts.saturating_mul(4);
     'combos: for combo in env.combos {
-        let outs = ex.explore(q.function, combo);
+        let outs = ex.explore(q.function, &combo);
         for o in &outs {
             inc.extend(o.st.incomplete.iter().copied());
             if !matches(ex, o, q) {
@@ -518,7 +515,7 @@ mod tests {
         assert!(pool
             .entries
             .iter()
-            .all(|e| matches!(&*e.value, SymVal::Con { tag, .. } if *tag == pair)));
+            .all(|e| matches!(&e.value, SymVal::Con { tag, .. } if *tag == pair)));
         assert!(pool
             .entries
             .iter()

@@ -240,9 +240,9 @@ fn differential_inner(seed: u64) -> Option<(usize, usize)> {
     for _ in 0..arity {
         let (v, t) = ex.store.fresh_var();
         vars.push(v);
-        args.push(SymVal::int(t));
+        args.push(SymVal::Int(t));
     }
-    let outs = ex.explore(f, args);
+    let outs = ex.explore(f, &args);
     if outs.iter().any(|o| !o.st.incomplete.is_empty()) {
         return None;
     }
@@ -278,16 +278,13 @@ fn differential_inner(seed: u64) -> Option<(usize, usize)> {
             sym_codes, rep.faults,
             "fault sequences diverged for {fname}{concrete:?}\n{src}"
         );
-        if let (Some(sv), Ok(res)) = (&o.val, &rep.result) {
-            if let SymVal::Int(t) = &**sv {
-                let t = *t;
-                if let Ok(n) = ex.store.eval(t, &model) {
-                    assert_eq!(
-                        &n.to_string(),
-                        res,
-                        "results diverged for {fname}{concrete:?}\n{src}"
-                    );
-                }
+        if let (Some(SymVal::Int(t)), Ok(res)) = (&o.val, &rep.result) {
+            if let Ok(n) = ex.store.eval(*t, &model) {
+                assert_eq!(
+                    &n.to_string(),
+                    res,
+                    "results diverged for {fname}{concrete:?}\n{src}"
+                );
             }
         }
         faulting += usize::from(!rep.faults.is_empty());
@@ -444,7 +441,7 @@ fn random_dag(rng: &mut StdRng) -> Dag {
         let args: Vec<TermId> = (0..op.arity())
             .map(|_| terms[rng.gen_range(0..terms.len())])
             .collect();
-        terms.push(store.app(op, args));
+        terms.push(store.app(op, &args));
     }
     terms.sort_unstable();
     terms.dedup();

@@ -109,8 +109,9 @@ mod tests {
     #[test]
     fn kernel_iteration_meets_deadline() {
         let t = kernel_timing(&CostModel::default()).unwrap();
-        assert!(t.loop_wcet > 0);
-        assert!(t.gc_bound > 0);
+        // EXPERIMENTS.md E4's two static bounds, exactly.
+        assert_eq!(t.loop_wcet, 2_951);
+        assert_eq!(t.gc_bound, 2_621);
         assert!(
             t.meets_deadline(),
             "WCET {} cycles exceeds the deadline",

@@ -264,6 +264,24 @@ fn vet_symex_json_reports_verdicts_and_exploration_counts() {
     );
 }
 
+/// The whole `vet --symex --json` output of each shipped image, pinned by
+/// length and CRC-32: verdicts, witnesses and every exploration count.
+/// A change to how the executor represents or allocates its values must
+/// leave these bytes exactly as they are.
+#[test]
+fn vet_symex_json_is_pinned_byte_for_byte() {
+    for (image, len, crc) in [
+        ("@icd", 1_335, 0x75c3_cfd5),
+        ("@kernel", 2_048, 0xcc08_d29f),
+        ("@session", 2_251, 0xdf5c_fe8a),
+    ] {
+        let (ok, out, err) = zarf(&["vet", image, "--model", "service", "--symex", "--json"]);
+        assert!(ok, "{image}: {err}");
+        let got = (out.len(), zarf::core::codec::crc32(&[out.as_bytes()]));
+        assert_eq!(got, (len, crc), "{image}: {out}");
+    }
+}
+
 /// `zarf store fsck` and `gc` over a data directory written through the
 /// library: a clean sweep, a collection that keeps exactly the live
 /// sessions' chunks, a clean sweep with no garbage after it, and a
