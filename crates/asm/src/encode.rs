@@ -64,16 +64,19 @@ pub const TAG_ELSE: Word = 0x23;
 pub const TAG_RESULT: Word = 0x30;
 
 /// The tag byte (bits 31..24) of a body word.
+#[inline]
 pub fn word_tag(w: Word) -> Word {
     w >> 24
 }
 
 /// Decode the operand packed in the low 24 bits of an arg/case/result word.
+#[inline]
 pub fn unpack_operand_word(w: Word) -> Option<Operand> {
     unpack_operand(w & 0x00FF_FFFF)
 }
 
 /// Decode a `let` head word into (argument count, callee operand).
+#[inline]
 pub fn unpack_let_head(w: Word) -> Option<(usize, Operand)> {
     if word_tag(w) != TAG_LET {
         return None;
@@ -90,6 +93,7 @@ pub fn unpack_let_head(w: Word) -> Option<(usize, Operand)> {
 }
 
 /// Decode a pattern word into its skip field.
+#[inline]
 pub fn unpack_pattern_skip(w: Word) -> usize {
     (w & 0x00FF_FFFF) as usize
 }
@@ -208,6 +212,7 @@ fn source_code(s: Source) -> Word {
     }
 }
 
+#[inline]
 fn source_from_code(c: Word) -> Option<Source> {
     Some(match c {
         0 => Source::Local,
@@ -237,6 +242,7 @@ fn pack_operand(op: &Operand) -> Result<Word, EncodeError> {
     Ok((source_code(op.source) << 20) | field)
 }
 
+#[inline]
 fn unpack_operand(word: Word) -> Option<Operand> {
     let source = source_from_code((word >> 20) & 0xF)?;
     let raw = word & 0xF_FFFF;

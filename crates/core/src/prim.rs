@@ -159,6 +159,7 @@ impl PrimOp {
     }
 
     /// Look up a primitive by its reserved function index.
+    #[inline]
     pub fn from_index(index: u32) -> Option<Self> {
         if index == 0 {
             return None;
@@ -167,6 +168,7 @@ impl PrimOp {
     }
 
     /// How many arguments the primitive consumes when saturated.
+    #[inline]
     pub fn arity(self) -> usize {
         match self {
             PrimOp::Not | PrimOp::Neg | PrimOp::Abs | PrimOp::GetInt | PrimOp::Gc => 1,

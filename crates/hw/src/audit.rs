@@ -195,7 +195,7 @@ pub(crate) fn audit_objects(
     // Roots in bounds.
     for (slot, r) in roots.iter().enumerate() {
         if let HValue::Ref(reference) = *r {
-            if reference >= n {
+            if reference as usize >= n {
                 return Err(AuditError::DanglingRoot { slot, reference });
             }
         }
@@ -205,10 +205,13 @@ pub(crate) fn audit_objects(
     // application targets.
     let mut words = 0;
     for (object, obj) in objs.iter().enumerate() {
+        // Object counts come from 32-bit snapshot counts or a heap no
+        // larger than `MAX_HEAP_WORDS`, so every index fits a reference.
+        let object = object as HeapRef;
         words += obj.words();
         for (slot, v) in obj.payload().iter().enumerate() {
             if let HValue::Ref(reference) = *v {
-                if reference >= n {
+                if reference as usize >= n {
                     return Err(AuditError::DanglingField {
                         object,
                         slot,
@@ -247,7 +250,7 @@ pub(crate) fn audit_objects(
                         return Err(AuditError::UnknownTarget { object, id: *id });
                     }
                 } else if let AppTarget::Value(HValue::Ref(reference)) = target {
-                    if *reference >= n {
+                    if *reference as usize >= n {
                         return Err(AuditError::DanglingField {
                             object,
                             slot: 0,
@@ -257,7 +260,7 @@ pub(crate) fn audit_objects(
                 }
             }
             HeapObj::Ind(HValue::Ref(reference)) => {
-                if *reference >= n {
+                if *reference as usize >= n {
                     return Err(AuditError::DanglingField {
                         object,
                         slot: 0,
@@ -274,7 +277,7 @@ pub(crate) fn audit_objects(
     let mut stack: Vec<HeapRef> = Vec::new();
     let mark = |v: &HValue, seen: &mut Vec<bool>, stack: &mut Vec<HeapRef>| {
         if let HValue::Ref(r) = *v {
-            if let Some(flag) = seen.get_mut(r) {
+            if let Some(flag) = seen.get_mut(r as usize) {
                 if !*flag {
                     *flag = true;
                     stack.push(r);
@@ -288,7 +291,9 @@ pub(crate) fn audit_objects(
     let mut reachable = 0usize;
     while let Some(r) = stack.pop() {
         reachable += 1;
-        let Some(obj) = objs.get(r) else { continue };
+        let Some(obj) = objs.get(r as usize) else {
+            continue;
+        };
         if let HeapObj::App {
             target: AppTarget::Value(v),
             ..

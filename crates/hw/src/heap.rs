@@ -30,6 +30,11 @@ use crate::obj::{HValue, HeapObj, HeapRef};
 /// idle heap retains.
 const SPARE_PAYLOADS: usize = 256;
 
+/// Largest semispace a machine may be built with, in words. Every object
+/// takes at least 2 words, so a semispace this size holds at most 2^32
+/// objects and every object index fits a 32-bit [`HeapRef`].
+pub const MAX_HEAP_WORDS: u64 = 1 << 33;
+
 /// A reference that points outside the heap — a memory fault.
 ///
 /// The simulator never produces one on its own; they arise from injected
@@ -74,6 +79,8 @@ pub struct Heap {
 
 impl Heap {
     /// A heap holding at most `capacity_words` 32-bit words per semispace.
+    /// Capacities above [`MAX_HEAP_WORDS`] are clamped to it; the machine
+    /// constructors refuse them with a typed error before getting here.
     pub fn new(capacity_words: usize) -> Self {
         Self::from_parts(capacity_words, Vec::new())
     }
@@ -105,10 +112,11 @@ impl Heap {
     /// so the invariant `words_used == Σ words()` holds by construction.
     pub fn from_parts(capacity_words: usize, objs: Vec<HeapObj>) -> Self {
         let words_used = objs.iter().map(|o| o.words()).sum();
+        let max_words = usize::try_from(MAX_HEAP_WORDS).unwrap_or(usize::MAX);
         Heap {
             objs,
             words_used,
-            capacity_words,
+            capacity_words: capacity_words.min(max_words),
             to_space: Vec::new(),
             spare_payloads: Vec::new(),
         }
@@ -121,20 +129,22 @@ impl Heap {
         if self.words_used + w > self.capacity_words {
             return None;
         }
+        // The capacity bound keeps the index below 2^32.
+        let r = self.objs.len() as HeapRef;
         self.words_used += w;
         self.objs.push(obj);
-        Some(self.objs.len() - 1)
+        Some(r)
     }
 
     /// Read an object. A dangling reference (possible only after memory
     /// corruption, e.g. an injected bit flip) is reported as a typed fault.
     pub fn get(&self, r: HeapRef) -> Result<&HeapObj, DanglingRef> {
-        self.objs.get(r).ok_or(DanglingRef(r))
+        self.objs.get(r as usize).ok_or(DanglingRef(r))
     }
 
     /// Mutate an object in place (thunk update).
     pub fn get_mut(&mut self, r: HeapRef) -> Result<&mut HeapObj, DanglingRef> {
-        self.objs.get_mut(r).ok_or(DanglingRef(r))
+        self.objs.get_mut(r as usize).ok_or(DanglingRef(r))
     }
 
     /// An empty payload buffer with room for `len` values, reused from the
@@ -245,7 +255,7 @@ impl Heap {
             HValue::Ref(r) => r,
         };
         report.cycles += cost.gc_ref_check;
-        let slot = self.objs.get_mut(r).ok_or(DanglingRef(r))?;
+        let slot = self.objs.get_mut(r as usize).ok_or(DanglingRef(r))?;
         match *slot {
             HeapObj::Forwarded(dest) => Ok(dest),
             HeapObj::Ind(inner) => {
@@ -256,7 +266,7 @@ impl Heap {
                 Ok(dest)
             }
             _ => {
-                let dest = HValue::Ref(to.len());
+                let dest = HValue::Ref(to.len() as HeapRef);
                 let obj = std::mem::replace(slot, HeapObj::Forwarded(dest));
                 let w = obj.words();
                 report.cycles += cost.gc_copy_base + cost.gc_copy_per_word * w as u64;

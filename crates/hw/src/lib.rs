@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use audit::{audit_heap, AuditError, AuditReport};
 pub use cost::CostModel;
-pub use heap::{GcReport, Heap};
+pub use heap::{GcReport, Heap, MAX_HEAP_WORDS};
 pub use machine::{Hw, HwConfig, HwError, DEFAULT_HEAP_WORDS};
 pub use obj::{AppTarget, HValue, HeapObj, HeapRef};
 pub use resources::LambdaLayerModel;

@@ -42,7 +42,7 @@ use zarf_core::{Int, Word};
 use zarf_trace::{Event, InstrClass, SinkHandle, TraceSink};
 
 use crate::cost::CostModel;
-use crate::heap::{DanglingRef, GcReport, Heap};
+use crate::heap::{DanglingRef, GcReport, Heap, MAX_HEAP_WORDS};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
 use crate::snapshot::Image;
 use crate::stats::{Class, Stats};
@@ -81,7 +81,10 @@ pub enum HwError {
     UnknownItem(u32),
     /// A reference pointed outside the heap — a memory fault (only
     /// reachable after corruption, e.g. an injected bit flip).
-    DanglingRef(usize),
+    DanglingRef(HeapRef),
+    /// The configured semispace exceeds [`MAX_HEAP_WORDS`]: some object
+    /// index would not fit a 32-bit reference.
+    HeapTooLarge(usize),
     /// A machine invariant did not hold at runtime: corrupted state that
     /// validation cannot rule out once memory faults are in the model.
     BadState(&'static str),
@@ -104,6 +107,10 @@ impl fmt::Display for HwError {
             HwError::UnknownName(n) => write!(f, "no item named `{n}`"),
             HwError::UnknownItem(id) => write!(f, "no item with identifier {id:#x}"),
             HwError::DanglingRef(r) => write!(f, "dangling heap reference {r:#x}"),
+            HwError::HeapTooLarge(words) => write!(
+                f,
+                "a semispace of {words} words exceeds the {MAX_HEAP_WORDS}-word maximum"
+            ),
             HwError::BadState(what) => write!(f, "machine state corrupted: {what}"),
         }
     }
@@ -290,7 +297,8 @@ impl Hw {
     ///
     /// The image is fully validated (structure, operand ranges, skip-field
     /// consistency) before execution is permitted — rejecting malformed
-    /// binaries is part of the architecture's contract.
+    /// binaries is part of the architecture's contract. A semispace above
+    /// [`MAX_HEAP_WORDS`] is refused with [`HwError::HeapTooLarge`].
     pub fn load_with(words: &[Word], config: HwConfig) -> Result<Self, HwError> {
         Self::load_image(Image::new(words.to_vec(), Vec::new()), config)
     }
@@ -298,6 +306,9 @@ impl Hw {
     /// Load `image` with its symbols, validating the words as
     /// [`Hw::load_with`] does.
     pub(crate) fn load_image(image: Image, config: HwConfig) -> Result<Self, HwError> {
+        if config.heap_words as u64 > MAX_HEAP_WORDS {
+            return Err(HwError::HeapTooLarge(config.heap_words));
+        }
         // Validation: a full decode must succeed.
         let words = image.words();
         encode::decode(words).map_err(HwError::Load)?;
@@ -610,17 +621,30 @@ impl Hw {
 
     // -- cycle accounting ---------------------------------------------------
 
+    // Every emission site on the step path is one inlined branch on the
+    // sink; the traced half lives out of line in a `#[cold]` function, so
+    // an untraced run pays neither its code size nor a call.
+
+    #[inline]
     fn charge(&mut self, cycles: u64) {
         self.stats.class_mut(self.class).cycles += cycles;
         if self.sink.enabled() {
-            let item = self.frames.last().map(|f| f.item);
-            if (self.cursor.class, self.cursor.item) != (self.class, item) {
-                self.flush_cycles();
-                self.cursor.class = self.class;
-                self.cursor.item = item;
-            }
-            self.cursor.cycles += cycles;
+            self.trace_cycles(cycles);
         }
+    }
+
+    /// The traced half of [`Hw::charge`]: coalesce `cycles` into the
+    /// cursor, flushing it first when the attribution changes.
+    #[cold]
+    #[inline(never)]
+    fn trace_cycles(&mut self, cycles: u64) {
+        let item = self.frames.last().map(|f| f.item);
+        if (self.cursor.class, self.cursor.item) != (self.class, item) {
+            self.flush_cycles();
+            self.cursor.class = self.class;
+            self.cursor.item = item;
+        }
+        self.cursor.cycles += cycles;
     }
 
     /// Emit any coalesced-but-unflushed cycle charges to the trace sink.
@@ -646,16 +670,24 @@ impl Hw {
         }
     }
 
+    #[inline]
     fn begin_instr(&mut self, class: Class, pc: usize) {
         self.class = class;
         self.stats.class_mut(class).count += 1;
         if self.sink.enabled() {
-            self.flush_cycles();
-            self.sink.emit(|| Event::Instr {
-                pc: pc as u64,
-                class: trace_class(class),
-            });
+            self.trace_instr(class, pc);
         }
+    }
+
+    /// The traced half of [`Hw::begin_instr`].
+    #[cold]
+    #[inline(never)]
+    fn trace_instr(&mut self, class: Class, pc: usize) {
+        self.flush_cycles();
+        self.sink.emit(|| Event::Instr {
+            pc: pc as u64,
+            class: trace_class(class),
+        });
     }
 
     // -- memory -------------------------------------------------------------
@@ -998,11 +1030,21 @@ impl Hw {
             .and_then(|i| self.items.get(i as usize))
     }
 
-    /// Emit [`Event::CoroutineExit`] if the popped frame's item is marked.
-    fn emit_coroutine_exit(&mut self, item: u32) {
-        if let Some(&cid) = self.coroutines.get(&item) {
+    /// Emit [`Event::CoroutineEnter`] or [`Event::CoroutineExit`] if frames
+    /// of `item` are marked as a coroutine. The traced half of a frame push
+    /// or pop: only the caller's sink check is on the untraced path.
+    #[cold]
+    #[inline(never)]
+    fn trace_coroutine(&mut self, item: u32, enter: bool) {
+        if let Some(&id) = self.coroutines.get(&item) {
             self.flush_cycles();
-            self.sink.emit(|| Event::CoroutineExit { id: cid });
+            self.sink.emit(|| {
+                if enter {
+                    Event::CoroutineEnter { id }
+                } else {
+                    Event::CoroutineExit { id }
+                }
+            });
         }
     }
 
@@ -1037,7 +1079,9 @@ impl Hw {
             .frames
             .pop()
             .ok_or(HwError::BadState("no active frame"))?;
-        self.emit_coroutine_exit(frame.item);
+        if self.sink.enabled() {
+            self.trace_coroutine(frame.item, false);
+        }
         self.heap.recycle(frame.args);
         let mut locals = frame.locals;
         if self.spare_locals.len() < SPARE_LOCALS {
@@ -1274,9 +1318,8 @@ impl Hw {
             let mut args = self.replace_cell(r, HeapObj::BlackHole)?;
             self.push_surplus(&mut args, arity);
             self.charge(self.cost.enter_fun);
-            if let Some(&cid) = self.coroutines.get(&id) {
-                self.flush_cycles();
-                self.sink.emit(|| Event::CoroutineEnter { id: cid });
+            if self.sink.enabled() {
+                self.trace_coroutine(id, true);
             }
             let mut locals_buf = self.spare_locals.pop().unwrap_or_default();
             locals_buf.reserve(locals);
@@ -1611,6 +1654,63 @@ mod tests {
         let mut h = hw(src);
         let v = h.run(&mut NullPorts).unwrap();
         h.as_int(v).expect("integer result")
+    }
+
+    /// The host layout of the λ-machine's state. Widening the tagged word
+    /// (say, back to a `usize` reference) doubles the bytes of every
+    /// payload slot, frame argument and local, and root, and slows the E2
+    /// run by about a third; this test fails first.
+    #[test]
+    fn host_layout_keeps_the_32_bit_word() {
+        use std::mem::size_of;
+        let why = "see DESIGN.md §4, \"Host representation\"";
+        assert_eq!(
+            size_of::<HValue>(),
+            8,
+            "HValue is one 8-byte tagged word; {why}"
+        );
+        assert!(
+            size_of::<HeapObj>() <= 40,
+            "HeapObj grew to {} bytes; {why}",
+            size_of::<HeapObj>()
+        );
+        assert!(
+            size_of::<Cont>() <= 32,
+            "Cont grew to {} bytes; {why}",
+            size_of::<Cont>()
+        );
+    }
+
+    /// `heap_words` reaches the machine from untrusted clients (the fleet's
+    /// session config): a semispace whose objects would outnumber 32-bit
+    /// references is a typed refusal at every constructor, never a panic
+    /// or a wrapped index.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_heap_is_refused_at_construction() {
+        let program = lower(&parse("fun main =\n result 1").unwrap()).unwrap();
+        let words = zarf_asm::encode(&program).unwrap();
+        for heap_words in [(1 << 33) + 1, 1 << 34, usize::MAX] {
+            let config = HwConfig {
+                heap_words,
+                ..HwConfig::default()
+            };
+            assert_eq!(
+                Hw::load_with(&words, config.clone()).err(),
+                Some(HwError::HeapTooLarge(heap_words))
+            );
+            assert_eq!(
+                Hw::from_machine_with(&program, config).err(),
+                Some(HwError::HeapTooLarge(heap_words))
+            );
+        }
+        let config = HwConfig {
+            heap_words: 1 << 33,
+            ..HwConfig::default()
+        };
+        let mut hw = Hw::load_with(&words, config).unwrap();
+        let v = hw.run(&mut NullPorts).unwrap();
+        assert_eq!(hw.as_int(v), Some(1));
     }
 
     #[test]

@@ -21,11 +21,22 @@
 //! Object sizes are modeled in 32-bit words: a 2-word header plus one word
 //! per argument/field, matching the `N` in the paper's "N + 4 cycles to
 //! copy" GC cost.
+//!
+//! Host representation: a reference is a 32-bit object index, so an
+//! [`HValue`] is 8 bytes (a 32-bit payload and its tag), not the 16 a
+//! `usize` index takes. Every payload slot, frame argument and local, host
+//! root and collector root is one such value, so the interpreter and the
+//! collector move half the bytes. An index cannot wrap: every object is
+//! at least 2 words, and machine construction refuses a semispace larger
+//! than [`MAX_HEAP_WORDS`](crate::heap::MAX_HEAP_WORDS) (2^33 words, so at
+//! most 2^32 objects). A unit test in `machine.rs` pins the host sizes
+//! (DESIGN.md §4).
 
 use zarf_core::Int;
 
-/// Index of an object in the heap.
-pub type HeapRef = usize;
+/// Index of an object in the heap: 32 bits, the width of the paper's
+/// machine word.
+pub type HeapRef = u32;
 
 /// A tagged machine word: either a primitive integer or a heap reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -29,7 +29,7 @@ use zarf_core::codec::{
 use zarf_core::Word;
 
 use crate::audit::{audit_objects, AuditError};
-use crate::heap::Heap;
+use crate::heap::{Heap, MAX_HEAP_WORDS};
 use crate::machine::{Hw, HwConfig, HwError};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
 use crate::stats::{Class, ClassStats, Stats};
@@ -271,25 +271,23 @@ pub fn verify_container(bytes: &[u8]) -> Result<(), SnapshotError> {
     split_sections(bytes).map(|_| ())
 }
 
-fn put_hvalue(buf: &mut Vec<u8>, v: HValue) -> Result<(), SnapshotError> {
+fn put_hvalue(buf: &mut Vec<u8>, v: HValue) {
     match v {
         HValue::Int(n) => {
             buf.push(0);
             put_i32(buf, n);
         }
         HValue::Ref(r) => {
-            let r = u32::try_from(r).map_err(|_| SnapshotError::Malformed("reference width"))?;
             buf.push(1);
             put_u32(buf, r);
         }
     }
-    Ok(())
 }
 
 fn get_hvalue(r: &mut Reader<'_>) -> Result<HValue, SnapshotError> {
     match r.u8()? {
         0 => Ok(HValue::Int(r.i32()?)),
-        1 => Ok(HValue::Ref(r.u32()? as HeapRef)),
+        1 => Ok(HValue::Ref(r.u32()?)),
         _ => Err(SnapshotError::Malformed("value tag")),
     }
 }
@@ -299,7 +297,7 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
         let n = u32::try_from(vs.len()).map_err(|_| SnapshotError::Malformed("payload width"))?;
         put_u32(buf, n);
         for &v in vs {
-            put_hvalue(buf, v)?;
+            put_hvalue(buf, v);
         }
         Ok(())
     };
@@ -317,7 +315,7 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
             args,
         } => {
             buf.push(1);
-            put_hvalue(buf, *v)?;
+            put_hvalue(buf, *v);
             put_list(buf, args)?;
         }
         HeapObj::Con { id, fields } => {
@@ -327,7 +325,7 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
         }
         HeapObj::Ind(v) => {
             buf.push(3);
-            put_hvalue(buf, *v)?;
+            put_hvalue(buf, *v);
         }
         HeapObj::BlackHole => buf.push(4),
         HeapObj::Forwarded(_) => return Err(SnapshotError::Malformed("forwarded object")),
@@ -396,8 +394,8 @@ fn evacuate(
     out: &mut Vec<HeapObj>,
 ) -> Result<HValue, SnapshotError> {
     let HValue::Ref(r) = v else { return Ok(v) };
-    let obj = src.get(r).ok_or(SnapshotError::Dangling(r))?;
-    if let Some(dest) = fwd[r] {
+    let obj = src.get(r as usize).ok_or(SnapshotError::Dangling(r))?;
+    if let Some(dest) = fwd[r as usize] {
         return Ok(dest);
     }
     let dest = match obj {
@@ -405,10 +403,10 @@ fn evacuate(
         HeapObj::Ind(inner) => evacuate(*inner, src, fwd, out)?,
         _ => {
             out.push(obj.clone());
-            HValue::Ref(out.len() - 1)
+            HValue::Ref((out.len() - 1) as HeapRef)
         }
     };
-    fwd[r] = Some(dest);
+    fwd[r as usize] = Some(dest);
     Ok(dest)
 }
 
@@ -591,12 +589,12 @@ impl MachineSnapshot {
         });
         heap?;
 
-        let mut roots = Ok(());
         w.section_with(TAG_ROOTS, None, |buf| {
             put_u32(buf, self.roots.len() as u32);
-            roots = self.roots.iter().try_for_each(|&r| put_hvalue(buf, r));
+            for &r in &self.roots {
+                put_hvalue(buf, r);
+            }
         });
-        roots?;
 
         w.section_with(TAG_STATS, None, |buf| {
             for n in stats_words(&self.stats) {
@@ -673,6 +671,7 @@ impl MachineSnapshot {
             }
         }
         let (heap_capacity, class) = control.ok_or(SnapshotError::MissingSection(TAG_CONTROL))?;
+        check_capacity(heap_capacity)?;
         let (words, code_crc) = code.ok_or(SnapshotError::MissingSection(TAG_CODE))?;
         Ok(MachineSnapshot {
             image: Image {
@@ -696,6 +695,7 @@ impl MachineSnapshot {
         if hw.image().words() != self.image.words() {
             return Err(SnapshotError::CodeMismatch);
         }
+        check_capacity(self.heap_capacity)?;
         self.audit(&|id| hw.item_shape(id))?;
         let heap = Heap::from_parts(self.heap_capacity, self.objects);
         hw.restore_parts(heap, self.roots, self.stats, self.class);
@@ -712,6 +712,15 @@ impl MachineSnapshot {
         self.restore_into(&mut hw)?;
         Ok(hw)
     }
+}
+
+/// Refuse a semispace no machine can be built with (see
+/// [`MAX_HEAP_WORDS`]).
+fn check_capacity(words: usize) -> Result<(), SnapshotError> {
+    if words as u64 > MAX_HEAP_WORDS {
+        return Err(SnapshotError::Malformed("heap capacity"));
+    }
+    Ok(())
 }
 
 /// Decode one section payload with `read`, which must consume all of
@@ -838,6 +847,40 @@ fun main =
   let l = upto 6 in
   result l
 "#;
+
+    /// A snapshot whose semispace could hold more objects than a 32-bit
+    /// reference can name is refused by type, at decode and at restore.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_heap_capacity_is_refused() {
+        let hw = machine_with_state(LIST_SRC);
+        let mut snap = MachineSnapshot::capture(&hw).unwrap();
+        snap.heap_capacity = 1 << 34;
+        let bytes = snap.to_bytes().unwrap();
+        let capacity = SnapshotError::Malformed("heap capacity");
+        assert_eq!(MachineSnapshot::from_bytes(&bytes), Err(capacity.clone()));
+        assert_eq!(
+            Hw::rehydrate(&bytes, HwConfig::default()).err(),
+            Some(capacity.clone())
+        );
+        let mut live = machine_with_state(LIST_SRC);
+        assert_eq!(snap.clone().restore_into(&mut live), Err(capacity));
+        assert!(matches!(
+            snap.to_hw(HwConfig::default()),
+            Err(SnapshotError::Load(_))
+        ));
+        // The largest semispace still round-trips.
+        let mut snap = MachineSnapshot::capture(&hw).unwrap();
+        snap.heap_capacity = MAX_HEAP_WORDS as usize;
+        let back = MachineSnapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
+        assert_eq!(
+            back.to_hw(HwConfig::default())
+                .unwrap()
+                .heap()
+                .capacity_words(),
+            1 << 33
+        );
+    }
 
     #[test]
     fn capture_round_trips_through_bytes() {

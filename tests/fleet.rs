@@ -464,6 +464,67 @@ fn verified_load_rejects_faulty_binary_with_typed_error() {
     fleet.shutdown();
 }
 
+/// `SessionConfig::heap_words` arrives from ZFLT clients as a `u64`. A
+/// semispace of 2^34 words could hold more objects than a 32-bit heap
+/// reference can name, so opening it is a typed load error, in process and
+/// over the wire, verified or not, and the server keeps serving.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn oversized_heap_is_a_typed_refusal() {
+    let words = zarf::asm::assemble(program_sources()[0]).unwrap();
+    let fleet = Fleet::start(FleetConfig {
+        workers: 1,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let handle = fleet.handle();
+    let oversized = |verified| SessionConfig {
+        heap_words: 1 << 34,
+        verified,
+        ..SessionConfig::default()
+    };
+    for verified in [false, true] {
+        match handle.open_program(&words, Some(oversized(verified))) {
+            Err(zarf::fleet::FleetError::Load(msg)) => {
+                assert!(msg.contains("semispace"), "unexpected message: {msg}")
+            }
+            other => panic!("expected a load error, got {other:?}"),
+        }
+    }
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let handle = fleet.handle();
+        std::thread::spawn(move || zarf::fleet::serve(listener, handle))
+    };
+    let mut client = Client::connect(addr).unwrap();
+    match client.call(&Request::LoadProgram {
+        config: oversized(false),
+        program: words.clone(),
+    }) {
+        Err(zarf::fleet::FleetError::Remote { code, .. }) => {
+            assert_eq!(code, zarf::fleet::wire::ERR_LOAD)
+        }
+        other => panic!("expected a remote load error, got {other:?}"),
+    }
+    assert!(matches!(
+        client
+            .call(&Request::LoadProgram {
+                config: SessionConfig::default(),
+                program: words,
+            })
+            .unwrap(),
+        Response::Opened { .. }
+    ));
+    assert!(matches!(
+        client.call(&Request::Shutdown).unwrap(),
+        Response::Bye
+    ));
+    server.join().unwrap().unwrap();
+    fleet.shutdown();
+}
+
 /// A verified session's certificate gates every op: unknown items, wrong
 /// arity, and items without a finite allocation bound are all rejected at
 /// inject with `UncertifiedOp`, while a conforming op sails through.
