@@ -146,10 +146,6 @@ pub enum FaultKind {
     /// every op executed in the slice is discarded and the session must
     /// recover from its last committed snapshot, byte-identically.
     SessionKill,
-    /// The session's resident machine is dropped right after the slice
-    /// commits, forcing a rehydration from the committed snapshot on the
-    /// next slice.
-    ForceEvict,
     /// The fleet frontier drops a TCP connection instead of writing the
     /// `op`-th response it was about to queue. The client sees a dead
     /// socket mid-pipeline; the session behind it must be unaffected.
@@ -215,10 +211,9 @@ impl FaultKind {
             }
             FaultKind::FuelCut { .. } => FaultSite::Coroutine,
             FaultKind::SnapshotCorrupt { .. } => FaultSite::Snapshot,
-            FaultKind::SessionKill
-            | FaultKind::ForceEvict
-            | FaultKind::ConnKill
-            | FaultKind::PartialWrite => FaultSite::Fleet,
+            FaultKind::SessionKill | FaultKind::ConnKill | FaultKind::PartialWrite => {
+                FaultSite::Fleet
+            }
             FaultKind::TornWrite
             | FaultKind::BitRot { .. }
             | FaultKind::MissingChunk
@@ -246,7 +241,6 @@ impl FaultKind {
             FaultKind::FuelCut { .. } => "fuel_cut",
             FaultKind::SnapshotCorrupt { .. } => "snapshot_corrupt",
             FaultKind::SessionKill => "session_kill",
-            FaultKind::ForceEvict => "force_evict",
             FaultKind::ConnKill => "conn_kill",
             FaultKind::PartialWrite => "partial_write",
             FaultKind::TornWrite => "torn_write",
@@ -400,20 +394,13 @@ impl FaultPlan {
         self.faults.get(&(site, op)).copied()
     }
 
-    /// Derive a fleet plan of (up to) `n` session-kill/evict faults from
+    /// Derive a fleet plan of (up to) `n` session-kill faults from
     /// `seed`, placed uniformly over a horizon of `slices` scheduling
-    /// slices. Kills outnumber evictions two to one: replay-from-snapshot
-    /// is the richer recovery path.
+    /// slices.
     ///
     /// Fully deterministic, same contract as [`FaultPlan::seeded`].
     pub fn seeded_fleet(seed: u64, slices: u64, n: usize) -> Self {
-        FaultPlan::seeded_site(seed, slices, n, |rng| {
-            if rng.below(3) < 2 {
-                FaultKind::SessionKill
-            } else {
-                FaultKind::ForceEvict
-            }
-        })
+        FaultPlan::seeded_site(seed, slices, n, |_| FaultKind::SessionKill)
     }
 
     /// Derive a frontier plan of (up to) `n` connection-kill/partial-write
@@ -782,15 +769,11 @@ mod tests {
 
     #[test]
     fn fleet_builders_and_point_query() {
-        let plan = FaultPlan::new()
-            .schedule(3, FaultKind::SessionKill)
-            .schedule(5, FaultKind::ForceEvict);
+        let plan = FaultPlan::new().schedule(3, FaultKind::SessionKill);
         assert_eq!(plan.at(FaultSite::Fleet, 3), Some(FaultKind::SessionKill));
-        assert_eq!(plan.at(FaultSite::Fleet, 5), Some(FaultKind::ForceEvict));
         assert_eq!(plan.at(FaultSite::Fleet, 4), None);
         assert_eq!(plan.at(FaultSite::Alloc, 3), None);
         assert_eq!(FaultKind::SessionKill.site(), FaultSite::Fleet);
-        assert_eq!(FaultKind::ForceEvict.site(), FaultSite::Fleet);
         assert_eq!(FaultKind::SessionKill.detail(), 0);
     }
 
@@ -813,7 +796,6 @@ mod tests {
             }
         }
         assert!(kinds.contains("session_kill"));
-        assert!(kinds.contains("force_evict"));
     }
 
     #[test]
@@ -954,6 +936,8 @@ mod tests {
     /// The single-site generators' streams are frozen: these plans were
     /// read off the generators before they shared one loop, and any
     /// change to a draw (its order, its range or its count) moves them.
+    /// The fleet row was re-read when its kind draw went: a fleet plan
+    /// holds only session kills, so each fault draws its op alone.
     #[test]
     fn single_site_generators_keep_their_frozen_plans() {
         use FaultKind::*;
@@ -970,27 +954,26 @@ mod tests {
             plans(|seed| FaultPlan::seeded_fleet(seed, 32, 6)),
             [
                 vec![
-                    (3, SessionKill),
-                    (17, SessionKill),
-                    (20, SessionKill),
-                    (24, ForceEvict),
+                    (11, SessionKill),
+                    (24, SessionKill),
                     (27, SessionKill),
-                    (28, ForceEvict),
+                    (28, SessionKill),
+                    (31, SessionKill),
                 ],
                 vec![
                     (5, SessionKill),
                     (7, SessionKill),
-                    (9, SessionKill),
+                    (8, SessionKill),
                     (14, SessionKill),
-                    (21, SessionKill),
-                    (29, ForceEvict),
+                    (16, SessionKill),
                 ],
                 vec![
                     (5, SessionKill),
-                    (6, SessionKill),
-                    (17, ForceEvict),
-                    (18, ForceEvict),
-                    (29, ForceEvict),
+                    (13, SessionKill),
+                    (17, SessionKill),
+                    (21, SessionKill),
+                    (29, SessionKill),
+                    (31, SessionKill),
                 ],
             ]
         );

@@ -4,10 +4,9 @@
 //! ## Invariants
 //!
 //! * **The committed snapshot is the session.** `Slot::snapshot` always
-//!   holds valid `ZSNP` bytes for the last committed quiescent state;
-//!   resident machines are a disposable per-worker cache keyed by
-//!   `(session, commit_seq)`. Dropping a cache entry (eviction) can never
-//!   lose state.
+//!   holds valid `ZSNP` bytes for the last committed quiescent state, and
+//!   it is the only way to get a session's machine: every slice
+//!   rehydrates those bytes and drops its machine once it has hibernated.
 //! * **Slices commit exactly once.** A worker takes `(snapshot,
 //!   pending-ops, commit_seq)` under the slot lock with `running = true`
 //!   (giving it exclusive execution rights), runs unlocked, then commits
@@ -27,7 +26,10 @@ use std::time::{Duration, Instant};
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite, InjectedFault};
 use zarf_core::{Int, Word};
-use zarf_hw::{verify_container, Hw, HwConfig, MachineSnapshot, Stats, DEFAULT_HEAP_WORDS};
+use zarf_hw::{
+    verify_container, Hw, HwConfig, HwError, MachineSnapshot, Stats, DEFAULT_HEAP_WORDS,
+    MAX_HEAP_WORDS,
+};
 use zarf_store::{SessionMeta, Store};
 use zarf_trace::metrics::Histogram;
 
@@ -196,17 +198,15 @@ impl SessionConfig {
 pub struct FleetConfig {
     /// Worker threads (0 is treated as 1).
     pub workers: usize,
-    /// Resident machines each worker may cache (0 = evict to snapshot
-    /// after every slice).
-    pub resident_per_worker: Option<usize>,
     /// Defaults for sessions opened without an explicit config.
     pub session: SessionConfig,
     /// Deterministic fault plan; the fleet consults
     /// [`FaultSite::Fleet`] at each session's own slice index.
     pub chaos: Option<FaultPlan>,
     /// Durable snapshot store. When present, every slice commit writes
-    /// through to it, eviction holds a store handle instead of resident
-    /// bytes, and [`Fleet::start`] recovers every committed session.
+    /// through to it, the slot holds a store handle instead of the bytes
+    /// (each slice fetches them back to rehydrate), and [`Fleet::start`]
+    /// recovers every committed session.
     pub store: Option<Arc<Store>>,
     /// Replication sink. When present (it requires `store`), every
     /// committed slice is noted for the replication pump to ship to the
@@ -218,10 +218,6 @@ pub struct FleetConfig {
 impl FleetConfig {
     fn worker_count(&self) -> usize {
         self.workers.max(1)
-    }
-
-    fn resident(&self) -> usize {
-        self.resident_per_worker.unwrap_or(8)
     }
 }
 
@@ -257,8 +253,7 @@ struct Slot {
     /// Output words committed but not yet polled.
     outputs: Vec<Int>,
     ops_done: u64,
-    /// Bumped on every commit; resident cache entries are valid only while
-    /// their sequence number matches.
+    /// Bumped on every commit.
     commit_seq: u64,
     /// Scheduling slices started (the chaos coordinate).
     slices: u64,
@@ -297,7 +292,8 @@ pub struct SessionStats {
     pub slices: u64,
     /// Chaos session-kills absorbed.
     pub kills: u64,
-    /// Evictions to snapshot.
+    /// Machines dropped after a committed slice: one per commit, since
+    /// no worker keeps a machine between slices.
     pub evictions: u64,
     /// Rehydrations from snapshot.
     pub rehydrations: u64,
@@ -340,7 +336,8 @@ pub struct FleetStats {
     pub slices: u64,
     /// Chaos session-kills absorbed.
     pub kills: u64,
-    /// Evictions to snapshot.
+    /// Machines dropped after a committed slice: one per commit, since
+    /// no worker keeps a machine between slices.
     pub evictions: u64,
     /// Rehydrations from snapshot.
     pub rehydrations: u64,
@@ -483,48 +480,33 @@ pub struct FleetHandle {
 }
 
 /// Everything a successful slice hands back for the commit phase: new
-/// snapshot bytes, the machine (for the resident cache), stats, outputs,
-/// and executed-op count.
+/// snapshot bytes, stats, outputs, and executed-op count.
 struct SliceCommit {
     snapshot: Vec<u8>,
-    hw: Hw,
     stats: Stats,
     out: Vec<Int>,
     executed: usize,
 }
 
-/// Where a slice's machine comes from: this worker's resident cache, or
-/// the session's committed snapshot bytes. Built and consumed once per
-/// slice, so the machine is moved rather than boxed: a box would put an
-/// allocation on every resident slice.
-#[allow(clippy::large_enum_variant)]
-enum Machine {
-    Resident(Hw),
-    Snapshot(Vec<u8>),
-}
-
 /// Outcome of the unlocked run phase of one slice.
 enum SliceRun {
     /// Commit the slice atomically.
-    Commit(Box<SliceCommit>),
+    Commit(SliceCommit),
     /// Chaos kill: discard everything, replay next slice.
     Killed,
     /// Unrecoverable fault: poison the session.
     Poison(String),
 }
 
-/// Worker-thread state (lives entirely on its own thread; `Hw` is `!Send`
-/// so the resident cache can never leak across workers).
+/// Worker-thread state. A worker keeps no machine between slices: each
+/// slice rehydrates its session's committed bytes.
 struct Worker {
     shared: Arc<Shared>,
     index: usize,
-    /// Resident machines: session id → (commit_seq at load, machine), in
-    /// least-recently-used order (front = coldest).
-    resident: Vec<(u64, u64, Hw)>,
 }
 
 impl Worker {
-    fn run(mut self) {
+    fn run(self) {
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return;
@@ -550,37 +532,13 @@ impl Worker {
         }
     }
 
-    /// Take a cached machine for `(id, seq)` if one is still valid.
-    fn take_resident(&mut self, id: u64, seq: u64) -> Option<Hw> {
-        let pos = self.resident.iter().position(|(sid, _, _)| *sid == id)?;
-        let (_, cached_seq, hw) = self.resident.remove(pos);
-        // A stale sequence number means another worker committed since we
-        // cached this machine; the bytes in the slot are the truth.
-        (cached_seq == seq).then_some(hw)
-    }
-
-    fn cache_resident(&mut self, id: u64, seq: u64, hw: Hw) -> u64 {
-        let cap = self.shared.cfg.resident();
-        if cap == 0 {
-            return 1;
-        }
-        self.resident.push((id, seq, hw));
-        let mut evicted = 0;
-        while self.resident.len() > cap {
-            self.resident.remove(0);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn run_slice(&mut self, id: u64) {
+    fn run_slice(&self, id: u64) {
         let Ok(slot) = self.shared.slot(id) else {
             return; // closed while queued
         };
 
-        // Phase 1: take work, and this worker's cached machine or the
-        // committed bytes, under the slot lock.
-        let (machine, ops, slice_idx, config) = {
+        // Phase 1: take work and the committed bytes under the slot lock.
+        let (bytes, ops, slice_idx, config) = {
             let mut s = lock(&slot);
             s.queued = false;
             if s.closed || s.poisoned.is_some() || s.pending.is_empty() || s.running {
@@ -590,32 +548,31 @@ impl Worker {
             }
             s.running = true;
             s.slices += 1;
-            let machine = match self.take_resident(id, s.commit_seq) {
-                Some(hw) => Machine::Resident(hw),
-                None => match self.shared.committed_bytes(id, &s) {
-                    Ok(b) => {
-                        s.rehydrations += 1;
-                        Machine::Snapshot(b)
-                    }
-                    Err(e) => {
-                        // The committed state is unreadable (store
-                        // corruption): poison with the typed cause.
-                        s.running = false;
-                        s.poisoned = Some(format!("snapshot fetch: {e}"));
-                        drop(s);
-                        self.shared.notify_idle();
-                        return;
-                    }
-                },
+            let bytes = match self.shared.committed_bytes(id, &s) {
+                Ok(b) => b,
+                Err(e) => {
+                    // The committed state is unreadable (store
+                    // corruption): poison with the typed cause.
+                    s.running = false;
+                    s.poisoned = Some(format!("snapshot fetch: {e}"));
+                    drop(s);
+                    self.shared.notify_idle();
+                    return;
+                }
             };
+            s.rehydrations += 1;
             (
-                machine,
+                bytes,
                 s.pending.iter().cloned().collect::<Vec<Op>>(),
                 s.slices - 1,
                 s.config.clone(),
             )
         };
         self.shared.counters.slices.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .counters
+            .rehydrations
+            .fetch_add(1, Ordering::Relaxed);
 
         let fault = self
             .shared
@@ -625,7 +582,7 @@ impl Worker {
             .and_then(|p| p.at(FaultSite::Fleet, slice_idx));
 
         // Phase 2: run unlocked.
-        let result = self.run_ops(machine, ops, &config, fault);
+        let result = self.run_ops(&bytes, ops, &config, fault);
 
         // Phase 3: commit (or discard) under the slot lock.
         let mut requeue = false;
@@ -643,11 +600,10 @@ impl Worker {
                 SliceRun::Commit(commit) => {
                     let SliceCommit {
                         snapshot,
-                        hw,
                         stats,
                         out,
                         executed,
-                    } = *commit;
+                    } = commit;
                     if !s.closed {
                         s.stats = stats;
                         for _ in 0..executed {
@@ -656,6 +612,7 @@ impl Worker {
                         s.outputs.extend(out);
                         s.ops_done += executed as u64;
                         s.commit_seq += 1;
+                        s.evictions += 1;
                         // Durability: write the commit through the store.
                         // On failure the bytes stay resident in the slot —
                         // no state is lost — but the degradation is loud:
@@ -698,32 +655,13 @@ impl Worker {
                             .counters
                             .ops_done
                             .fetch_add(executed as u64, Ordering::Relaxed);
-                        let seq = s.commit_seq;
+                        self.shared
+                            .counters
+                            .evictions
+                            .fetch_add(1, Ordering::Relaxed);
                         requeue = !s.pending.is_empty();
                         if requeue {
                             s.queued = true;
-                        }
-                        // Resident policy. Evicting *this* session (forced
-                        // by chaos or a zero-capacity cache) is charged to
-                        // its slot; LRU overflow evicts other sessions'
-                        // machines and is only counted fleet-wide.
-                        let evict_self = matches!(fault, Some(FaultKind::ForceEvict))
-                            || self.shared.cfg.resident() == 0;
-                        if evict_self {
-                            s.evictions += 1;
-                        }
-                        drop(s);
-                        let evicted = if evict_self {
-                            drop(hw);
-                            1
-                        } else {
-                            self.cache_resident(id, seq, hw)
-                        };
-                        if evicted > 0 {
-                            self.shared
-                                .counters
-                                .evictions
-                                .fetch_add(evicted, Ordering::Relaxed);
                         }
                     }
                 }
@@ -746,27 +684,19 @@ impl Worker {
         self.shared.notify_idle();
     }
 
-    /// The unlocked run phase: rehydrate (or reuse) the machine, execute
-    /// queued ops until the fuel slice is spent, hibernate.
+    /// The unlocked run phase: rehydrate the committed bytes, execute
+    /// queued ops until the fuel slice is spent, hibernate. The machine
+    /// is dropped on return.
     fn run_ops(
         &self,
-        machine: Machine,
+        bytes: &[u8],
         ops: Vec<Op>,
         config: &SessionConfig,
         fault: Option<FaultKind>,
     ) -> SliceRun {
-        let mut hw = match machine {
-            Machine::Resident(hw) => hw,
-            Machine::Snapshot(bytes) => {
-                self.shared
-                    .counters
-                    .rehydrations
-                    .fetch_add(1, Ordering::Relaxed);
-                match Hw::rehydrate(&bytes, config.hw_config()) {
-                    Ok(hw) => hw,
-                    Err(e) => return SliceRun::Poison(format!("rehydrate: {e}")),
-                }
-            }
+        let mut hw = match Hw::rehydrate(bytes, config.hw_config()) {
+            Ok(hw) => hw,
+            Err(e) => return SliceRun::Poison(format!("rehydrate: {e}")),
         };
 
         let start = hw.stats().total_cycles();
@@ -799,13 +729,12 @@ impl Worker {
         }
         let stats = hw.stats().clone();
         match hw.hibernate() {
-            Ok(snapshot) => SliceRun::Commit(Box::new(SliceCommit {
+            Ok(snapshot) => SliceRun::Commit(SliceCommit {
                 snapshot,
-                hw,
                 stats,
                 out,
                 executed,
-            })),
+            }),
             Err(e) => SliceRun::Poison(format!("hibernate: {e}")),
         }
     }
@@ -814,13 +743,18 @@ impl Worker {
 impl FleetHandle {
     /// Load a program image as a new session; returns its id. The image is
     /// validated (full decode + initial snapshot) before the session
-    /// becomes visible.
+    /// becomes visible. A heap the machine cannot address is refused
+    /// before a verified load spends a certification on it.
     pub fn open_program(
         &self,
         words: &[Word],
         config: Option<SessionConfig>,
     ) -> Result<u64, FleetError> {
         let mut config = config.unwrap_or_else(|| self.shared.cfg.session.clone());
+        if config.heap_words as u64 > MAX_HEAP_WORDS {
+            let e = HwError::HeapTooLarge(config.heap_words);
+            return Err(FleetError::Load(e.to_string()));
+        }
         let mut cert = None;
         if config.verified {
             let (c, sized) = certify(words, config.heap_words)?;
@@ -1276,14 +1210,7 @@ impl Fleet {
             let shared = Arc::clone(&shared);
             let builder = std::thread::Builder::new().name(format!("zarf-fleet-{index}"));
             let handle = builder
-                .spawn(move || {
-                    Worker {
-                        shared,
-                        index,
-                        resident: Vec::new(),
-                    }
-                    .run()
-                })
+                .spawn(move || Worker { shared, index }.run())
                 .map_err(|e| FleetError::Load(format!("spawn worker: {e}")))?;
             workers.push(handle);
         }

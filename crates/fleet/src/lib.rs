@@ -19,12 +19,11 @@
 //!   so sessions cross threads only as `ZSNP` snapshot bytes
 //!   ([`Hw::hibernate`](zarf_hw::Hw::hibernate) /
 //!   [`Hw::rehydrate`](zarf_hw::Hw::rehydrate)). The committed snapshot in
-//!   the session slot is always the authoritative state; resident machines
-//!   are a per-worker cache keyed by commit sequence number. Evicting a
-//!   session is therefore just dropping its cache entry — resident memory
-//!   is bounded while logical session count is not.
+//!   the session slot is the session: every slice rehydrates it, and the
+//!   machine is dropped once the slice has hibernated. Live memory is one
+//!   machine per worker, while the logical session count is unbounded.
 //! * Every op ends with a **boundary collection**, which normalizes heap
-//!   layout and GC trigger points so an evicted-and-rehydrated session
+//!   layout and GC trigger points so a session rehydrated at every slice
 //!   produces the same bytes as one that never left memory (the same trick
 //!   the kernel's rollback recovery uses, and the moral equivalent of the
 //!   paper's once-per-iteration `gc` call).

@@ -144,7 +144,8 @@ pub fn apply_op(hw: &mut Hw, op: &Op, budget: u64, out: &mut Vec<Int>) -> bool {
     out.push(code);
 
     // Boundary collection: normalizes heap layout and GC trigger points so
-    // snapshot-evicted sessions stay byte-identical to resident ones.
+    // sessions rehydrated at every slice stay byte-identical to a machine
+    // that never left memory.
     if hw.collect_garbage().is_err() {
         out.push(RES_GC_FAULT);
         return false;
@@ -158,7 +159,7 @@ pub fn apply_op(hw: &mut Hw, op: &Op, budget: u64, out: &mut Vec<Int>) -> bool {
 ///
 /// This is the fleet's correctness oracle: for any program and op
 /// sequence, the fleet must produce these words and this snapshot no
-/// matter how many workers ran the session or how often it was evicted.
+/// matter how many workers ran the session or how many slices it took.
 pub fn run_standalone(
     words: &[Word],
     cfg: &SessionConfig,

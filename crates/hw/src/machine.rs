@@ -484,16 +484,17 @@ impl Hw {
     }
 
     /// Serialize the whole machine to `ZSNP` snapshot bytes (the machine
-    /// must be quiescent). The inverse of [`Hw::rehydrate`]; the fleet uses
-    /// this pair to evict sessions to bounded storage and move them across
-    /// worker threads.
+    /// must be quiescent). The inverse of [`Hw::rehydrate`]. Every fleet
+    /// slice ends here: the bytes are the session's committed state, and
+    /// the machine is dropped.
     pub fn hibernate(&self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
         crate::snapshot::MachineSnapshot::capture(self)?.to_bytes()
     }
 
     /// Rebuild a machine from [`Hw::hibernate`] bytes. `config` supplies
     /// the non-snapshotted knobs (cycle limit, GC policy, cost model); the
-    /// heap capacity always comes from the snapshot.
+    /// heap capacity always comes from the snapshot. Every fleet slice
+    /// starts here, from its session's committed bytes.
     pub fn rehydrate(bytes: &[u8], config: HwConfig) -> Result<Hw, crate::snapshot::SnapshotError> {
         crate::snapshot::MachineSnapshot::from_bytes(bytes)?.to_hw(config)
     }

@@ -58,6 +58,16 @@ fn program_sources() -> Vec<&'static str> {
 
 const WORK_ITEM: u32 = 0x101;
 
+/// `main` cases on a partial application: a guaranteed CaseOnClosure, so
+/// verified load must refuse the image.
+const CASE_ON_CLOSURE: &str = "fun f x =\n\
+     \x20 result x\n\
+     fun main =\n\
+     \x20 let g = f in\n\
+     \x20 case g of\n\
+     \x20 | 0 => result 1\n\
+     \x20 else result 0";
+
 /// The op script for program `k`, session-salted so no two sessions do
 /// identical work.
 fn ops_for(k: usize, salt: i32, n: i32) -> Vec<Op> {
@@ -100,9 +110,6 @@ fn fleet_is_byte_identical_to_standalone_under_forced_eviction() {
     for workers in [1, 3] {
         let fleet = Fleet::start(FleetConfig {
             workers,
-            // No resident cache at all: every slice rehydrates from the
-            // snapshot and every commit evicts.
-            resident_per_worker: Some(0),
             session: cfg.clone(),
             chaos: None,
             store: None,
@@ -131,7 +138,10 @@ fn fleet_is_byte_identical_to_standalone_under_forced_eviction() {
                 "program {k} salt {salt}: final state not byte-identical on {workers} worker(s)"
             );
             let stats = handle.session_stats(*id).unwrap();
-            assert!(stats.evictions > 0, "eviction was never forced");
+            assert_eq!(
+                stats.rehydrations, stats.slices,
+                "a slice ran without rehydrating"
+            );
             assert!(stats.rehydrations > 0, "session never rehydrated");
         }
         fleet.shutdown();
@@ -243,14 +253,12 @@ fn chaos_killed_sessions_recover_byte_identically() {
     // An explicit plan first (kills at known slices), then seeded plans.
     let mut plans = vec![FaultPlan::new()
         .schedule(0, FaultKind::SessionKill)
-        .schedule(2, FaultKind::SessionKill)
-        .schedule(4, FaultKind::ForceEvict)];
+        .schedule(2, FaultKind::SessionKill)];
     plans.extend((1..=3u64).map(|seed| FaultPlan::seeded_fleet(seed, 10, 4)));
 
     for (i, plan) in plans.into_iter().enumerate() {
         let fleet = Fleet::start(FleetConfig {
             workers: 2,
-            resident_per_worker: Some(1),
             session: cfg.clone(),
             chaos: Some(plan),
             store: None,
@@ -320,7 +328,6 @@ fn kernel_session_runs_through_the_fleet() {
 
     let fleet = Fleet::start(FleetConfig {
         workers: 2,
-        resident_per_worker: Some(0), // evict after every slice
         session: SessionConfig {
             fuel_slice: 1,
             ..cfg
@@ -401,17 +408,7 @@ fn kernel_session_verified_loads_and_runs_identically() {
 /// rejection surfaces as `ERR_CERTIFICATION` over the wire.
 #[test]
 fn verified_load_rejects_faulty_binary_with_typed_error() {
-    // `main` cases on a partial application: a guaranteed CaseOnClosure.
-    let faulty = zarf::asm::assemble(
-        "fun f x =\n\
-         \x20 result x\n\
-         fun main =\n\
-         \x20 let g = f in\n\
-         \x20 case g of\n\
-         \x20 | 0 => result 1\n\
-         \x20 else result 0",
-    )
-    .unwrap();
+    let faulty = zarf::asm::assemble(CASE_ON_CLOSURE).unwrap();
     let fleet = Fleet::start(FleetConfig {
         workers: 1,
         ..FleetConfig::default()
@@ -467,7 +464,9 @@ fn verified_load_rejects_faulty_binary_with_typed_error() {
 /// `SessionConfig::heap_words` arrives from ZFLT clients as a `u64`. A
 /// semispace of 2^34 words could hold more objects than a 32-bit heap
 /// reference can name, so opening it is a typed load error, in process and
-/// over the wire, verified or not, and the server keeps serving.
+/// over the wire, verified or not, and the server keeps serving. The size
+/// is refused before certification: an image that would also fail to
+/// certify still gets the load error.
 #[test]
 #[cfg(target_pointer_width = "64")]
 fn oversized_heap_is_a_typed_refusal() {
@@ -483,8 +482,9 @@ fn oversized_heap_is_a_typed_refusal() {
         verified,
         ..SessionConfig::default()
     };
-    for verified in [false, true] {
-        match handle.open_program(&words, Some(oversized(verified))) {
+    let faulty = zarf::asm::assemble(CASE_ON_CLOSURE).unwrap();
+    for (image, verified) in [(&words, false), (&words, true), (&faulty, true)] {
+        match handle.open_program(image, Some(oversized(verified))) {
             Err(zarf::fleet::FleetError::Load(msg)) => {
                 assert!(msg.contains("semispace"), "unexpected message: {msg}")
             }

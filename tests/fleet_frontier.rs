@@ -329,7 +329,7 @@ fn conn_kills_and_partial_writes_leave_sessions_byte_identical() {
 }
 
 /// Seeded soak: random connection kills and partial writes layered on
-/// top of scheduler chaos (session kills and forced evictions), across
+/// top of scheduler chaos (session kills), across
 /// several seeds. Fault plans are deterministic, so any divergence here
 /// is reproducible from the seed.
 #[test]
